@@ -12,7 +12,6 @@ from .compress import (
     CompressParams,
     CompressResult,
     CompressedStream,
-    Token,
     TokenKind,
     compress,
     compression_ratio,
@@ -84,7 +83,6 @@ __all__ = [
     "SweepDataset",
     "SweepRow",
     "SweepSpec",
-    "Token",
     "TokenKind",
     "build_index",
     "compress",

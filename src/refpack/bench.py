@@ -247,7 +247,7 @@ def _run_one(
         for target in dataset.targets_for_trial(trial):
             result = compress(target, index, dataset.reference, params, use_prefilter=use_prefilter)
             total_bases += result.n_bases
-            total_bytes += len(encode_groups(result.tokens, params))
+            total_bytes += len(encode_groups(result.kinds, result.words, params))
             for kind, n in result.kind_counts().items():
                 counts[kind] += n
         elapsed = time.perf_counter() - started

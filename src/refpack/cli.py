@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .bench import DEFAULT_K_VALUES, DEFAULT_S_VALUES, SweepDataset, SweepSpec, run_sweep
-from .compress import CompressParams, compress, compression_ratio, encode_groups
+from .compress import CompressParams, CompressResult, compress, compression_ratio, encoded_size
 from .container import (
     DEFAULT_GRANULARITY,
     decompress_record,
@@ -155,7 +155,7 @@ def _compress_records(
     *,
     use_prefilter: bool,
     granularity: int,
-) -> tuple[list[tuple[str, list, int]], int, int]:
+) -> tuple[list[tuple[str, CompressResult]], int, int]:
     records = []
     total_bases = 0
     total_group_bytes = 0
@@ -170,9 +170,9 @@ def _compress_records(
             use_prefilter=use_prefilter,
             break_every_groups=granularity,
         )
-        records.append((rec.id, result.tokens, result.n_bases))
+        records.append((rec.id, result))
         total_bases += result.n_bases
-        total_group_bytes += len(encode_groups(result.tokens, params))
+        total_group_bytes += encoded_size(result.kinds, params)
     return records, total_bases, total_group_bytes
 
 

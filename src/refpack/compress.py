@@ -16,14 +16,18 @@ padded with verbatim tokens encoding base 'A'; the footer base count makes
 the padding unambiguous. Verbatim widths other than S=16 round the payload
 up to whole words and exist only for benchmarking; they are not accepted by
 the container format.
+
+A token stream is held as two arrays: ``kinds`` (one kind code per token)
+and ``words`` (the payload words in token order, exactly as they follow the
+headers on disk). ``CompressParams.kind_words`` and ``.kind_bases`` are the
+only statement of how many payload words and bases each kind stands for.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -40,17 +44,16 @@ from .sequence import PackedSequence, sequence_checksum
 GROUP_SLOTS = 16
 WORD_BYTES = 4
 
+# Bit position of each slot's 2-bit kind code in a group header, slot 0 first;
+# also the position of each base in a verbatim payload word.
+SLOT_SHIFTS = np.arange(0, 2 * GROUP_SLOTS, 2, dtype=np.uint32)
+
 
 class TokenKind(IntEnum):
     VERBATIM = 0
     FORWARD_MATCH = 1
     REVERSE_MATCH = 2
     CONTINUATION = 3
-
-
-class Token(NamedTuple):
-    kind: TokenKind
-    payload: int | None = None
 
 
 @dataclass(frozen=True)
@@ -76,31 +79,28 @@ class CompressParams:
     def container_compatible(self) -> bool:
         return self.s == 16
 
+    @property
+    def kind_words(self) -> np.ndarray:
+        """Payload words of one token, indexed by its kind code."""
+        return np.array([self.words_per_verbatim, 1, 1, 0], dtype=np.int64)
 
-@dataclass
-class MatchState:
-    """Continuation tracking across tokens; persists across verbatim runs."""
-
-    orientation: Orientation | None = None
-    expected_next_offset: int | None = None
-
-    def clear(self) -> None:
-        self.orientation = None
-        self.expected_next_offset = None
+    @property
+    def kind_bases(self) -> np.ndarray:
+        """Bases one token decodes to, indexed by its kind code."""
+        return np.array([self.s, self.k, self.k, self.k], dtype=np.int64)
 
 
 @dataclass
 class CompressResult:
-    tokens: list[Token]
+    """Token kinds (``uint8[n]``) and payload words (``'<u4'[m]``) in token order."""
+
+    kinds: np.ndarray
+    words: np.ndarray
     n_bases: int
-    boundary_bases: list[int] = field(default_factory=list)
 
     def kind_counts(self) -> Counter:
-        return Counter(t.kind for t in self.tokens)
-
-
-def token_base_length(token: Token, params: CompressParams) -> int:
-    return params.s if token.kind == TokenKind.VERBATIM else params.k
+        counts = np.bincount(self.kinds, minlength=len(TokenKind))
+        return Counter({TokenKind(kind): int(n) for kind, n in enumerate(counts) if n})
 
 
 def compress(
@@ -142,25 +142,29 @@ def compress(
     else:
         h1f = h2f = h1r = h2r = np.empty(0, dtype=np.uint64)
 
-    # Verbatim payload words for every stride-aligned window, precomputed.
+    # Verbatim payload words of every stride-aligned window, precomputed.
     n_windows = (n + s - 1) // s
     padded = np.zeros(n_windows * s, dtype=np.uint8)
     padded[:n] = tcodes
-    vb_rows = _pack_rows(padded.reshape(n_windows, s)) if n_windows else None
+    vb_bytes = np.zeros((n_windows, WORD_BYTES * params.words_per_verbatim), dtype=np.uint8)
+    if n:
+        vb_bytes[:, : (s + 3) // 4] = _pack_rows(padded.reshape(n_windows, s))
+    vb_words = vb_bytes.view("<u4")
 
     comp = bytes.maketrans(bytes([0, 1, 2, 3]), bytes([3, 2, 1, 0]))
 
-    tokens: list[Token] = []
-    boundary_bases: list[int] = []
-    state = MatchState()
+    kinds = bytearray()
+    words: list[int] = []
+    # The last match's orientation and the offset a continuation would have;
+    # kept across verbatim runs.
+    orientation = expected = None
     break_tokens = GROUP_SLOTS * break_every_groups if break_every_groups else 0
     max_probe = n - k
 
     p = 0
     while p < n:
-        if break_tokens and len(tokens) % break_tokens == 0:
-            state.clear()
-            boundary_bases.append(p)
+        if break_tokens and len(kinds) % break_tokens == 0:
+            orientation = expected = None
         cand = None
         if p <= max_probe:
             i = p // s
@@ -174,57 +178,62 @@ def compress(
                 use_prefilter=use_prefilter,
                 stats=stats,
             )
-        if cand is not None:
-            o = cand.offset
-            if (
-                state.orientation == cand.orientation
-                and state.expected_next_offset == o
-            ):
-                tokens.append(Token(TokenKind.CONTINUATION))
-            elif cand.orientation == Orientation.FORWARD:
-                tokens.append(Token(TokenKind.FORWARD_MATCH, o))
-            else:
-                tokens.append(Token(TokenKind.REVERSE_MATCH, o))
-            if cand.orientation == Orientation.FORWARD:
-                state.orientation = Orientation.FORWARD
-                state.expected_next_offset = o + k
-            elif o >= k:
-                state.orientation = Orientation.REVERSE
-                state.expected_next_offset = o - k
-            else:
-                # A reverse chain cannot run past offset 0; start fresh next time.
-                state.clear()
-            p += k
-        else:
-            payload = int.from_bytes(vb_rows[p // s].tobytes(), "little")
-            tokens.append(Token(TokenKind.VERBATIM, payload))
+        if cand is None:
+            kinds.append(TokenKind.VERBATIM)
+            words += vb_words[p // s].tolist()
             p += s
+            continue
+        o = cand.offset
+        if orientation == cand.orientation and expected == o:
+            kinds.append(TokenKind.CONTINUATION)
+        else:
+            kinds.append(
+                TokenKind.FORWARD_MATCH
+                if cand.orientation == Orientation.FORWARD
+                else TokenKind.REVERSE_MATCH
+            )
+            words.append(o)
+        if cand.orientation == Orientation.FORWARD:
+            orientation, expected = Orientation.FORWARD, o + k
+        elif o >= k:
+            orientation, expected = Orientation.REVERSE, o - k
+        else:
+            # A reverse chain cannot run past offset 0; start fresh next time.
+            orientation = expected = None
+        p += k
 
-    return CompressResult(tokens=tokens, n_bases=n, boundary_bases=boundary_bases)
+    return CompressResult(
+        kinds=np.frombuffer(kinds, dtype=np.uint8),
+        words=np.array(words, dtype="<u4"),
+        n_bases=n,
+    )
 
 
-def encode_groups(tokens: list[Token], params: CompressParams) -> bytes:
-    """Serialize tokens into 16-slot groups of header + payload words."""
-    wv = params.words_per_verbatim
-    vb_bytes = WORD_BYTES * wv
-    out = bytearray()
-    pad = (-len(tokens)) % GROUP_SLOTS
-    padded = tokens if not pad else tokens + [Token(TokenKind.VERBATIM, 0)] * pad
-    for g in range(0, len(padded), GROUP_SLOTS):
-        group = padded[g : g + GROUP_SLOTS]
-        header = 0
-        payload = bytearray()
-        for i, tok in enumerate(group):
-            header |= int(tok.kind) << (2 * i)
-            if tok.kind == TokenKind.VERBATIM:
-                payload += int(tok.payload).to_bytes(vb_bytes, "little")
-            elif tok.kind in (TokenKind.FORWARD_MATCH, TokenKind.REVERSE_MATCH):
-                if not 0 <= tok.payload < 1 << 32:
-                    raise ValueError(f"match offset {tok.payload} does not fit in u32")
-                payload += int(tok.payload).to_bytes(WORD_BYTES, "little")
-        out += header.to_bytes(WORD_BYTES, "little")
-        out += payload
-    return bytes(out)
+def _padded(kinds: np.ndarray) -> np.ndarray:
+    """``kinds`` with the final group filled up with verbatim tokens."""
+    out = np.full(group_count(kinds.size) * GROUP_SLOTS, TokenKind.VERBATIM.value, dtype=np.uint8)
+    out[: kinds.size] = kinds
+    return out
+
+
+def encode_groups(kinds: np.ndarray, words: np.ndarray, params: CompressParams) -> bytes:
+    """Serialize a token stream into 16-slot groups of header + payload words."""
+    group_kinds = _padded(kinds).reshape(-1, GROUP_SLOTS)
+    counts = params.kind_words[group_kinds]
+    n_words = int(counts.ravel()[: kinds.size].sum())
+    if n_words != words.size:
+        raise ValueError(f"token kinds require {n_words} payload words, got {words.size}")
+    headers = (group_kinds.astype(np.uint32) << SLOT_SHIFTS).sum(axis=1, dtype=np.uint32)
+    group_words = counts.sum(axis=1)
+    payload = np.zeros(int(group_words.sum()), dtype="<u4")  # padding words stay 0
+    payload[:n_words] = words
+    return np.insert(payload, np.cumsum(group_words) - group_words, headers).tobytes()
+
+
+def encoded_size(kinds: np.ndarray, params: CompressParams) -> int:
+    """Byte length of ``encode_groups`` output for these token kinds."""
+    n_words = group_count(kinds.size) + int(params.kind_words[_padded(kinds)].sum())
+    return WORD_BYTES * n_words
 
 
 def group_count(n_tokens: int) -> int:
@@ -251,8 +260,8 @@ def make_stream(
     result: CompressResult, params: CompressParams, ref_checksum: bytes
 ) -> CompressedStream:
     return CompressedStream(
-        data=encode_groups(result.tokens, params),
-        n_groups=group_count(len(result.tokens)),
+        data=encode_groups(result.kinds, result.words, params),
+        n_groups=group_count(result.kinds.size),
         n_bases=result.n_bases,
         k=params.k,
         s=params.s,

@@ -18,11 +18,13 @@ File layout, all integers little-endian:
                                entries (u64 base offset, u64 group ordinal,
                                u64 byte offset), u32 section CRC32}
 
-Record byte offsets are absolute; chunk-index byte offsets are relative to
-the record's group bytes. An empty container is exactly the 58-byte header.
-Every byte of the file is covered by one of the three CRCs, so any
-single-byte corruption surfaces as a structured error instead of silently
-wrong output.
+Each record is written from one ``CompressResult``: its ``kinds`` give the
+headers, the base count check and the chunk index, and its ``words`` are the
+payload. Record byte offsets are absolute; chunk-index byte offsets are
+relative to the record's group bytes. An empty container is exactly the
+58-byte header. Every byte of the file is covered by one of the three CRCs,
+so any single-byte corruption surfaces as a structured error instead of
+silently wrong output.
 """
 
 from __future__ import annotations
@@ -40,14 +42,13 @@ from .compress import (
     GROUP_SLOTS,
     WORD_BYTES,
     CompressParams,
+    CompressResult,
     CompressedStream,
-    Token,
     TokenKind,
     encode_groups,
     group_count,
-    token_base_length,
 )
-from .decompress import DecodeState, decode_group, iter_group_frames
+from .decompress import decode_groups
 from .errors import ChecksumMismatch, CorruptContainer, CorruptStream
 from .sequence import PackedSequence, sequence_checksum
 
@@ -88,7 +89,7 @@ class ChunkIndex:
 
 
 def build_chunk_index(
-    tokens: list[Token], granularity: int, params: CompressParams
+    kinds: np.ndarray, granularity: int, params: CompressParams
 ) -> ChunkIndex:
     """One entry per ``granularity`` groups, at chain-free positions only.
 
@@ -98,40 +99,31 @@ def build_chunk_index(
     """
     if granularity < 1:
         raise ValueError("granularity must be positive")
-    # needs_state[i]: decoding tokens[i:] with fresh state would fail.
-    needs_state = [False] * (len(tokens) + 1)
-    pending = False
-    for i in range(len(tokens) - 1, -1, -1):
-        kind = tokens[i].kind
-        if kind in (TokenKind.FORWARD_MATCH, TokenKind.REVERSE_MATCH):
-            pending = False
-        elif kind == TokenKind.CONTINUATION:
-            pending = True
-        needs_state[i] = pending
-
-    wv = params.words_per_verbatim
-    bases: list[int] = []
-    groups: list[int] = []
-    byte_offs: list[int] = []
     step = GROUP_SLOTS * granularity
-    cum_bases = 0
-    cum_bytes = 0
-    for i, tok in enumerate(tokens):
-        if i % step == 0:
-            if not needs_state[i]:
-                bases.append(cum_bases)
-                groups.append(i // GROUP_SLOTS)
-                byte_offs.append(cum_bytes)
-        if i % GROUP_SLOTS == 0:
-            cum_bytes += WORD_BYTES  # group header
-        cum_bases += token_base_length(tok, params)
-        if tok.kind == TokenKind.VERBATIM:
-            cum_bytes += WORD_BYTES * wv
-        elif tok.kind != TokenKind.CONTINUATION:
-            cum_bytes += WORD_BYTES
-    if not tokens:
-        bases, groups, byte_offs = [0], [0], [0]
-    return ChunkIndex(granularity, tuple(bases), tuple(groups), tuple(byte_offs))
+    # A boundary is chain-free when the first non-verbatim token at or after
+    # it is a match, or when there is none.
+    if kinds.size <= step:
+        # Token 0 is the only candidate, and it sits at the origin.
+        first = kinds[kinds != TokenKind.VERBATIM.value][:1]
+        origin = () if (first == TokenKind.CONTINUATION.value).any() else (0,)
+        return ChunkIndex(granularity, origin, origin, origin)
+    starts = np.arange(0, kinds.size, step)
+    non_verbatim = np.flatnonzero(kinds != TokenKind.VERBATIM.value)
+    free = np.append(kinds[non_verbatim] != TokenKind.CONTINUATION.value, True)
+    at = starts[free[np.searchsorted(non_verbatim, starts)]]
+    groups = at // GROUP_SLOTS
+    words = _sums_before(params.kind_words[kinds], at)
+    return ChunkIndex(
+        granularity,
+        tuple(_sums_before(params.kind_bases[kinds], at).tolist()),
+        tuple(groups.tolist()),
+        tuple((WORD_BYTES * (groups + words)).tolist()),
+    )
+
+
+def _sums_before(per_token: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """``per_token[:i].sum()`` for each ``i`` in ``at``."""
+    return np.concatenate([[0], np.cumsum(per_token)])[at]
 
 
 @dataclass
@@ -169,7 +161,7 @@ class Container:
 
 
 def write_container(
-    records: Iterable[tuple[str, list[Token], int]],
+    records: Iterable[tuple[str, CompressResult]],
     params: CompressParams,
     ref_checksum: bytes,
     dest: Union[str, Path, BinaryIO],
@@ -178,7 +170,7 @@ def write_container(
 ) -> int:
     """Assemble and write a container; returns the byte size written.
 
-    ``records`` yields (id, token stream, base count). All validation happens
+    ``records`` yields (id, compress result) pairs. All validation happens
     before any byte reaches ``dest``.
     """
     if not params.container_compatible:
@@ -187,8 +179,9 @@ def write_container(
         raise ValueError("ref_checksum must be 32 bytes")
 
     specs = []
-    for rec_id, tokens, n_bases in records:
-        raw = sum(token_base_length(t, params) for t in tokens)
+    for rec_id, result in records:
+        kinds, n_bases = result.kinds, result.n_bases
+        raw = int(params.kind_bases[kinds].sum())
         if not (0 <= raw - n_bases < params.s) and not (raw == 0 and n_bases == 0):
             raise ValueError(
                 f"record {rec_id!r}: token stream yields {raw} bases, "
@@ -197,9 +190,9 @@ def write_container(
         rid = rec_id.encode("utf-8")
         if len(rid) > 0xFFFF:
             raise ValueError(f"record id too long: {len(rid)} bytes")
-        group_bytes = encode_groups(tokens, params)
-        cindex = build_chunk_index(tokens, granularity, params)
-        specs.append((rid, n_bases, group_count(len(tokens)), group_bytes, cindex))
+        group_bytes = encode_groups(kinds, result.words, params)
+        cindex = build_chunk_index(kinds, granularity, params)
+        specs.append((rid, n_bases, group_count(kinds.size), group_bytes, cindex))
 
     table = bytearray()
     regions = bytearray()
@@ -385,9 +378,10 @@ def extract_range(
 ) -> PackedSequence:
     """Decode ``length`` bases starting at ``base_offset`` without a full decode.
 
-    Decoding begins at the chunk-index predecessor entry and stops as soon as
-    the requested window is covered, so at most (gap to the entry + length +
-    one group) bases are ever decoded.
+    The record's group bytes are CRC-checked first. Decoding begins at the
+    chunk-index predecessor entry and stops as soon as the requested window is
+    covered, so at most (gap to the entry + length + one group) bases are ever
+    decoded.
     """
     if base_offset < 0 or length < 0 or base_offset + length > record.n_bases:
         raise ValueError(
@@ -400,26 +394,18 @@ def extract_range(
         return PackedSequence(b"", 0)
 
     entry_base, entry_group, entry_byte = record.chunk_index.predecessor(base_offset)
-    params = container.params
-    body = container.data[
-        record.byte_offset : record.byte_offset + record.region_size - 4
-    ]
     needed = (base_offset - entry_base) + length
-    state = DecodeState()
     parts: list[np.ndarray] = []
     got = 0
-    groups_decoded = 0
-    for g, header, words in iter_group_frames(
-        body[entry_byte:],
+    for codes in decode_groups(
+        container.group_bytes(record)[entry_byte:],
         record.n_groups - entry_group,
-        params,
-        exact=False,
-        first_group=entry_group,
+        entry_group,
+        reference,
+        container.params,
     ):
-        codes, state = decode_group(header, words, reference, state, params, group_index=g)
         parts.append(codes)
         got += codes.size
-        groups_decoded += 1
         if got >= needed:
             break
     if got < needed:
@@ -429,7 +415,7 @@ def extract_range(
         )
     if _stats is not None:
         _stats["decoded_bases"] = got
-        _stats["groups_decoded"] = groups_decoded
+        _stats["groups_decoded"] = len(parts)
     skip = base_offset - entry_base
     codes = np.concatenate(parts)[skip : skip + length]
     return PackedSequence.from_codes(codes)

@@ -23,7 +23,7 @@ On-disk ".bidx" layout, all little-endian:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
 from typing import BinaryIO, Union
@@ -62,17 +62,6 @@ class QueryStats:
     prefilter_rejects: int = 0
     verify_failures: int = 0
     hits: int = 0
-
-
-@dataclass
-class FilterTable:
-    """One nibble per slot; empty slots hold 0."""
-
-    nibbles: np.ndarray
-
-    def check(self, slot: int, low4: int) -> bool:
-        """False means the full verification at this slot must fail."""
-        return int(self.nibbles[slot]) == low4
 
 
 def _pack_rows(win: np.ndarray) -> np.ndarray:
@@ -151,7 +140,7 @@ class ReferenceIndex:
         self.seeds = seeds
         self.ref_checksum = ref_checksum
         self.slots = slots
-        self.filter = FilterTable(nibbles)
+        self.nibbles = nibbles  # one filter nibble per slot; empty slots hold 0
         self.skipped_keys = skipped_keys
         self._mask = capacity - 1
 
@@ -188,7 +177,7 @@ class ReferenceIndex:
         k = self.k
         mask = self._mask
         slots = self.slots
-        nibbles = self.filter.nibbles
+        nibbles = self.nibbles
         lf = fwd_codes[0] | (fwd_codes[1] << 2) if k > 1 else fwd_codes[0]
         lr = rc_codes[0] | (rc_codes[1] << 2) if k > 1 else rc_codes[0]
         h1f, h2f, h1r, h2r = hashes
@@ -251,7 +240,7 @@ class ReferenceIndex:
             self.seeds[1],
             self.ref_checksum,
         )
-        nib = self.filter.nibbles
+        nib = self.nibbles
         if nib.size % 2:
             nib = np.concatenate([nib, np.zeros(1, dtype=np.uint8)])
         packed_nibbles = (nib[0::2] | (nib[1::2] << 4)).astype(np.uint8)

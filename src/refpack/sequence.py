@@ -15,7 +15,7 @@ import hashlib
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Sequence, Union
+from typing import BinaryIO, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -49,13 +49,6 @@ _REVCOMP_BYTE = bytes(
 )
 
 _UNPACK_SHIFTS = np.arange(0, 8, 2, dtype=np.uint8)
-
-
-def complement_code(code: int) -> int:
-    """Complement of a 2-bit base code (bitwise NOT within two bits)."""
-    if not 0 <= code <= 3:
-        raise ValueError(f"base code out of range: {code}")
-    return code ^ 3
 
 
 def _pack_code_array(codes: np.ndarray) -> bytes:
@@ -375,11 +368,3 @@ def load_sequences(path: Union[str, Path], *, strict: bool = False) -> list[Fast
     if head in (b">", b";"):
         return parse_fasta(blob, strict=strict)
     return [FastaRecord(path.stem, read_2bit_raw(blob))]
-
-
-def iter_kmers(seq: PackedSequence, k: int, stride: int = 1) -> Iterator[tuple[int, Kmer]]:
-    """Yield (offset, kmer) at every stride-aligned offset."""
-    if stride < 1:
-        raise ValueError("stride must be positive")
-    for offset in range(0, seq.length - k + 1, stride):
-        yield offset, kmer_at(seq, offset, k)

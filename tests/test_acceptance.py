@@ -108,7 +108,7 @@ _ENCODED: dict[int, bytes] = {}
 def _encode(refs, idx, target, *, use_prefilter):
     ref, index, params, _ = refs[idx]
     result = compress(target, index, ref, params, use_prefilter=use_prefilter)
-    return result, encode_groups(result.tokens, params)
+    return result, encode_groups(result.kinds, result.words, params)
 
 
 def test_criterion_01_round_trip_exactness(corpus):
@@ -136,7 +136,7 @@ def test_criterion_02_self_compression_ratio():
     params = CompressParams(k=64, s=16)
     index = build_index(ref, 64)
     result = compress(ref, index, ref, params)
-    ratio = compression_ratio(result.n_bases, len(encode_groups(result.tokens, params)))
+    ratio = compression_ratio(result.n_bases, len(encode_groups(result.kinds, result.words, params)))
     elapsed = time.perf_counter() - started
     ok = ratio >= 100.0
     report(2, "self-compression ratio", ok,
@@ -150,8 +150,8 @@ def test_criterion_03_all_verbatim_floor():
     target = random_sequence(65_536, rng)  # multiple of 256 ⇒ exact floor
     params = CompressParams(k=64, s=16)
     result = compress(target, build_index(ref, 64), ref, params)
-    kinds = {tok.kind for tok in result.tokens}
-    ratio = compression_ratio(result.n_bases, len(encode_groups(result.tokens, params)))
+    kinds = set(result.kind_counts())
+    ratio = compression_ratio(result.n_bases, len(encode_groups(result.kinds, result.words, params)))
     ok = kinds == {TokenKind.VERBATIM} and abs(ratio - 3.76) <= 0.05
     report(3, "all-verbatim floor", ok,
            f"ratio {ratio:.4f} (want 3.76 ± 0.05), token kinds {sorted(k.name for k in kinds)}")
@@ -278,7 +278,7 @@ def test_criterion_08_random_access():
     records = []
     for name, piece in pieces.items():
         result = compress(piece, index, ref, params, break_every_groups=4)
-        records.append((name, result.tokens, result.n_bases))
+        records.append((name, result))
     buf = io.BytesIO()
     write_container(records, params, sequence_checksum(ref), buf, granularity=4)
     box = read_container(buf.getvalue())
@@ -309,7 +309,7 @@ def test_criterion_09_container_robustness():
     records = []
     for name, piece in pieces:
         result = compress(piece, index, ref, params, break_every_groups=4)
-        records.append((name, result.tokens, result.n_bases))
+        records.append((name, result))
     buf = io.BytesIO()
     write_container(records, params, sequence_checksum(ref), buf, granularity=4)
     data = buf.getvalue()

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from refpack import (
     CompressParams,
     MutationProfile,
-    Token,
     TokenKind,
     build_index,
     compress,
@@ -14,7 +15,8 @@ from refpack import (
     mutate,
     random_sequence,
 )
-from refpack.compress import GROUP_SLOTS, group_count, token_base_length
+from refpack.compress import GROUP_SLOTS, encoded_size, group_count
+from refpack.container import build_chunk_index
 from refpack.errors import ChecksumMismatch
 from refpack.index import Orientation, QueryStats
 from refpack.sequence import concat_sequences, pack_bases, reverse_complement_sequence
@@ -35,9 +37,18 @@ def test_params_validation():
 
 
 def test_token_base_length(params):
-    assert token_base_length(Token(TokenKind.VERBATIM, 0), params) == 16
-    assert token_base_length(Token(TokenKind.FORWARD_MATCH, 0), params) == 64
-    assert token_base_length(Token(TokenKind.CONTINUATION), params) == 64
+    # Indexed by kind code: verbatim, forward, reverse, continuation.
+    assert params.kind_bases.tolist() == [16, 64, 64, 64]
+    assert params.kind_words.tolist() == [1, 1, 1, 0]
+    assert CompressParams(k=64, s=64).kind_words.tolist() == [4, 1, 1, 0]
+
+
+def _kinds(*kinds):
+    return np.array(kinds, dtype=np.uint8)
+
+
+def _words(*words):
+    return np.array(words, dtype="<u4")
 
 
 def test_group_count():
@@ -48,15 +59,14 @@ def test_group_count():
 
 
 def test_all_verbatim_group_is_68_bytes(params):
-    tokens = [Token(TokenKind.VERBATIM, 0)] * GROUP_SLOTS
-    data = encode_groups(tokens, params)
+    data = encode_groups(_kinds(*[TokenKind.VERBATIM] * GROUP_SLOTS), _words(*[0] * 16), params)
     assert len(data) == 68  # 4-byte header + 16 one-word payloads
     assert data[:4] == b"\x00\x00\x00\x00"
 
 
 def test_match_plus_continuations_group_is_8_bytes(params):
-    tokens = [Token(TokenKind.FORWARD_MATCH, 0)] + [Token(TokenKind.CONTINUATION)] * 15
-    data = encode_groups(tokens, params)
+    kinds = _kinds(TokenKind.FORWARD_MATCH, *[TokenKind.CONTINUATION] * 15)
+    data = encode_groups(kinds, _words(0), params)
     assert len(data) == 8
     assert int.from_bytes(data[:4], "little") == 0xFFFFFFFD
     # 16 tokens x 64 bases from 8 bytes = 128x
@@ -64,8 +74,7 @@ def test_match_plus_continuations_group_is_8_bytes(params):
 
 
 def test_partial_group_padded_with_verbatim(params):
-    tokens = [Token(TokenKind.FORWARD_MATCH, 5)]
-    data = encode_groups(tokens, params)
+    data = encode_groups(_kinds(TokenKind.FORWARD_MATCH), _words(5), params)
     # header + match word + 15 padding verbatim words
     assert len(data) == 4 + 4 + 15 * 4
     header = int.from_bytes(data[:4], "little")
@@ -76,14 +85,49 @@ def test_partial_group_padded_with_verbatim(params):
 
 def test_wide_verbatim_words():
     params = CompressParams(k=64, s=32)
-    tokens = [Token(TokenKind.VERBATIM, (1 << 63) | 3)] * GROUP_SLOTS
-    data = encode_groups(tokens, params)
+    kinds = _kinds(*[TokenKind.VERBATIM] * GROUP_SLOTS)
+    data = encode_groups(kinds, _words(*[3, 1 << 31] * GROUP_SLOTS), params)
     assert len(data) == 4 + 16 * 8
+    assert data[4:12] == ((1 << 63) | 3).to_bytes(8, "little")
 
 
-def test_encode_rejects_oversized_offset(params):
-    with pytest.raises(ValueError, match="u32"):
-        encode_groups([Token(TokenKind.FORWARD_MATCH, 1 << 32)], params)
+def test_encode_rejects_mismatched_payload(params):
+    with pytest.raises(ValueError, match="payload words"):
+        encode_groups(_kinds(TokenKind.FORWARD_MATCH), _words(), params)
+    with pytest.raises(ValueError, match="payload words"):
+        encode_groups(_kinds(TokenKind.CONTINUATION), _words(7), params)
+
+
+def encode_groups_reference(kinds, words, params):
+    """Token-by-token encoder: the reference for the array version."""
+    wv = params.words_per_verbatim
+    kinds = kinds.tolist() + [TokenKind.VERBATIM] * ((-kinds.size) % GROUP_SLOTS)
+    words = words.tolist() + [0] * wv * GROUP_SLOTS
+    out = bytearray()
+    wi = 0
+    for g in range(0, len(kinds), GROUP_SLOTS):
+        header = 0
+        payload = bytearray()
+        for i, kind in enumerate(kinds[g : g + GROUP_SLOTS]):
+            header |= kind << (2 * i)
+            n = wv if kind == TokenKind.VERBATIM else int(kind != TokenKind.CONTINUATION)
+            for word in words[wi : wi + n]:
+                payload += word.to_bytes(4, "little")
+            wi += n
+        out += header.to_bytes(4, "little") + payload
+    return bytes(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 70), st.sampled_from([4, 8, 16, 32, 64]), st.integers(0, 2**32 - 1))
+def test_encode_groups_matches_reference(n, s, seed):
+    params = CompressParams(k=64, s=s)
+    rng = np.random.default_rng(seed)
+    kinds = rng.choice(4, n, p=rng.dirichlet(np.ones(4))).astype(np.uint8)
+    words = rng.integers(0, 2**32, int(params.kind_words[kinds].sum())).astype("<u4")
+    data = encode_groups(kinds, words, params)
+    assert data == encode_groups_reference(kinds, words, params)
+    assert encoded_size(kinds, params) == len(data)
 
 
 def test_compression_ratio():
@@ -101,7 +145,7 @@ def test_self_compression_is_single_chain(reference, index64, params):
     res = compress(reference, index64, reference, params)
     counts = res.kind_counts()
     assert counts[TokenKind.FORWARD_MATCH] == 1
-    assert res.tokens[0] == Token(TokenKind.FORWARD_MATCH, 0)
+    assert res.kinds[0] == TokenKind.FORWARD_MATCH and res.words[0] == 0
     assert counts[TokenKind.REVERSE_MATCH] == 0
     # tail shorter than k (30000 % 64 == 48) falls back to verbatim strides
     assert counts[TokenKind.VERBATIM] == 3
@@ -116,10 +160,9 @@ def test_reverse_segment_chains_with_decreasing_offsets(reference, index64, para
         concat_sequences([pack_bases(""), _from_codes(segment_codes)])
     )
     res = compress(target, index64, reference, params)
-    kinds = [t.kind for t in res.tokens]
-    assert kinds == [TokenKind.REVERSE_MATCH] + [TokenKind.CONTINUATION] * 3
+    assert res.kinds.tolist() == [TokenKind.REVERSE_MATCH] + [TokenKind.CONTINUATION] * 3
     # the reverse match stores the forward-oriented offset of its last k-mer
-    assert res.tokens[0].payload == 1024 + 3 * k
+    assert res.words.tolist() == [1024 + 3 * k]
 
 
 def _from_codes(codes):
@@ -132,17 +175,15 @@ def test_verbatim_payload_bits(reference, index64):
     params = CompressParams(k=64, s=16)
     target = pack_bases("ACGT" * 4)  # 16 bases, shorter than k
     res = compress(target, index64, reference, params)
-    assert len(res.tokens) == 1
-    tok = res.tokens[0]
-    assert tok.kind == TokenKind.VERBATIM
-    assert tok.payload == int.from_bytes(b"\xe4" * 4, "little")
+    assert res.kinds.tolist() == [TokenKind.VERBATIM]
+    assert res.words.tolist() == [int.from_bytes(b"\xe4" * 4, "little")]
 
 
 def test_mutation_break_resumes_with_fresh_match(reference, index64, params):
     codes = reference.codes()[:4096].copy()
     codes[2048] ^= 1  # single SNP mid-sequence
     res = compress(_from_codes(codes), index64, reference, params)
-    kinds = [t.kind for t in res.tokens]
+    kinds = res.kinds.tolist()
     assert TokenKind.VERBATIM in kinds
     after = kinds[kinds.index(TokenKind.VERBATIM) + 1 :]
     # once past the damaged stride the chain re-seeds with a forward match
@@ -164,8 +205,7 @@ def test_continuation_survives_verbatim_gap(reference, index64, params):
         ]
     )
     res = compress(_from_codes(target), index64, reference, params)
-    kinds = [t.kind for t in res.tokens]
-    assert kinds == (
+    assert res.kinds.tolist() == (
         [TokenKind.FORWARD_MATCH]
         + [TokenKind.VERBATIM] * 4
         + [TokenKind.CONTINUATION]
@@ -180,12 +220,12 @@ def test_continuation_survives_verbatim_gap(reference, index64, params):
         ]
     )
     res2 = compress(_from_codes(replaced), index64, reference, params)
-    assert [t.kind for t in res2.tokens] == (
+    assert res2.kinds.tolist() == (
         [TokenKind.FORWARD_MATCH]
         + [TokenKind.VERBATIM] * 4
         + [TokenKind.FORWARD_MATCH]
     )
-    assert res2.tokens[-1].payload == 2 * k
+    assert res2.words[-1] == 2 * k
 
 
 def test_break_every_groups_clears_state(reference, index64, params):
@@ -193,12 +233,12 @@ def test_break_every_groups_clears_state(reference, index64, params):
         reference, index64, reference, params, break_every_groups=1
     )
     # at every 16-token boundary the chain restarts: a match, not continuation
-    for g in range(0, len(res.tokens), GROUP_SLOTS):
-        assert res.tokens[g].kind != TokenKind.CONTINUATION
-    assert res.boundary_bases[0] == 0
-    assert res.boundary_bases == sorted(res.boundary_bases)
-    # boundaries land every 16 tokens' worth of bases
-    assert len(res.boundary_bases) == group_count(len(res.tokens))
+    assert (res.kinds[::GROUP_SLOTS] != TokenKind.CONTINUATION).all()
+    # so every group boundary is a chunk-index entry point
+    ci = build_chunk_index(res.kinds, 1, params)
+    assert len(ci.entries) == group_count(res.kinds.size)
+    assert ci.base_offsets[0] == 0
+    assert ci.base_offsets == tuple(sorted(ci.base_offsets))
 
 
 def test_compress_wrong_reference_checksum(reference, index64, params):
@@ -221,14 +261,14 @@ def test_compress_collects_stats(reference, index64, params):
 
 def test_empty_target(reference, index64, params):
     res = compress(pack_bases(""), index64, reference, params)
-    assert res.tokens == [] and res.n_bases == 0
-    assert encode_groups(res.tokens, params) == b""
+    assert res.kinds.size == res.words.size == res.n_bases == 0
+    assert encode_groups(res.kinds, res.words, params) == b""
 
 
 def test_make_stream_metadata(reference, index64, params):
     res = compress(reference, index64, reference, params)
     stream = make_stream(res, params, index64.ref_checksum)
     assert stream.n_bases == reference.length
-    assert stream.n_groups == group_count(len(res.tokens))
+    assert stream.n_groups == group_count(res.kinds.size)
     assert stream.params == params
     assert len(stream.data) % 4 == 0

@@ -2,11 +2,13 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from refpack import (
     CompressParams,
+    CompressResult,
     MutationProfile,
-    Token,
     TokenKind,
     compress,
     decompress,
@@ -23,12 +25,20 @@ from refpack.container import (
     extract_range,
     record_stream,
 )
-from refpack.errors import ChecksumMismatch, CorruptContainer, CorruptStream
+from refpack.errors import ChecksumMismatch, CorruptContainer, CorruptStream, RefpackError
 from refpack.sequence import PackedSequence, sequence_checksum
 
 V = TokenKind.VERBATIM
 FM = TokenKind.FORWARD_MATCH
 C = TokenKind.CONTINUATION
+
+
+def kinds_of(*kinds):
+    return np.array(kinds, dtype=np.uint8)
+
+
+def result_of(kinds, words, n_bases):
+    return CompressResult(kinds_of(*kinds), np.array(words, dtype="<u4"), n_bases)
 
 
 def checksum_of(reference):
@@ -54,7 +64,7 @@ def packed(reference, index64):
     records = []
     for rec_id, target in targets.items():
         result = compress(target, index64, reference, params, break_every_groups=2)
-        records.append((rec_id, result.tokens, result.n_bases))
+        records.append((rec_id, result))
     data = container_bytes(records, params, reference, granularity=2)
     return data, targets, params
 
@@ -71,8 +81,8 @@ def test_empty_container_is_bare_header(reference):
 def test_single_record_frozen_size(reference):
     # 58 header + (2 + 1 + 24) table + (8 group bytes + 4 crc) region
     # + (4 + 8 + 24 + 4) one-entry index section.
-    tokens = [Token(FM, 0)] + [Token(C, 0)] * 15
-    data = container_bytes([("r", tokens, 1024)], CompressParams(k=64, s=16), reference)
+    record = result_of([FM] + [C] * 15, [0], 1024)
+    data = container_bytes([("r", record)], CompressParams(k=64, s=16), reference)
     assert len(data) == 137
     box = read_container(data)
     (rec,) = box.records
@@ -102,7 +112,7 @@ def test_read_sources_agree(packed, tmp_path):
 
 def test_path_and_stream_writes_identical(reference, tmp_path):
     params = CompressParams(k=64, s=16)
-    records = [("x", [Token(V, 0xE4)] * 3, 48)]
+    records = [("x", result_of([V] * 3, [0xE4] * 3, 48))]
     path = tmp_path / "b.bnc"
     n = write_container(records, params, checksum_of(reference), path)
     data = container_bytes(records, params, reference)
@@ -130,10 +140,12 @@ def test_record_stream_fields(packed, reference):
 
 def test_empty_record_inside_container(reference):
     params = CompressParams(k=64, s=16)
-    tokens = [Token(V, 0xE4)] * 20
-    data = container_bytes(
-        [("a", tokens, 320), ("void", [], 0), ("b", tokens, 310)], params, reference
-    )
+    records = [
+        ("a", result_of([V] * 20, [0xE4] * 20, 320)),
+        ("void", result_of([], [], 0)),
+        ("b", result_of([V] * 20, [0xE4] * 20, 310)),
+    ]
+    data = container_bytes(records, params, reference)
     box = read_container(data)
     rec = box.find_record("void")
     assert (rec.n_bases, rec.n_groups, rec.region_size) == (0, 0, 4)
@@ -157,19 +169,19 @@ def test_write_rejects_inconsistent_base_count(reference):
     # declaring 0 exceeds the padding window.
     for bad in (17, 0):
         with pytest.raises(ValueError, match="inconsistent"):
-            container_bytes([("r", [Token(V, 0)], bad)], params, reference)
-    assert container_bytes([("r", [Token(V, 0)], 1)], params, reference)
+            container_bytes([("r", result_of([V], [0], bad))], params, reference)
+    assert container_bytes([("r", result_of([V], [0], 1))], params, reference)
 
 
 def test_chunk_index_empty_tokens_has_origin():
     params = CompressParams(k=64, s=16)
-    ci = build_chunk_index([], 4, params)
+    ci = build_chunk_index(kinds_of(), 4, params)
     assert ci.entries == [(0, 0, 0)]
 
 
 def test_chunk_index_all_verbatim_arithmetic():
     params = CompressParams(k=64, s=16)
-    ci = build_chunk_index([Token(V, 0)] * 64, 2, params)
+    ci = build_chunk_index(kinds_of(*[V] * 64), 2, params)
     # Boundary every 32 tokens; 32 verbatims = 512 bases, 2 headers + 32
     # payload words = 136 bytes.
     assert ci.entries == [(0, 0, 0), (512, 2, 136)]
@@ -180,35 +192,62 @@ def test_chunk_index_dense_under_break_mode(reference, index64):
     rng = np.random.default_rng(7)
     target = mutate(reference, MutationProfile(snp=0.02), rng)
     result = compress(target, index64, reference, params, break_every_groups=3)
-    ci = build_chunk_index(result.tokens, 3, params)
-    boundaries = -(-len(result.tokens) // (16 * 3))
+    ci = build_chunk_index(result.kinds, 3, params)
+    boundaries = -(-result.kinds.size // (16 * 3))
     assert len(ci.entries) == boundaries
     assert ci.base_offsets == tuple(sorted(ci.base_offsets))
 
 
 def test_chunk_index_skips_chained_boundaries():
     params = CompressParams(k=64, s=16)
-    tokens = [Token(FM, 0)] + [Token(C, 0)] * 31
-    ci = build_chunk_index(tokens, 1, params)
+    ci = build_chunk_index(kinds_of(FM, *[C] * 31), 1, params)
     assert ci.entries == [(0, 0, 0)]
     # A full match at the boundary makes it usable again.
-    tokens = [Token(FM, 0)] * 16 + [Token(FM, 0)] + [Token(C, 0)] * 15
-    ci = build_chunk_index(tokens, 1, params)
+    ci = build_chunk_index(kinds_of(*[FM] * 17, *[C] * 15), 1, params)
     assert ci.entries == [(0, 0, 0), (1024, 1, 68)]
 
 
 def test_chunk_index_verbatim_does_not_clear_chain():
     params = CompressParams(k=64, s=16)
     # Group 1 opens with a verbatim but still owes state to group 0's match.
-    tokens = [Token(FM, 0)] + [Token(C, 0)] * 15 + [Token(V, 0)] + [Token(C, 0)] * 15
-    ci = build_chunk_index(tokens, 1, params)
+    ci = build_chunk_index(kinds_of(FM, *[C] * 15, V, *[C] * 15), 1, params)
     assert ci.entries == [(0, 0, 0)]
+
+
+def chunk_index_reference(kinds, granularity, params):
+    """Token-by-token chunk index: the reference for the array version."""
+    kinds = kinds.tolist()
+    # needs_state[i]: decoding kinds[i:] with fresh state would fail.
+    needs_state = [False] * (len(kinds) + 1)
+    for i in range(len(kinds) - 1, -1, -1):
+        needs_state[i] = kinds[i] == C or (kinds[i] == V and needs_state[i + 1])
+    entries = []
+    bases = n_bytes = 0
+    for i, kind in enumerate(kinds):
+        if i % (16 * granularity) == 0 and not needs_state[i]:
+            entries.append((bases, i // 16, n_bytes))
+        if i % 16 == 0:
+            n_bytes += 4
+        bases += params.s if kind == V else params.k
+        n_bytes += 4 * (params.words_per_verbatim if kind == V else int(kind != C))
+    return entries if kinds else [(0, 0, 0)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 200), st.integers(1, 3), st.sampled_from([16, 32]),
+       st.integers(0, 2**32 - 1))
+def test_chunk_index_matches_reference(n, granularity, s, seed):
+    params = CompressParams(k=64, s=s)
+    rng = np.random.default_rng(seed)
+    kinds = rng.choice(4, n, p=rng.dirichlet(np.ones(4))).astype(np.uint8)
+    ci = build_chunk_index(kinds, granularity, params)
+    assert ci.entries == chunk_index_reference(kinds, granularity, params)
 
 
 def test_chunk_index_validation():
     params = CompressParams(k=64, s=16)
     with pytest.raises(ValueError, match="granularity"):
-        build_chunk_index([], 0, params)
+        build_chunk_index(kinds_of(), 0, params)
     with pytest.raises(ValueError, match="granularity"):
         ChunkIndex(0, (0,), (0,), (0,))
 
@@ -259,7 +298,7 @@ def test_extract_works_with_sparse_index(reference, index64):
     # the origin entry; extraction must still be correct, just less lazy.
     params = CompressParams(k=64, s=16)
     result = compress(reference, index64, reference, params)
-    data = container_bytes([("self", result.tokens, result.n_bases)], params, reference)
+    data = container_bytes([("self", result)], params, reference)
     box = read_container(data)
     rec = box.records[0]
     assert rec.chunk_index.entries == [(0, 0, 0)]
@@ -275,6 +314,29 @@ def test_extract_range_validation(packed, reference):
         with pytest.raises(ValueError, match="extract range"):
             extract_range(box, rec, reference, off, length)
     assert extract_range(box, rec, reference, rec.n_bases, 0).length == 0
+
+
+def test_extract_never_returns_corrupted_group_bytes(reference, index64):
+    # A flipped group byte must surface as an error or, where it cannot change
+    # the decoded bases, leave them pristine; extract checks the record CRC.
+    params = CompressParams(k=64, s=16)
+    target = mutate(
+        PackedSequence.from_codes(reference.codes()[500:2000]),
+        MutationProfile(snp=0.01),
+        np.random.default_rng(0xACC9),
+    )
+    result = compress(target, index64, reference, params, break_every_groups=4)
+    data = container_bytes([("near", result)], params, reference, granularity=4)
+    rec = read_container(data).records[0]
+    for pos in range(rec.byte_offset, rec.byte_offset + rec.region_size - 4):
+        bad = bytearray(data)
+        bad[pos] ^= 0x01
+        try:
+            box = read_container(bytes(bad))
+            got = extract_range(box, box.records[0], reference, 0, rec.n_bases)
+        except RefpackError:
+            continue
+        assert got == target, f"silent wrong output after flipping byte {pos}"
 
 
 def test_extract_wrong_reference(packed, reference):
@@ -342,6 +404,6 @@ def test_default_granularity_round_trips(reference, index64):
     result = compress(
         reference, index64, reference, params, break_every_groups=DEFAULT_GRANULARITY
     )
-    data = container_bytes([("g", result.tokens, result.n_bases)], params, reference)
+    data = container_bytes([("g", result)], params, reference)
     rec = read_container(data).records[0]
     assert rec.chunk_index.granularity == DEFAULT_GRANULARITY

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from refpack import (
     CompressParams,
     MutationProfile,
-    Token,
     TokenKind,
     build_index,
     compress,
@@ -17,7 +16,7 @@ from refpack import (
     random_sequence,
 )
 from refpack.compress import GROUP_SLOTS, CompressedStream, group_count
-from refpack.decompress import DecodeState, decode_group, iter_group_frames, split_header
+from refpack.decompress import decode_group, iter_group_frames, split_header
 from refpack.errors import ChecksumMismatch, CorruptStream
 from refpack.sequence import (
     PackedSequence,
@@ -28,26 +27,33 @@ from refpack.sequence import (
 )
 
 
-def naive_reconstruct(tokens, reference, params):
+def naive_reconstruct(result, reference, params):
     """Token-walk oracle: rebuild the target directly from token semantics."""
     out = []
     ref = reference.codes()
+    words = result.words.tolist()
+    wv = params.words_per_verbatim
+    wi = 0
     last = None  # (orientation_is_forward, offset)
-    for tok in tokens:
-        if tok.kind == TokenKind.VERBATIM:
-            value = tok.payload
+    for kind in result.kinds.tolist():
+        if kind == TokenKind.VERBATIM:
+            value = sum(word << (32 * j) for j, word in enumerate(words[wi : wi + wv]))
+            wi += wv
             out.extend((value >> (2 * j)) & 3 for j in range(params.s))
         else:
-            if tok.kind == TokenKind.FORWARD_MATCH:
-                fwd, off = True, tok.payload
-            elif tok.kind == TokenKind.REVERSE_MATCH:
-                fwd, off = False, tok.payload
+            if kind == TokenKind.FORWARD_MATCH:
+                fwd, off = True, words[wi]
+                wi += 1
+            elif kind == TokenKind.REVERSE_MATCH:
+                fwd, off = False, words[wi]
+                wi += 1
             else:
                 fwd, off = last
                 off = off + params.k if fwd else off - params.k
             window = ref[off : off + params.k]
             out.extend(window if fwd else (window[::-1] ^ 3))
             last = (fwd, off)
+    assert wi == len(words)
     return np.array(out, dtype=np.uint8)
 
 
@@ -57,7 +63,7 @@ def round_trip(target, index, reference, params, **kw):
     got = decompress(stream, reference)
 
     # cross-check the streaming decoder against the token-walk oracle
-    oracle = naive_reconstruct(res.tokens, reference, params)[: res.n_bases]
+    oracle = naive_reconstruct(res, reference, params)[: res.n_bases]
     assert np.array_equal(got.codes(), oracle)
     return got
 
@@ -133,6 +139,7 @@ def test_wide_stride_round_trip(reference):
     res = compress(target, idx, reference, params)
     stream = make_stream(res, params, idx.ref_checksum)
     assert decompress(stream, reference) == target
+    assert np.array_equal(naive_reconstruct(res, reference, params)[: res.n_bases], target.codes())
 
 
 # ------------------------------------------------------------------ low level
@@ -147,14 +154,14 @@ def test_split_header_golden():
 def test_decode_group_payload_count_mismatch(reference, params):
     header = (TokenKind.FORWARD_MATCH << 0) | (TokenKind.FORWARD_MATCH << 2)
     with pytest.raises(CorruptStream, match="payload holds"):
-        decode_group(header, np.array([0], dtype="<u4"), reference, DecodeState(), params)
+        decode_group(header, np.array([0], dtype="<u4"), reference, None, params)
 
 
 def test_decode_group_continuation_without_state(reference, params):
     header = int(TokenKind.CONTINUATION)
     err = None
     with pytest.raises(CorruptStream, match="no preceding match") as err:
-        decode_group(header, np.zeros(15, dtype="<u4"), reference, DecodeState(), params, group_index=3)
+        decode_group(header, np.zeros(15, dtype="<u4"), reference, None, params, group_index=3)
     assert "group 3, slot 0" in str(err.value)
 
 
@@ -163,21 +170,24 @@ def test_decode_group_offset_out_of_range(reference, params):
     payload = np.array([reference.length - 10], dtype="<u4")
     payload = np.concatenate([payload, np.zeros(15, dtype="<u4")])
     with pytest.raises(CorruptStream, match="out of range"):
-        decode_group(int(header), payload, reference, DecodeState(), params)
+        decode_group(int(header), payload, reference, None, params)
+
+
+def _all_verbatim_group(params):
+    return encode_groups(np.zeros(16, dtype=np.uint8), np.zeros(16, dtype="<u4"), params)
 
 
 def test_iter_group_frames_truncation(params):
-    tokens = [Token(TokenKind.VERBATIM, 0)] * 16
-    data = encode_groups(tokens, params)
+    data = _all_verbatim_group(params)
     with pytest.raises(CorruptStream, match="missing group header"):
         list(iter_group_frames(data[:2], 1, params))
     with pytest.raises(CorruptStream, match="payload exhausted"):
         list(iter_group_frames(data[:-4], 1, params))
     with pytest.raises(CorruptStream, match="trailing bytes"):
         list(iter_group_frames(data + b"\x00\x00\x00\x00", 1, params))
-    # non-exact mode tolerates trailing bytes (used for mid-stream entry)
-    frames = list(iter_group_frames(data + b"\xff" * 3, 1, params, exact=False))
-    assert len(frames) == 1
+    # a mid-stream entry numbers its groups from the entry's ordinal
+    frames = list(iter_group_frames(data, 1, params, first_group=5))
+    assert [g for g, _, _ in frames] == [5]
 
 
 def test_decompress_wrong_checksum(reference, index64, params):
@@ -212,7 +222,7 @@ def test_decompress_underrun(reference, index64, params):
 def test_decompress_overshoot_window(reference, params):
     # one all-verbatim group decodes 256 raw bases; a footer count of 0 means
     # even full padding cannot explain them
-    data = encode_groups([Token(TokenKind.VERBATIM, 0)] * 16, params)
+    data = _all_verbatim_group(params)
     bad = _stream(data, 1, 0, reference, params)
     with pytest.raises(CorruptStream, match="more than padding allows"):
         decompress(bad, reference)

@@ -49,10 +49,10 @@ def golden_inputs():
 def golden_container(reference, targets) -> bytes:
     params = CompressParams(k=32, s=16)
     index = build_index(reference, params.k)
-    records = []
-    for name, target in targets.items():
-        result = compress(target, index, reference, params, break_every_groups=GRANULARITY)
-        records.append((name, result.tokens, result.n_bases))
+    records = [
+        (name, compress(target, index, reference, params, break_every_groups=GRANULARITY))
+        for name, target in targets.items()
+    ]
     buf = io.BytesIO()
     write_container(records, params, sequence_checksum(reference), buf, granularity=GRANULARITY)
     return buf.getvalue()

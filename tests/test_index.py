@@ -180,7 +180,7 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.seeds == idx.seeds
     assert loaded.ref_checksum == sequence_checksum(ref)
     assert (loaded.slots == idx.slots).all()
-    assert (loaded.filter.nibbles == idx.filter.nibbles).all()
+    assert (loaded.nibbles == idx.nibbles).all()
 
     # a second save must be bit-identical
     buf = io.BytesIO()

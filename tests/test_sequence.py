@@ -10,9 +10,7 @@ from refpack.errors import FastaParseError
 from refpack.sequence import (
     CODE_TO_ASCII,
     PackedSequence,
-    complement_code,
     concat_sequences,
-    iter_kmers,
     kmer_at,
     load_sequences,
     pack_bases,
@@ -85,12 +83,6 @@ def test_equality_and_hash():
     assert a != "ACGTAC"
 
 
-def test_complement_code():
-    assert [complement_code(c) for c in range(4)] == [3, 2, 1, 0]
-    with pytest.raises(ValueError):
-        complement_code(4)
-
-
 def test_reverse_complement_golden():
     assert unpack_bases(reverse_complement_sequence(pack_bases("AACGTT"))) == "AACGTT"
     assert unpack_bases(reverse_complement_sequence(pack_bases("ACGGT"))) == "ACCGT"
@@ -144,14 +136,6 @@ def test_kmer_reverse_complement_matches_sequence(text, data):
     km = kmer_at(seq, off, k)
     rc = km.reverse_complement()
     assert rc.to_ascii() == unpack_bases(reverse_complement(seq, off, k))
-
-
-def test_iter_kmers_stride():
-    seq = pack_bases("ACGTACGTAC")
-    offs = [off for off, _ in iter_kmers(seq, 4, stride=3)]
-    assert offs == [0, 3, 6]
-    with pytest.raises(ValueError):
-        list(iter_kmers(seq, 4, stride=0))
 
 
 def test_sequence_checksum_definition():
