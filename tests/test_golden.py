@@ -5,7 +5,15 @@ granularity 4, chains broken every 4 groups), and ``fixtures/golden.json``
 holds the SHA-256 of every record's ``make_stream(...).data`` for each stride
 in ``DEFAULT_S_VALUES`` (k=64, so that every stride divides k). Both were
 written by the code before the array token pipeline; any change to them is a
-format change. Regenerate, only for an intended format change, with
+format change.
+
+``fixtures/golden_index.json`` holds what a built index means, not how its
+slots are laid out: for each ``(k, stride)`` the occupied slot count, the
+skipped keys, the load factor and a SHA-256 over the ``query`` result of the
+forward k-mer and of its reverse complement at every reference offset. It was
+written by the per-key insertion loop that preceded the batched cuckoo build.
+
+Regenerate, only for an intended format change, with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -29,9 +37,11 @@ from refpack import (
     write_container,
 )
 from refpack.bench import DEFAULT_S_VALUES
+from refpack.sequence import concat_sequences, kmer_at, reverse_complement_sequence
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GRANULARITY = 4
+INDEX_CASES = ((16, 1), (32, 4))
 
 
 def golden_inputs():
@@ -73,6 +83,41 @@ def golden_digests(reference, targets) -> dict[str, dict[str, str]]:
     return out
 
 
+def golden_index_reference():
+    """A reference with a duplicated half, a tandem repeat and a palindrome.
+
+    The 64-base palindrome is its own reverse complement; its centred 16-mer
+    and 32-mer start on offsets aligned to both strides in ``INDEX_CASES``.
+    """
+    rng = np.random.default_rng(0xB1D5)
+    half = random_sequence(1_200, rng)
+    tandem = concat_sequences([random_sequence(7, rng)] * 40)
+    arm = random_sequence(32, rng)
+    palindrome = concat_sequences([arm, reverse_complement_sequence(arm)])
+    return concat_sequences(
+        [half, half, tandem, random_sequence(100, rng), palindrome, random_sequence(200, rng)]
+    )
+
+
+def golden_index_meaning(reference) -> dict[str, dict]:
+    out = {}
+    for k, stride in INDEX_CASES:
+        index = build_index(reference, k, sampling_stride=stride)
+        digest = hashlib.sha256()
+        for off in range(reference.length - k + 1):
+            kmer = kmer_at(reference, off, k)
+            for hit in (index.query(reference, kmer), index.query(reference, kmer.reverse_complement())):
+                digest.update(b"-" if hit is None else f"{hit.orientation.name[0]}{hit.offset}".encode())
+            digest.update(b"\n")
+        out[f"k={k},stride={stride}"] = {
+            "occupied": index.occupied,
+            "skipped_keys": index.skipped_keys,
+            "load_factor": index.load_factor,
+            "query_sha256": digest.hexdigest(),
+        }
+    return out
+
+
 def test_golden_container_bytes():
     reference, targets = golden_inputs()
     assert golden_container(reference, targets) == (FIXTURES / "golden.bnc").read_bytes()
@@ -84,10 +129,18 @@ def test_golden_stream_digests():
     assert golden_digests(reference, targets) == expected
 
 
+def test_golden_index_meaning():
+    expected = json.loads((FIXTURES / "golden_index.json").read_text())
+    assert golden_index_meaning(golden_index_reference()) == expected
+
+
 if __name__ == "__main__":
     reference, targets = golden_inputs()
     FIXTURES.mkdir(exist_ok=True)
     (FIXTURES / "golden.bnc").write_bytes(golden_container(reference, targets))
     (FIXTURES / "golden.json").write_text(
         json.dumps(golden_digests(reference, targets), indent=1, sort_keys=True) + "\n"
+    )
+    (FIXTURES / "golden_index.json").write_text(
+        json.dumps(golden_index_meaning(golden_index_reference()), indent=1, sort_keys=True) + "\n"
     )
