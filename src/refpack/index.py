@@ -6,6 +6,15 @@ A slot's filter nibble holds the low 4 bits of the packed reference k-mer
 stored there (bases 0 and 1), so a nibble mismatch proves the full
 verification would fail; a nibble match proves nothing.
 
+The build is batched (``build_index``): exact-duplicate k-mers are dropped up
+front, keeping each k-mer's first offset; numpy rounds then place all pending
+keys at once, one winner per slot, for at most EVICTION_LIMIT rounds; the few
+keys still pending go through the scalar cuckoo loop, where EVICTION_LIMIT
+bounds each key's eviction chain and a key past it is skipped and counted.
+Lookups try both slots of the forward k-mer before either slot of its reverse
+complement, so with no skipped key every lookup result is independent of
+which of its two slots a key landed in.
+
 On-disk ".bidx" layout, all little-endian:
 
     magic      4 bytes  "BIDX"
@@ -41,6 +50,9 @@ EVICTION_LIMIT = 500
 _MAGIC = b"BIDX"
 _VERSION = 1
 _HEADER = struct.Struct("<4sHHIQQQ32s")
+# A claim in the batched build: a little-endian u64 whose high word is the
+# slot and low word the key, so that sorting the u64 orders slot, then key.
+_CLAIM = np.dtype([("key", "<u4"), ("slot", "<u4")])
 
 
 class Orientation(IntEnum):
@@ -296,6 +308,34 @@ def _next_power_of_two(n: int) -> int:
     return 1 << max(1, (n - 1).bit_length())
 
 
+def _first_occurrences(codes: np.ndarray, k: int, stride: int, h1s: np.ndarray) -> np.ndarray:
+    """Ascending uint32 key indices of the first occurrence of each distinct k-mer.
+
+    Key ``i`` is the k-mer at offset ``i * stride``. Sorting by ``h1`` finds
+    the keys that share an ``h1`` with another key; only those are compared
+    base by base, and of equal k-mers the smallest key index stays.
+    """
+    n = h1s.size
+    order = np.argsort(h1s)
+    sorted_h1 = h1s[order]
+    tied = np.flatnonzero(sorted_h1[1:] == sorted_h1[:-1])
+    del sorted_h1
+    keep = np.ones(n, dtype=bool)
+    if tied.size:
+        in_run = np.zeros(n, dtype=bool)
+        in_run[tied] = True
+        in_run[tied + 1] = True
+        candidates = np.sort(order[in_run])
+        windows = sliding_window_view(codes, k)[candidates * stride]
+        kmers = np.ascontiguousarray(windows).view(f"V{k}").ravel()
+        # A stable sort keeps equal k-mers in key order: the first one stays.
+        by_kmer = np.argsort(kmers, kind="stable")
+        repeat = kmers[by_kmer[1:]] == kmers[by_kmer[:-1]]
+        keep[candidates[by_kmer[1:][repeat]]] = False
+    del order
+    return np.arange(n, dtype=np.uint32)[keep]
+
+
 def build_index(
     reference: PackedSequence,
     k: int,
@@ -305,10 +345,25 @@ def build_index(
     """Index the k-mer at every stride-aligned reference offset.
 
     Capacity is the smallest power of two at least twice the number of
-    insertion attempts, so the load factor never exceeds 0.5. Exact-duplicate
-    k-mers keep their first offset. A key whose eviction chain exceeds
-    EVICTION_LIMIT displacements is skipped and counted; the table is restored
-    to its prior state, so a skip never loses an already-inserted key.
+    insertion attempts, so the load factor never exceeds 0.5. Key ``i`` is
+    the k-mer at offset ``i * stride``; slots hold offsets, so a slot's key
+    is its offset divided by the stride. The build has three steps:
+
+    1. Exact duplicates are dropped up front: each k-mer keeps its first
+       (smallest) offset. Distinct k-mers with equal hashes all stay.
+    2. Round-based insertion places the remaining keys together, for at most
+       EVICTION_LIMIT rounds. In a round every pending key claims one of its
+       two slots; the lowest key index claiming a slot wins it and displaces
+       the key held there. Losers and displaced keys claim their other slot
+       in the next round.
+    3. The keys still pending after the rounds (the residue) go through the
+       scalar cuckoo loop one at a time, in key order. A key whose eviction
+       chain there exceeds EVICTION_LIMIT displacements is skipped and
+       counted; the table is restored to its prior state, so a skip never
+       loses an already-placed key.
+
+    Placement is deterministic. With no skipped key, every distinct k-mer is
+    stored with its first offset, whatever the slot layout.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -320,40 +375,64 @@ def build_index(
         )
     if reference.length >= EMPTY_SLOT:
         raise ValueError("reference too long for 32-bit offsets")
-
-    codes = reference.codes()
-    ref_cb = reference.codes_bytes()
-    offsets = np.arange(0, reference.length - k + 1, sampling_stride, dtype=np.int64)
-    n_attempts = int(offsets.size)
-    capacity = _next_power_of_two(2 * n_attempts)
+    stride = sampling_stride
+    capacity = _next_power_of_two(2 * ((reference.length - k) // stride + 1))
+    if capacity > 1 << 32:
+        raise ValueError("too many k-mers for 32-bit slot indices; raise sampling_stride")
     mask = capacity - 1
 
+    codes = reference.codes()
+    offsets = np.arange(0, reference.length - k + 1, stride, dtype=np.int64)
     h1s, h2s, low4s = window_probe_tables(codes, k, offsets, seeds)
+    # Each 64-bit array is freed once spent, so the build's peak memory stays
+    # near the hashing step's: the rounds work on uint32 slots and keys.
+    del offsets
+    h2s &= mask
+    slot_b = h2s.astype(np.uint32)
+    del h2s
+    pending = _first_occurrences(codes, k, stride, h1s)
+    h1s &= mask
+    slot_a = h1s.astype(np.uint32)
+    del h1s
+
     slots = np.full(capacity, EMPTY_SLOT, dtype=np.uint32)
     nibbles = np.zeros(capacity, dtype=np.uint8)
-    stride = sampling_stride
+    target = slot_a[pending]
+    for _ in range(EVICTION_LIMIT):
+        if not pending.size:
+            break
+        # One sort of (slot, key) words orders the claims by slot, then by
+        # key: the first claim on each slot is its winner.
+        claims = target.astype("<u8")
+        del target
+        claims <<= 32
+        claims |= pending
+        del pending
+        claims.sort()
+        pairs = claims.view(_CLAIM)
+        won = np.ones(pairs.size, dtype=bool)
+        won[1:] = pairs["slot"][1:] != pairs["slot"][:-1]
+        won_slots, won_keys = pairs["slot"][won], pairs["key"][won]
+        lost = np.logical_not(won, out=won)
+        # ``left`` is the slot each next-round key lost or was evicted from.
+        left, pending = pairs["slot"][lost], pairs["key"][lost]
+        del claims, pairs, won, lost
+        holders = slots[won_slots]
+        nibbles[won_slots] = low4s[won_keys]
+        won_keys *= stride  # now offsets
+        slots[won_slots] = won_keys
+        evicted = holders != EMPTY_SLOT
+        left = np.concatenate([left, won_slots[evicted]])
+        pending = np.concatenate([pending, holders[evicted] // stride])
+        first = slot_a[pending]
+        target = np.where(left == first, slot_b[pending], first)
+
     skipped = 0
-
-    def kmers_equal(a: int, b: int) -> bool:
-        return ref_cb[a : a + k] == ref_cb[b : b + k]
-
-    for i in range(n_attempts):
-        off = int(offsets[i])
-        s1 = int(h1s[i]) & mask
-        s2 = int(h2s[i]) & mask
-
-        dup = False
-        for s in (s1, s2):
-            held = int(slots[s])
-            if held != EMPTY_SLOT and kmers_equal(held, off):
-                dup = True
-                break
-        if dup:
-            continue
-
+    for key in np.sort(pending).tolist():
+        off = key * stride
         cur = off
-        cur_low4 = int(low4s[i])
-        pos = s1
+        cur_low4 = int(low4s[key])
+        pos = int(slot_a[key])
         trail: list[int] = []
         placed = False
         for _ in range(EVICTION_LIMIT):
@@ -367,8 +446,8 @@ def build_index(
                 break
             cur, cur_low4 = prev, prev_low4
             j = cur // stride
-            a = int(h1s[j]) & mask
-            b = int(h2s[j]) & mask
+            a = int(slot_a[j])
+            b = int(slot_b[j])
             pos = b if pos == a else a
         if not placed:
             # Unwind the displacement chain so only the new key is dropped.

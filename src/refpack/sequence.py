@@ -71,7 +71,7 @@ def _unpack_to_codes(data: bytes, length: int) -> np.ndarray:
 class PackedSequence:
     """Immutable 2-bit packed nucleotide sequence."""
 
-    __slots__ = ("data", "length", "_codes", "_codes_bytes")
+    __slots__ = ("data", "length", "_codes", "_codes_bytes", "_checksum")
 
     def __init__(self, data: bytes, length: int):
         if length < 0:
@@ -88,6 +88,7 @@ class PackedSequence:
         self.length = length
         self._codes: np.ndarray | None = None
         self._codes_bytes: bytes | None = None
+        self._checksum: bytes | None = None
 
     @classmethod
     def from_codes(cls, codes: np.ndarray | Sequence[int]) -> "PackedSequence":
@@ -222,11 +223,17 @@ def reverse_complement(seq: PackedSequence, start: int, k: int) -> Kmer:
 
 
 def sequence_checksum(seq: PackedSequence) -> bytes:
-    """32-byte digest identifying a sequence (SHA-256 over length + packed bytes)."""
-    h = hashlib.sha256()
-    h.update(seq.length.to_bytes(8, "little"))
-    h.update(seq.data)
-    return h.digest()
+    """32-byte digest identifying a sequence (SHA-256 over length + packed bytes).
+
+    Computed once per sequence object and cached: ``data`` and ``length`` are
+    only set by the constructor.
+    """
+    if seq._checksum is None:
+        h = hashlib.sha256()
+        h.update(seq.length.to_bytes(8, "little"))
+        h.update(seq.data)
+        seq._checksum = h.digest()
+    return seq._checksum
 
 
 @dataclass

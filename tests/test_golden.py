@@ -106,7 +106,8 @@ def golden_index_meaning(reference) -> dict[str, dict]:
         digest = hashlib.sha256()
         for off in range(reference.length - k + 1):
             kmer = kmer_at(reference, off, k)
-            for hit in (index.query(reference, kmer), index.query(reference, kmer.reverse_complement())):
+            for query in (kmer, kmer.reverse_complement()):
+                hit = index.query(reference, query)
                 digest.update(b"-" if hit is None else f"{hit.orientation.name[0]}{hit.offset}".encode())
             digest.update(b"\n")
         out[f"k={k},stride={stride}"] = {

@@ -1,10 +1,12 @@
 import io
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import refpack.index as index_mod
 from refpack import build_index, random_sequence
+from refpack.cli import main
 from refpack.errors import RefpackError
 from refpack.index import (
     EMPTY_SLOT,
@@ -21,6 +23,7 @@ from refpack.sequence import (
     pack_bases,
     reverse_complement_sequence,
     sequence_checksum,
+    write_fasta,
 )
 
 
@@ -112,6 +115,10 @@ def test_build_validation():
         build_index(ref, 16, sampling_stride=0)
     with pytest.raises(ValueError, match="shorter than k"):
         build_index(ref, 101)
+    # 2^31 + 1 keys need 2^33 slots; rejected before any base is read
+    huge = SimpleNamespace(length=(1 << 31) + 16)
+    with pytest.raises(ValueError, match="32-bit slot indices"):
+        build_index(huge, 16)
 
 
 def test_prefilter_never_changes_results():
@@ -234,3 +241,75 @@ def test_eviction_limit_skip_is_clean(monkeypatch):
             assert ref_cb[hit.offset : hit.offset + k] == key
     assert misses == idx.skipped_keys
     assert idx.occupied + idx.skipped_keys + duplicates == ref.length - k + 1
+
+
+def repeat_rich_reference(seed):
+    rng = np.random.default_rng(seed)
+    half = random_sequence(700, rng)
+    tandem = concat_sequences([random_sequence(5, rng)] * 30)
+    return concat_sequences([half, tandem, half, reverse_complement_sequence(half)])
+
+
+@pytest.mark.parametrize("k,stride", [(4, 1), (12, 1), (16, 3), (32, 4)])
+def test_stores_first_offset_of_every_distinct_kmer(k, stride):
+    """Loop oracle: with no skipped key the table holds exactly the first
+    offset of each distinct k-mer, with its filter nibble."""
+    ref = repeat_rich_reference(14)
+    idx = build_index(ref, k, sampling_stride=stride)
+    assert idx.skipped_keys == 0
+    ref_cb = ref.codes_bytes()
+    first: dict[bytes, int] = {}
+    for off in range(0, ref.length - k + 1, stride):
+        first.setdefault(ref_cb[off : off + k], off)
+    held = idx.slots != EMPTY_SLOT
+    assert sorted(idx.slots[held].tolist()) == sorted(first.values())
+    for slot in np.flatnonzero(held):
+        assert idx.nibbles[slot] == kmer_at(ref, int(idx.slots[slot]), k).low4
+
+
+def test_equal_hashes_never_merge_distinct_kmers(monkeypatch):
+    """Every key gets the same (h1, h2): only k-mer bytes tell keys apart."""
+    real_tables = index_mod.window_probe_tables
+
+    def colliding_tables(codes, k, offsets, seeds, **kwargs):
+        _, _, low4 = real_tables(codes, k, offsets, seeds)
+        return (
+            np.full(offsets.size, 5, dtype=np.uint64),
+            np.full(offsets.size, 11, dtype=np.uint64),
+            low4,
+        )
+
+    monkeypatch.setattr(index_mod, "window_probe_tables", colliding_tables)
+    rng = np.random.default_rng(15)
+    half = random_sequence(60, rng)
+    ref = concat_sequences([half, half, random_sequence(20, rng)])
+    k = 8
+    idx = build_index(ref, k)
+
+    ref_cb = ref.codes_bytes()
+    attempts = ref.length - k + 1
+    distinct = {ref_cb[off : off + k] for off in range(attempts)}
+    stored = [ref_cb[off : off + k] for off in idx.slots[idx.slots != EMPTY_SLOT].tolist()]
+    assert idx.occupied == 2  # the two slots every key hashes to
+    assert len(set(stored)) == len(stored)  # no k-mer stored twice
+    duplicates = attempts - len(distinct)
+    assert duplicates > 0
+    # a distinct k-mer dropped as a duplicate would leave this sum short
+    assert idx.occupied + idx.skipped_keys + duplicates == attempts
+
+
+def test_build_is_deterministic(tmp_path):
+    ref = repeat_rich_reference(16)
+    first, second = io.BytesIO(), io.BytesIO()
+    build_index(ref, 16).save(first)
+    build_index(ref, 16).save(second)
+    assert first.getvalue() == second.getvalue()
+
+    write_fasta([("chr1", ref)], tmp_path / "ref.fa")
+    outs = [tmp_path / "a.bidx", tmp_path / "b.bidx"]
+    for out in outs:
+        assert main([
+            "build-index", "--reference", str(tmp_path / "ref.fa"),
+            "--k", "16", "--stride", "2", "--out", str(out),
+        ]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import refpack.sequence as sequence_mod
 from refpack.errors import FastaParseError
 from refpack.sequence import (
     CODE_TO_ASCII,
@@ -144,6 +145,24 @@ def test_sequence_checksum_definition():
     assert sequence_checksum(seq) == expected
     # length participates: empty vs single-A differ even though data is sparse
     assert sequence_checksum(pack_bases("")) != sequence_checksum(pack_bases("A"))
+
+
+def test_sequence_checksum_hashes_once_per_object(monkeypatch):
+    calls = []
+    real_sha256 = hashlib.sha256
+
+    def counting_sha256():
+        calls.append(1)
+        return real_sha256()
+
+    monkeypatch.setattr(sequence_mod.hashlib, "sha256", counting_sha256)
+    seq = pack_bases("ACGTTGCA" * 10)
+    first = sequence_checksum(seq)
+    assert sequence_checksum(seq) == first
+    assert len(calls) == 1
+    # an equal sequence is another object with its own cache, same digest
+    assert sequence_checksum(pack_bases("ACGTTGCA" * 10)) == first
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------- fasta
