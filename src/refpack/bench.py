@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
-from .compress import CompressParams, TokenKind, compress, compression_ratio, encode_groups
+from .compress import CompressParams, TokenKind, compress, compression_ratio, encoded_size
 from .index import ReferenceIndex, build_index
 from .sequence import PackedSequence, load_sequences
 
@@ -247,7 +247,7 @@ def _run_one(
         for target in dataset.targets_for_trial(trial):
             result = compress(target, index, dataset.reference, params, use_prefilter=use_prefilter)
             total_bases += result.n_bases
-            total_bytes += len(encode_groups(result.kinds, result.words, params))
+            total_bytes += encoded_size(result.kinds, params)
             for kind, n in result.kind_counts().items():
                 counts[kind] += n
         elapsed = time.perf_counter() - started

@@ -3,8 +3,12 @@
 The target is scanned left to right. At each position the k-mer is looked up
 in the reference index (both orientations); a verified match advances by k
 bases and emits a match or continuation token, otherwise S bases are emitted
-verbatim and the scan advances by S. Sixteen tokens share one 32-bit header
-holding a 2-bit kind code per token:
+verbatim and the scan advances by S. Since S divides k, every position the
+scan can visit is stride-aligned: all of them are hashed and probed at once
+with ``ReferenceIndex.probe`` before the scan, and the scan itself is a
+Python walk over the precomputed orientations and offsets, one integer step
+per token. Sixteen tokens share one 32-bit header holding a 2-bit kind code
+per token:
 
     00 verbatim      payload: S bases packed 2-bit (one u32 word when S=16)
     01 forward match payload: u32 reference offset
@@ -131,82 +135,70 @@ def compress(
     k, s = params.k, params.s
     n = target.length
     tcodes = target.codes()
-    tcb = target.codes_bytes()
-    ref_cb = reference.codes_bytes()
 
-    if n >= k:
-        positions = np.arange(0, n - k + 1, s, dtype=np.int64)
-        h1f, h2f, _l4f, h1r, h2r, _l4r = window_probe_tables(
-            tcodes, k, positions, index.seeds, include_rc=True
-        )
-    else:
-        h1f = h2f = h1r = h2r = np.empty(0, dtype=np.uint64)
-
-    # Verbatim payload words of every stride-aligned window, precomputed.
+    # Probe every stride-aligned window at once; the walk below only reads
+    # the outcome. Window i starts at base i * s.
     n_windows = (n + s - 1) // s
+    positions = np.arange(0, n - k + 1, s, dtype=np.int64)
+    tables = window_probe_tables(tcodes, k, positions, index.seeds, include_rc=True)
+    found = index.probe(reference, tcodes, positions, tables, use_prefilter=use_prefilter)
+    # Windows too close to the end for a k-mer stay unmatched (orientation 0).
+    # The walk indexes bytes and memoryviews, which hand out Python ints
+    # without holding one object per window.
+    orientation = np.zeros(n_windows, dtype=np.uint8)
+    orientation[: positions.size] = found.orientation
+    orientations = orientation.tobytes()
+    offsets = memoryview(found.offset)
+
+    # Verbatim payload words of every stride-aligned window, precomputed:
+    # window i's words are vb_words[i * wv : (i + 1) * wv].
+    wv = params.words_per_verbatim
     padded = np.zeros(n_windows * s, dtype=np.uint8)
     padded[:n] = tcodes
-    vb_bytes = np.zeros((n_windows, WORD_BYTES * params.words_per_verbatim), dtype=np.uint8)
+    vb_bytes = np.zeros((n_windows, WORD_BYTES * wv), dtype=np.uint8)
     if n:
         vb_bytes[:, : (s + 3) // 4] = _pack_rows(padded.reshape(n_windows, s))
-    vb_words = vb_bytes.view("<u4")
+    vb_words = memoryview(vb_bytes.view("<u4").astype(np.uint32, copy=False).ravel())
 
-    comp = bytes.maketrans(bytes([0, 1, 2, 3]), bytes([3, 2, 1, 0]))
-
+    verbatim = TokenKind.VERBATIM.value
+    continuation = TokenKind.CONTINUATION.value
+    forward = Orientation.FORWARD.value
     kinds = bytearray()
     words: list[int] = []
     # The last match's orientation and the offset a continuation would have;
-    # kept across verbatim runs.
-    orientation = expected = None
+    # kept across verbatim runs. A reverse chain that reaches offset 0 expects
+    # a negative offset, which no match has: the next match starts fresh.
+    last = expected = None
     break_tokens = GROUP_SLOTS * break_every_groups if break_every_groups else 0
-    max_probe = n - k
+    match_step = k // s
 
-    p = 0
-    while p < n:
+    i = 0
+    while i < n_windows:
         if break_tokens and len(kinds) % break_tokens == 0:
-            orientation = expected = None
-        cand = None
-        if p <= max_probe:
-            i = p // s
-            fwd = tcb[p : p + k]
-            rc = fwd.translate(comp)[::-1]
-            cand = index.probe(
-                ref_cb,
-                fwd,
-                rc,
-                (int(h1f[i]), int(h2f[i]), int(h1r[i]), int(h2r[i])),
-                use_prefilter=use_prefilter,
-                stats=stats,
-            )
-        if cand is None:
-            kinds.append(TokenKind.VERBATIM)
-            words += vb_words[p // s].tolist()
-            p += s
+            last = expected = None
+        o = orientations[i]
+        if not o:
+            kinds.append(verbatim)
+            words += vb_words[i * wv : i * wv + wv]
+            i += 1
             continue
-        o = cand.offset
-        if orientation == cand.orientation and expected == o:
-            kinds.append(TokenKind.CONTINUATION)
+        off = offsets[i]
+        if o == last and off == expected:
+            kinds.append(continuation)
         else:
-            kinds.append(
-                TokenKind.FORWARD_MATCH
-                if cand.orientation == Orientation.FORWARD
-                else TokenKind.REVERSE_MATCH
-            )
-            words.append(o)
-        if cand.orientation == Orientation.FORWARD:
-            orientation, expected = Orientation.FORWARD, o + k
-        elif o >= k:
-            orientation, expected = Orientation.REVERSE, o - k
-        else:
-            # A reverse chain cannot run past offset 0; start fresh next time.
-            orientation = expected = None
-        p += k
+            kinds.append(o)  # Orientation values are the match kind codes
+            words.append(off)
+        last, expected = o, (off + k if o == forward else off - k)
+        i += match_step
 
-    return CompressResult(
-        kinds=np.frombuffer(kinds, dtype=np.uint8),
-        words=np.array(words, dtype="<u4"),
-        n_bases=n,
-    )
+    kinds = np.frombuffer(kinds, dtype=np.uint8)
+    if stats is not None:
+        # Charge only the windows the walk probed: those a token starts at.
+        bases = params.kind_bases[kinds]
+        starts = np.cumsum(bases) - bases
+        found.count(starts[starts <= n - k] // s, stats)
+
+    return CompressResult(kinds=kinds, words=np.array(words, dtype="<u4"), n_bases=n)
 
 
 def _padded(kinds: np.ndarray) -> np.ndarray:

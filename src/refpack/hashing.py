@@ -107,17 +107,26 @@ def _fmix64_arr(k: np.ndarray) -> np.ndarray:
     return k
 
 
-def murmur3_low64_batch(messages: np.ndarray, seed: int = 0) -> np.ndarray:
-    """h1 for each row of a (n, width) uint8 array of equal-width messages."""
+def murmur3_low64_batch(messages: np.ndarray, seed: int | np.ndarray = 0) -> np.ndarray:
+    """h1 for each row of a (n, width) uint8 array of equal-width messages.
+
+    ``seed`` is one seed for every row, or a uint64 array of n seeds, one per
+    row, so that several seeds can share one call.
+    """
     if messages.ndim != 2:
         raise ValueError("expected a 2-d array of messages")
-    if not 0 <= seed <= _MASK64:
-        raise ValueError("seed must be an unsigned 64-bit integer")
     messages = np.ascontiguousarray(messages, dtype=np.uint8)
     n, width = messages.shape
+    if isinstance(seed, np.ndarray):
+        if seed.dtype != np.uint64 or seed.shape != (n,):
+            raise ValueError("per-row seeds must be a uint64 array with one seed per message")
+        h1 = seed.copy()
+    else:
+        if not 0 <= seed <= _MASK64:
+            raise ValueError("seed must be an unsigned 64-bit integer")
+        h1 = np.full(n, np.uint64(seed), dtype=np.uint64)
     c1 = np.uint64(_C1)
     c2 = np.uint64(_C2)
-    h1 = np.full(n, np.uint64(seed), dtype=np.uint64)
     h2 = h1.copy()
 
     nblocks = width // 16
@@ -137,18 +146,16 @@ def murmur3_low64_batch(messages: np.ndarray, seed: int = 0) -> np.ndarray:
 
     tail_start = nblocks * 16
     tail_len = width - tail_start
-    if tail_len > 8:
-        k2 = np.zeros(n, dtype=np.uint64)
-        for j in range(8, tail_len):
-            k2 |= messages[:, tail_start + j].astype(np.uint64) << np.uint64(8 * (j - 8))
-        k2 = k2 * c2
-        k2 = _rotl64_arr(k2, 33) * c1
-        h2 ^= k2
-    if tail_len > 0:
-        k1 = np.zeros(n, dtype=np.uint64)
-        for j in range(min(tail_len, 8)):
-            k1 |= messages[:, tail_start + j].astype(np.uint64) << np.uint64(8 * j)
-        k1 = k1 * c1
+    if tail_len:
+        # The tail, zero-padded to whole u64 lanes (one or two).
+        tail = np.zeros((n, 8 if tail_len <= 8 else 16), dtype=np.uint8)
+        tail[:, :tail_len] = messages[:, tail_start:]
+        lanes = tail.view("<u8")
+        if tail_len > 8:
+            k2 = lanes[:, 1] * c2
+            k2 = _rotl64_arr(k2, 33) * c1
+            h2 ^= k2
+        k1 = lanes[:, 0] * c1
         k1 = _rotl64_arr(k1, 31) * c2
         h1 ^= k1
 

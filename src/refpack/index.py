@@ -15,6 +15,15 @@ Lookups try both slots of the forward k-mer before either slot of its reverse
 complement, so with no skipped key every lookup result is independent of
 which of its two slots a key landed in.
 
+Lookups come in two forms with the same answers. ``ReferenceIndex.probe`` is
+the array form the compressor uses: it takes every stride-aligned window of a
+target at once (hashed by ``window_probe_tables``, one hash call per chunk),
+gathers the four candidate slots of each as a (4, n) array, applies the
+nibble test, drops empty slots and offsets past the reference end, verifies
+the survivors by comparing gathered reference k-mers with the target windows,
+and keeps each window's first verified probe. ``ReferenceIndex.query`` looks
+up one k-mer with scalar code, which is cheaper for a single lookup.
+
 On-disk ".bidx" layout, all little-endian:
 
     magic      4 bytes  "BIDX"
@@ -35,10 +44,9 @@ import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
-from typing import BinaryIO, Union
+from typing import BinaryIO, NamedTuple, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import RefpackError
 from .hashing import DEFAULT_SEED_1, DEFAULT_SEED_2, murmur3_low64, murmur3_low64_batch
@@ -53,6 +61,14 @@ _HEADER = struct.Struct("<4sHHIQQQ32s")
 # A claim in the batched build: a little-endian u64 whose high word is the
 # slot and low word the key, so that sorting the u64 orders slot, then key.
 _CLAIM = np.dtype([("key", "<u4"), ("slot", "<u4")])
+# Positions per step of the array probe, which bounds its (positions, k)
+# gathers of target and reference k-mers.
+_PROBE_CHUNK = 1 << 14
+# Indexed by the first verified probe (4 = none): its orientation code and
+# the number of probes made up to and including it.
+_PROBE_ORIENTATION = np.array([1, 1, 2, 2, 0], dtype=np.uint8)
+_PROBES_MADE = np.array([1, 2, 3, 4, 4], dtype=np.uint8)
+_PROBE_ROWS = np.arange(4)[:, None]
 
 
 class Orientation(IntEnum):
@@ -76,14 +92,55 @@ class QueryStats:
     hits: int = 0
 
 
+class ProbeResult(NamedTuple):
+    """Per-position outcome of ``ReferenceIndex.probe``.
+
+    ``orientation`` is 0 where nothing verified, else an ``Orientation``
+    value, with the verified ``offset``. ``probes`` counts the slots tried up
+    to and including the first hit (4 on a miss) and ``prefilter_rejects``
+    those of them the nibble test turned away, so that ``QueryStats`` can be
+    charged for exactly the positions a caller used.
+    """
+
+    orientation: np.ndarray
+    offset: np.ndarray
+    probes: np.ndarray
+    prefilter_rejects: np.ndarray
+
+    def count(self, used: np.ndarray, stats: QueryStats) -> None:
+        """Add the probes made at the position indices ``used`` to ``stats``."""
+        probes = int(self.probes[used].sum(dtype=np.int64))
+        rejects = int(self.prefilter_rejects[used].sum(dtype=np.int64))
+        hits = int(np.count_nonzero(self.orientation[used]))
+        stats.probes += probes
+        stats.prefilter_rejects += rejects
+        stats.verify_failures += probes - rejects - hits
+        stats.hits += hits
+
+
+def _kmer_windows(codes: np.ndarray, k: int) -> np.ndarray:
+    """(len - k + 1, k) view of every k-mer of a uint8 code array.
+
+    The same view as numpy's ``sliding_window_view``, made without its
+    argument checks, which cost more than the probe of a short record.
+    """
+    codes = np.ascontiguousarray(codes, dtype=np.uint8)
+    return np.ndarray((max(codes.size - k + 1, 0), k), np.uint8, codes, strides=(1, 1))
+
+
 def _pack_rows(win: np.ndarray) -> np.ndarray:
     """Pack (n, k) code rows into (n, ceil(k/4)) bytes, base 0 in low bits."""
     n, k = win.shape
     pad = (-k) % 4
     if pad:
         win = np.concatenate([win, np.zeros((n, pad), dtype=np.uint8)], axis=1)
-    quad = win.reshape(n, -1, 4)
-    return (quad[:, :, 0] | (quad[:, :, 1] << 2) | (quad[:, :, 2] << 4) | (quad[:, :, 3] << 6)).astype(np.uint8)
+    # Each little-endian u32 holds four codes, one per byte; fold the four
+    # 2-bit codes into its low byte.
+    quad = np.ascontiguousarray(win).view("<u4")
+    quad = quad | (quad >> 6)
+    quad &= 0x000F000F
+    quad |= quad >> 12
+    return quad.astype(np.uint8)
 
 
 def window_probe_tables(
@@ -98,37 +155,34 @@ def window_probe_tables(
     """Hashes (and filter nibbles) of the k-mers starting at ``offsets``.
 
     Returns (h1, h2, low4) arrays, plus (h1_rc, h2_rc, low4_rc) for the
-    reverse complements when ``include_rc`` is set. Work is chunked to bound
-    the transient (chunk, k) expansion.
+    reverse complements when ``include_rc`` is set. Windows are hashed a
+    chunk at a time in one ``murmur3_low64_batch`` call: the forward rows
+    under both seeds (and the reverse-complement rows under both seeds), with
+    the seed given per row. A call holds at most ``chunk`` rows, which bounds
+    the transient (rows, k) expansion.
     """
+    strands = 2 if include_rc else 1
+    per_call = max(1, chunk // (2 * strands))
     n = offsets.size
-    h1 = np.empty(n, dtype=np.uint64)
-    h2 = np.empty(n, dtype=np.uint64)
-    low4 = np.empty(n, dtype=np.uint8)
-    if include_rc:
-        h1r = np.empty(n, dtype=np.uint64)
-        h2r = np.empty(n, dtype=np.uint64)
-        low4r = np.empty(n, dtype=np.uint8)
-    if n == 0:
-        empty = (h1, h2, low4)
-        return empty + (h1r, h2r, low4r) if include_rc else empty
-
-    windows = sliding_window_view(codes, k)
-    for start in range(0, n, chunk):
-        sel = offsets[start : start + chunk]
-        win = windows[sel]
-        packed = _pack_rows(win)
-        h1[start : start + chunk] = murmur3_low64_batch(packed, seeds[0])
-        h2[start : start + chunk] = murmur3_low64_batch(packed, seeds[1])
-        low4[start : start + chunk] = packed[:, 0] & 0xF
+    tables = [
+        (np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.uint8))
+        for _ in range(strands)
+    ]
+    seed_pattern = np.array(seeds * strands, dtype=np.uint64)
+    for start in range(0, n, per_call):
+        win = _kmer_windows(codes, k)[offsets[start : start + per_call]]
+        m = win.shape[0]
+        packed = [_pack_rows(win)]
         if include_rc:
-            packed_rc = _pack_rows((win ^ 3)[:, ::-1])
-            h1r[start : start + chunk] = murmur3_low64_batch(packed_rc, seeds[0])
-            h2r[start : start + chunk] = murmur3_low64_batch(packed_rc, seeds[1])
-            low4r[start : start + chunk] = packed_rc[:, 0] & 0xF
-    if include_rc:
-        return h1, h2, low4, h1r, h2r, low4r
-    return h1, h2, low4
+            packed.append(_pack_rows((win ^ 3)[:, ::-1]))
+        # Rows in order: strand 0 under seed 1, strand 0 under seed 2, ...
+        rows = np.concatenate([strand for strand in packed for _ in seeds])
+        hashed = murmur3_low64_batch(rows, np.repeat(seed_pattern, m)).reshape(-1, m)
+        for j, (h1, h2, low4) in enumerate(tables):
+            h1[start : start + m] = hashed[2 * j]
+            h2[start : start + m] = hashed[2 * j + 1]
+            low4[start : start + m] = packed[j][:, 0] & 0xF
+    return tuple(array for table in tables for array in table)
 
 
 class ReferenceIndex:
@@ -164,57 +218,73 @@ class ReferenceIndex:
     def load_factor(self) -> float:
         return self.occupied / self.capacity
 
-    def hash_pair(self, kmer: Kmer) -> tuple[int, int]:
-        raw = kmer.bytes_le()
-        return (
-            murmur3_low64(raw, self.seeds[0]),
-            murmur3_low64(raw, self.seeds[1]),
-        )
-
     def probe(
         self,
-        ref_codes_bytes: bytes,
-        fwd_codes: bytes,
-        rc_codes: bytes,
-        hashes: tuple[int, int, int, int],
+        reference: PackedSequence,
+        codes: np.ndarray,
+        positions: np.ndarray,
+        tables: tuple[np.ndarray, ...],
         *,
         use_prefilter: bool = True,
-        stats: QueryStats | None = None,
-    ) -> Candidate | None:
-        """Core probe sequence: h1(t), h2(t), h1(rc t), h2(rc t).
+    ) -> ProbeResult:
+        """Look up the k-mers of ``codes`` starting at ``positions``, all at once.
 
-        The first probe whose slot verifies against the reference wins, which
-        makes forward orientation win ties by construction.
+        ``tables`` are the six arrays ``window_probe_tables(codes, k,
+        positions, seeds, include_rc=True)`` returns. Each position's probes
+        of the slots h1(t), h2(t), h1(rc t), h2(rc t) are the rows of a (4, n)
+        array. A probe passes the nibble test, then the slot's offset (empty
+        slots and offsets past ``reference.length - k`` fail), then a
+        comparison of the reference k-mer there with the target window. The
+        first verified probe wins, so forward orientation wins ties, as in
+        ``query``. Positions are taken _PROBE_CHUNK at a time, which bounds
+        the gathered k-mers.
         """
         k = self.k
-        mask = self._mask
-        slots = self.slots
-        nibbles = self.nibbles
-        lf = fwd_codes[0] | (fwd_codes[1] << 2) if k > 1 else fwd_codes[0]
-        lr = rc_codes[0] | (rc_codes[1] << 2) if k > 1 else rc_codes[0]
-        h1f, h2f, h1r, h2r = hashes
-        for h, codes, low4, orient in (
-            (h1f, fwd_codes, lf, Orientation.FORWARD),
-            (h2f, fwd_codes, lf, Orientation.FORWARD),
-            (h1r, rc_codes, lr, Orientation.REVERSE),
-            (h2r, rc_codes, lr, Orientation.REVERSE),
-        ):
-            slot = h & mask
-            if stats is not None:
-                stats.probes += 1
-            if use_prefilter and nibbles[slot] != low4:
-                if stats is not None:
-                    stats.prefilter_rejects += 1
-                continue
-            off = int(slots[slot])
-            if off == EMPTY_SLOT or ref_codes_bytes[off : off + k] != codes:
-                if stats is not None:
-                    stats.verify_failures += 1
-                continue
-            if stats is not None:
-                stats.hits += 1
-            return Candidate(orient, off)
-        return None
+        # Offsets above this fail (all of them when the reference is shorter
+        # than k); so does EMPTY_SLOT, since every indexable reference is
+        # shorter than EMPTY_SLOT.
+        last = min(reference.length - k, EMPTY_SLOT - 1)
+        n = positions.size
+        result = ProbeResult(
+            orientation=np.zeros(n, dtype=np.uint8),
+            offset=np.zeros(n, dtype=np.uint32),
+            probes=np.full(n, 4, dtype=np.uint8),
+            prefilter_rejects=np.zeros(n, dtype=np.uint8),
+        )
+        if n == 0:
+            return result
+        target_windows = _kmer_windows(codes, k)
+        ref_windows = _kmer_windows(reference.codes(), k)
+        h1f, h2f, low4f, h1r, h2r, low4r = tables
+        mask = np.uint64(self._mask)
+        for start in range(0, n, _PROBE_CHUNK):
+            part = slice(start, start + _PROBE_CHUNK)
+            # Row j holds every position's j-th probe.
+            slot = np.concatenate((h1f[part], h2f[part], h1r[part], h2r[part])).reshape(4, -1)
+            slot &= mask
+            offsets = self.slots[slot]
+            live = offsets <= last
+            if use_prefilter:
+                low4 = np.concatenate((low4f[part], low4f[part], low4r[part], low4r[part]))
+                rejected = self.nibbles[slot] != low4.reshape(4, -1)
+                live &= ~rejected
+            probe_no, rows = np.nonzero(live)
+            # Verify in forward orientation: a reverse probe's reference
+            # k-mer, reverse-complemented, must equal the target window.
+            ref_kmers = ref_windows[offsets[probe_no, rows]]
+            reverse = probe_no >= 2
+            ref_kmers[reverse] = ref_kmers[reverse, ::-1] ^ 3
+            # Row 4 stands for "no probe verified".
+            verified = np.zeros((5, live.shape[1]), dtype=bool)
+            verified[4] = True
+            verified[probe_no, rows] = (ref_kmers == target_windows[positions[part][rows]]).all(axis=1)
+            first = verified.argmax(axis=0)
+            result.orientation[part] = _PROBE_ORIENTATION[first]
+            result.offset[part] = np.where(first < 4, offsets[first & 3, np.arange(first.size)], 0)
+            result.probes[part] = _PROBES_MADE[first]
+            if use_prefilter:
+                result.prefilter_rejects[part] = (rejected & (_PROBE_ROWS < first)).sum(axis=0)
+        return result
 
     def query(
         self,
@@ -224,20 +294,40 @@ class ReferenceIndex:
         use_prefilter: bool = True,
         stats: QueryStats | None = None,
     ) -> Candidate | None:
-        """Look up a target k-mer in both orientations; None when absent."""
+        """Look up one target k-mer in both orientations; None when absent.
+
+        Probes h1(t), h2(t), h1(rc t), h2(rc t) in turn, one slot at a time;
+        the first slot whose k-mer verifies against the reference wins, which
+        makes forward orientation win ties by construction. ``probe`` gives
+        the same answer for many k-mers at once.
+        """
         if target.k != self.k:
             raise ValueError(f"query k {target.k} does not match index k {self.k}")
-        rc = target.reverse_complement()
-        h1f, h2f = self.hash_pair(target)
-        h1r, h2r = self.hash_pair(rc)
-        return self.probe(
-            reference.codes_bytes(),
-            target.to_codes(),
-            rc.to_codes(),
-            (h1f, h2f, h1r, h2r),
-            use_prefilter=use_prefilter,
-            stats=stats,
-        )
+        k = self.k
+        ref_codes_bytes = reference.codes_bytes()
+        for kmer, orient in (
+            (target, Orientation.FORWARD),
+            (target.reverse_complement(), Orientation.REVERSE),
+        ):
+            raw = kmer.bytes_le()
+            codes = kmer.to_codes()
+            for seed in self.seeds:
+                slot = murmur3_low64(raw, seed) & self._mask
+                if stats is not None:
+                    stats.probes += 1
+                if use_prefilter and self.nibbles[slot] != kmer.low4:
+                    if stats is not None:
+                        stats.prefilter_rejects += 1
+                    continue
+                off = int(self.slots[slot])
+                if off == EMPTY_SLOT or ref_codes_bytes[off : off + k] != codes:
+                    if stats is not None:
+                        stats.verify_failures += 1
+                    continue
+                if stats is not None:
+                    stats.hits += 1
+                return Candidate(orient, off)
+        return None
 
     # --- serialization ---
 
@@ -326,7 +416,7 @@ def _first_occurrences(codes: np.ndarray, k: int, stride: int, h1s: np.ndarray) 
         in_run[tied] = True
         in_run[tied + 1] = True
         candidates = np.sort(order[in_run])
-        windows = sliding_window_view(codes, k)[candidates * stride]
+        windows = _kmer_windows(codes, k)[candidates * stride]
         kmers = np.ascontiguousarray(windows).view(f"V{k}").ravel()
         # A stable sort keeps equal k-mers in key order: the first one stays.
         by_kmer = np.argsort(kmers, kind="stable")

@@ -250,35 +250,34 @@ def parse_fasta(data: Union[str, bytes], *, strict: bool = False) -> list[FastaR
     IUPAC ambiguity letters (N, R, Y, ...) are rewritten to 'A' and counted
     per record, unless ``strict`` is set, in which case they are an error.
     Characters that are not IUPAC nucleotide letters are always an error.
+
+    One pass over the lines collects each record's stripped sequence lines;
+    each record's bases are then mapped and checked with one table lookup.
     """
     if isinstance(data, str):
         data = data.encode("ascii", errors="replace")
 
     records: list[FastaRecord] = []
     cur_id: str | None = None
-    cur_chunks: list[np.ndarray] = []
-    cur_replaced = 0
+    cur_lines: list[bytes] = []
+    cur_line_nos: list[int] = []
     cur_header_line = 0
 
-    def finish(line_no: int):
-        nonlocal cur_id, cur_chunks, cur_replaced
+    def finish():
         if cur_id is None:
             return
-        total = sum(c.size for c in cur_chunks)
-        if total == 0:
+        if not cur_lines:
             raise FastaParseError(f"record {cur_id!r} has no sequence data", cur_header_line)
-        codes = np.concatenate(cur_chunks)
-        records.append(FastaRecord(cur_id, PackedSequence.from_codes(codes), cur_replaced))
-        cur_id, cur_chunks, cur_replaced = None, [], 0
+        records.append(_fasta_record(cur_id, cur_lines, cur_line_nos, strict))
 
     for line_no, raw_line in enumerate(data.split(b"\n"), start=1):
         line = raw_line.strip()
         if not line:
             continue
         if line.startswith(b">"):
-            finish(line_no)
+            finish()
             cur_id = line[1:].strip().decode("utf-8", errors="replace")
-            cur_header_line = line_no
+            cur_lines, cur_line_nos, cur_header_line = [], [], line_no
             if not cur_id:
                 raise FastaParseError("empty record id", line_no)
             continue
@@ -286,28 +285,41 @@ def parse_fasta(data: Union[str, bytes], *, strict: bool = False) -> list[FastaR
             continue
         if cur_id is None:
             raise FastaParseError("sequence data before any '>' header", line_no)
-        arr = np.frombuffer(line, dtype=np.uint8)
-        codes = _ASCII_TO_CODE[arr]
-        invalid = codes == 0xFF
-        if invalid.any():
-            ambiguous = invalid & _IS_AMBIGUOUS[arr]
-            junk = invalid & ~ambiguous
-            if junk.any():
-                pos = int(np.argmax(junk))
-                raise FastaParseError(
-                    f"invalid sequence character {chr(arr[pos])!r}", line_no
-                )
-            if strict:
-                pos = int(np.argmax(ambiguous))
-                raise FastaParseError(
-                    f"ambiguous base {chr(arr[pos])!r} rejected in strict mode", line_no
-                )
-            cur_replaced += int(ambiguous.sum())
-            codes = np.where(ambiguous, np.uint8(0), codes)
-        cur_chunks.append(codes)
+        cur_lines.append(line)
+        cur_line_nos.append(line_no)
 
-    finish(line_no if data else 1)
+    finish()
     return records
+
+
+def _fasta_record(
+    record_id: str, lines: list[bytes], line_nos: list[int], strict: bool
+) -> FastaRecord:
+    """Map one record's sequence lines to codes; the first bad line raises."""
+    arr = np.frombuffer(b"".join(lines), dtype=np.uint8)
+    codes = _ASCII_TO_CODE[arr]
+    invalid = codes == 0xFF
+    replaced = 0
+    if invalid.any():
+        ambiguous = invalid & _IS_AMBIGUOUS[arr]
+        junk = invalid & ~ambiguous
+        bad = invalid if strict else junk
+        if bad.any():
+            # Locate the line of the first bad byte; within that line, junk
+            # is reported before an ambiguity letter.
+            ends = np.cumsum([len(line) for line in lines])
+            i = int(np.searchsorted(ends, int(np.argmax(bad)), side="right"))
+            span = slice(ends[i] - len(lines[i]), ends[i])
+            if junk[span].any():
+                pos = span.start + int(np.argmax(junk[span]))
+                raise FastaParseError(f"invalid sequence character {chr(arr[pos])!r}", line_nos[i])
+            pos = span.start + int(np.argmax(ambiguous[span]))
+            raise FastaParseError(
+                f"ambiguous base {chr(arr[pos])!r} rejected in strict mode", line_nos[i]
+            )
+        replaced = int(ambiguous.sum())
+        codes[ambiguous] = 0
+    return FastaRecord(record_id, PackedSequence.from_codes(codes), replaced)
 
 
 def read_fasta(path: Union[str, Path], *, strict: bool = False) -> list[FastaRecord]:

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,9 +19,17 @@ from refpack import (
 )
 from refpack.compress import GROUP_SLOTS, encoded_size, group_count
 from refpack.container import build_chunk_index
+from refpack.decompress import decompress
 from refpack.errors import ChecksumMismatch
-from refpack.index import Orientation, QueryStats
-from refpack.sequence import concat_sequences, pack_bases, reverse_complement_sequence
+from refpack.index import EMPTY_SLOT, Orientation, QueryStats, ReferenceIndex, window_probe_tables
+from refpack.sequence import (
+    PackedSequence,
+    concat_sequences,
+    kmer_at,
+    pack_bases,
+    reverse_complement_sequence,
+    sequence_checksum,
+)
 
 
 def test_params_validation():
@@ -272,3 +282,161 @@ def test_make_stream_metadata(reference, index64, params):
     assert stream.n_groups == group_count(res.kinds.size)
     assert stream.params == params
     assert len(stream.data) % 4 == 0
+
+
+# ------------------------------------------------- per-position loop oracle
+
+
+def compress_by_position(target, index, reference, params, *, use_prefilter=True,
+                         break_every_groups=None, stats=None):
+    """The per-position tokenizer: one scalar ``query`` at each position the
+    greedy scan visits. The reference for ``compress``'s array probe."""
+    k, s = params.k, params.s
+    codes = target.codes().tolist()
+    kinds, words = [], []
+    orientation = expected = None
+    break_tokens = GROUP_SLOTS * break_every_groups if break_every_groups else 0
+    p = 0
+    while p < target.length:
+        if break_tokens and len(kinds) % break_tokens == 0:
+            orientation = expected = None
+        cand = None
+        if p <= target.length - k:
+            cand = index.query(reference, kmer_at(target, p, k), use_prefilter=use_prefilter,
+                               stats=stats)
+        if cand is None:
+            value = sum(code << (2 * j) for j, code in enumerate(codes[p : p + s]))
+            kinds.append(TokenKind.VERBATIM)
+            words += [(value >> (32 * w)) & 0xFFFFFFFF for w in range(params.words_per_verbatim)]
+            p += s
+            continue
+        o = cand.offset
+        if orientation == cand.orientation and expected == o:
+            kinds.append(TokenKind.CONTINUATION)
+        else:
+            kinds.append(TokenKind.FORWARD_MATCH if cand.orientation == Orientation.FORWARD
+                         else TokenKind.REVERSE_MATCH)
+            words.append(o)
+        if cand.orientation == Orientation.FORWARD:
+            orientation, expected = Orientation.FORWARD, o + k
+        elif o >= k:
+            orientation, expected = Orientation.REVERSE, o - k
+        else:
+            orientation = expected = None
+        p += k
+    return kinds, words
+
+
+def oracle_target(reference, rng):
+    """Forward and reverse copies (one reaching offset 0), a mutated copy and
+    unrelated bases, ending off the stride grid."""
+    ref = reference.codes()
+    return concat_sequences([
+        PackedSequence.from_codes(ref[1000:1700]),
+        reverse_complement_sequence(PackedSequence.from_codes(ref[:300])),
+        random_sequence(150, rng),
+        mutate(PackedSequence.from_codes(ref[5000:7000]),
+               MutationProfile(snp=0.01, insertion=0.002, deletion=0.002), rng),
+        reverse_complement_sequence(PackedSequence.from_codes(ref[9000:9500])),
+        PackedSequence.from_codes(ref[-203:]),
+    ])
+
+
+@pytest.fixture(scope="module")
+def index32(reference):
+    return build_index(reference, 32)
+
+
+def edge_targets(reference, k):
+    """A copy whose last window starts exactly at length - k, and a reverse
+    chain that ends at offset 0 followed by a fresh reverse match at offset k,
+    which must not read as a continuation."""
+    ref = reference.codes()
+    return [
+        PackedSequence.from_codes(ref[2000 : 2000 + 8 * k]),
+        concat_sequences([
+            reverse_complement_sequence(PackedSequence.from_codes(ref[: 2 * k])),
+            reverse_complement_sequence(PackedSequence.from_codes(ref[k : 2 * k])),
+        ]),
+    ]
+
+
+@pytest.mark.parametrize("s", [4, 16, 32])
+@pytest.mark.parametrize("break_every_groups", [None, 1])
+@pytest.mark.parametrize("use_prefilter", [True, False])
+def test_compress_matches_per_position_loop(reference, index32, s, break_every_groups,
+                                            use_prefilter):
+    params = CompressParams(k=32, s=s)
+    targets = [oracle_target(reference, np.random.default_rng(s))] + edge_targets(reference, 32)
+    for target in targets:
+        stats, expected_stats = QueryStats(), QueryStats()
+        res = compress(target, index32, reference, params, use_prefilter=use_prefilter,
+                       break_every_groups=break_every_groups, stats=stats)
+        kinds, words = compress_by_position(target, index32, reference, params,
+                                            use_prefilter=use_prefilter,
+                                            break_every_groups=break_every_groups,
+                                            stats=expected_stats)
+        assert res.kinds.tolist() == kinds
+        assert res.words.tolist() == words
+        assert stats == expected_stats
+    assert {TokenKind.CONTINUATION, TokenKind.REVERSE_MATCH, TokenKind.VERBATIM} <= set(
+        compress(targets[0], index32, reference, params).kinds.tolist()
+    )
+
+
+def test_crafted_offsets_near_reference_end(reference, index32):
+    """A .bidx whose slots hold offsets at and past length - k, with matching
+    nibbles, must neither index past the reference nor decode wrongly."""
+    k = 32
+    params = CompressParams(k=k, s=16)
+    target = oracle_target(reference, np.random.default_rng(3))
+    positions = np.arange(0, target.length - k + 1, params.s, dtype=np.int64)
+    h1f, _, low4f, _, h2r, low4r = window_probe_tables(
+        target.codes(), k, positions, index32.seeds, include_rc=True
+    )
+    last = reference.length - k
+    bad = np.array([last, last + 1, reference.length - 1, reference.length, EMPTY_SLOT - 1])
+    slots, nibbles = index32.slots.copy(), index32.nibbles.copy()
+    for i, (hf, hr) in enumerate(zip(h1f.tolist(), h2r.tolist())):
+        slots[hf & index32._mask] = bad[i % bad.size]
+        nibbles[hf & index32._mask] = low4f[i]
+        slots[hr & index32._mask] = bad[(i + 2) % bad.size]
+        nibbles[hr & index32._mask] = low4r[i]
+    crafted = ReferenceIndex(
+        k=k, sampling_stride=1, capacity=index32.capacity, seeds=index32.seeds,
+        ref_checksum=index32.ref_checksum, slots=slots, nibbles=nibbles,
+    )
+    blob = io.BytesIO()
+    crafted.save(blob)
+    loaded = ReferenceIndex.load(blob.getvalue())
+    assert (loaded.slots > last).any()
+
+    stats, expected_stats = QueryStats(), QueryStats()
+    res = compress(target, loaded, reference, params, stats=stats)
+    assert (res.kinds.tolist(), res.words.tolist()) == compress_by_position(
+        target, loaded, reference, params, stats=expected_stats
+    )
+    assert stats == expected_stats
+    assert decompress(make_stream(res, params, loaded.ref_checksum), reference) == target
+
+
+def test_index_longer_than_reference_k():
+    """A crafted index whose k exceeds its reference's length: every probe
+    fails, counted as query counts it, and the target round-trips."""
+    short = pack_bases("ACGTTGCAAC")
+    k = 16
+    target = random_sequence(70, np.random.default_rng(4))
+    nibbles = np.arange(64, dtype=np.uint8) % 16  # every nibble value occurs
+    crafted = ReferenceIndex(
+        k=k, sampling_stride=1, capacity=64, seeds=(3, 5),
+        ref_checksum=sequence_checksum(short),
+        slots=np.zeros(64, dtype=np.uint32), nibbles=nibbles,
+    )
+    params = CompressParams(k=k, s=16)
+    stats, expected_stats = QueryStats(), QueryStats()
+    res = compress(target, crafted, short, params, stats=stats)
+    assert (res.kinds.tolist(), res.words.tolist()) == compress_by_position(
+        target, crafted, short, params, stats=expected_stats
+    )
+    assert stats == expected_stats and stats.hits == 0 and stats.verify_failures > 0
+    assert decompress(make_stream(res, params, crafted.ref_checksum), short) == target

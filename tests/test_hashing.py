@@ -146,3 +146,15 @@ def test_seeds_change_output():
 def test_negative_seed_rejected():
     with pytest.raises(ValueError):
         murmur3_x64_128(b"x", -1)
+
+
+def test_batch_per_row_seeds():
+    rng = np.random.default_rng(6)
+    mats = rng.integers(0, 256, (12, 20), dtype=np.uint8)
+    seeds = rng.integers(0, 2**63, 12, dtype=np.uint64) * np.uint64(2)
+    batch = murmur3_low64_batch(mats, seeds)
+    assert batch.tolist() == [murmur3_low64(row.tobytes(), int(s)) for row, s in zip(mats, seeds)]
+    with pytest.raises(ValueError, match="one seed per message"):
+        murmur3_low64_batch(mats, seeds[:-1])
+    with pytest.raises(ValueError, match="one seed per message"):
+        murmur3_low64_batch(mats, seeds.astype(np.int64))

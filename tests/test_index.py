@@ -1,8 +1,11 @@
 import io
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import refpack.index as index_mod
 from refpack import build_index, random_sequence
@@ -18,6 +21,7 @@ from refpack.index import (
     window_probe_tables,
 )
 from refpack.sequence import (
+    PackedSequence,
     concat_sequences,
     kmer_at,
     pack_bases,
@@ -25,6 +29,7 @@ from refpack.sequence import (
     sequence_checksum,
     write_fasta,
 )
+from refpack.synth import MutationProfile, mutate
 
 
 def test_next_power_of_two():
@@ -169,6 +174,93 @@ def test_window_probe_tables_match_scalar():
         assert low4[i] == km.low4
         assert h1r[i] == index_mod.murmur3_low64(rc.bytes_le(), 7)
         assert low4r[i] == rc.low4
+
+
+@pytest.mark.parametrize("include_rc", [False, True])
+def test_window_probe_tables_one_hash_call_per_chunk(monkeypatch, include_rc):
+    """Both seeds (and both strands) share one hash call of at most ``chunk``
+    rows; chunking does not change the tables."""
+    ref = random_sequence(300, np.random.default_rng(18))
+    offsets = np.arange(0, 280, 3, dtype=np.int64)
+    whole = window_probe_tables(ref.codes(), 13, offsets, (7, 9), include_rc=include_rc)
+    rows = []
+    real_batch = index_mod.murmur3_low64_batch
+
+    def counting_batch(messages, seed):
+        rows.append(len(messages))
+        return real_batch(messages, seed)
+
+    monkeypatch.setattr(index_mod, "murmur3_low64_batch", counting_batch)
+    chunked = window_probe_tables(ref.codes(), 13, offsets, (7, 9), include_rc=include_rc, chunk=16)
+    per_call = 4 if include_rc else 8
+    assert len(rows) == -(-offsets.size // per_call)
+    assert max(rows) <= 16 and sum(rows) == offsets.size * (4 if include_rc else 2)
+    for a, b in zip(whole, chunked):
+        assert a.tolist() == b.tolist()
+
+
+def probe_target(ref, k, rng):
+    """Forward and reverse-complement copies of reference pieces, a mutated
+    copy, unrelated bases and (for even k) a palindrome the reference holds."""
+    pieces = [
+        random_sequence(int(rng.integers(0, 40)), rng),
+        PackedSequence.from_codes(ref.codes()[50 : 50 + 3 * k]),
+        reverse_complement_sequence(PackedSequence.from_codes(ref.codes()[300 : 300 + 2 * k])),
+        mutate(PackedSequence.from_codes(ref.codes()[:400]), MutationProfile(snp=0.02), rng),
+        random_sequence(2 * k, rng),
+    ]
+    if k % 2 == 0:
+        pieces.append(PackedSequence.from_codes(ref.codes()[-k:]))
+    return concat_sequences(pieces)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([5, 6, 16, 32, 64]),
+    st.sampled_from([1, 3]),
+    st.booleans(),
+    st.sampled_from([7, index_mod._PROBE_CHUNK]),
+    st.integers(0, 2**32 - 1),
+)
+def test_probe_agrees_with_query(k, stride, use_prefilter, chunk, seed):
+    """The array probe gives query's answer and query's counters at every
+    position, in chunks of any size."""
+    rng = np.random.default_rng(seed)
+    ref = random_sequence(702, rng)
+    if k % 2 == 0:  # end the reference with a palindrome: forward must win
+        half = random_sequence(k // 2, rng)
+        ref = concat_sequences([ref, half, reverse_complement_sequence(half)])
+    idx = build_index(ref, k, sampling_stride=stride)
+    target = probe_target(ref, k, rng)
+    codes = target.codes()
+    positions = np.arange(0, target.length - k + 1, dtype=np.int64)
+    tables = window_probe_tables(codes, k, positions, idx.seeds, include_rc=True)
+    with mock.patch.object(index_mod, "_PROBE_CHUNK", chunk):
+        found = idx.probe(ref, codes, positions, tables, use_prefilter=use_prefilter)
+
+    expected = QueryStats()
+    answers = [
+        idx.query(ref, kmer_at(target, int(p), k), use_prefilter=use_prefilter, stats=expected)
+        for p in positions
+    ]
+    assert found.orientation.tolist() == [0 if a is None else a.orientation.value for a in answers]
+    assert found.offset.tolist() == [0 if a is None else a.offset for a in answers]
+    counted = QueryStats()
+    found.count(np.arange(positions.size), counted)
+    assert counted == expected
+    assert expected.hits > 0
+    if k % 2 == 0:
+        assert answers[-1].orientation is Orientation.FORWARD
+
+
+def test_probe_of_no_positions():
+    ref = random_sequence(200, np.random.default_rng(17))
+    idx = build_index(ref, 16)
+    none = np.empty(0, dtype=np.int64)
+    found = idx.probe(ref, pack_bases("ACGT").codes(), none, window_probe_tables(
+        pack_bases("ACGT").codes(), 16, none, idx.seeds, include_rc=True
+    ))
+    assert all(column.size == 0 for column in found)
 
 
 # ------------------------------------------------------------- serialization

@@ -3,7 +3,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import refpack.sequence as sequence_mod
@@ -218,6 +218,110 @@ def test_parse_fasta_empty_record():
 def test_parse_fasta_empty_id():
     with pytest.raises(FastaParseError, match="empty record id"):
         parse_fasta(">\nACGT\n")
+
+
+def parse_fasta_by_line(data, *, strict=False):
+    """Line-by-line parser, one numpy lookup per line: the reference for the
+    one-pass ``parse_fasta``."""
+    if isinstance(data, str):
+        data = data.encode("ascii", errors="replace")
+    table = sequence_mod._ASCII_TO_CODE
+    is_ambiguous = sequence_mod._IS_AMBIGUOUS
+    records = []
+    cur_id, cur_chunks, cur_replaced, cur_header_line = None, [], 0, 0
+
+    def finish():
+        if cur_id is None:
+            return
+        if sum(c.size for c in cur_chunks) == 0:
+            raise FastaParseError(f"record {cur_id!r} has no sequence data", cur_header_line)
+        codes = np.concatenate(cur_chunks)
+        records.append(sequence_mod.FastaRecord(cur_id, PackedSequence.from_codes(codes), cur_replaced))
+
+    for line_no, raw_line in enumerate(data.split(b"\n"), start=1):
+        line = raw_line.strip()
+        if not line:
+            continue
+        if line.startswith(b">"):
+            finish()
+            cur_id = line[1:].strip().decode("utf-8", errors="replace")
+            cur_chunks, cur_replaced, cur_header_line = [], 0, line_no
+            if not cur_id:
+                raise FastaParseError("empty record id", line_no)
+            continue
+        if line.startswith(b";"):
+            continue
+        if cur_id is None:
+            raise FastaParseError("sequence data before any '>' header", line_no)
+        arr = np.frombuffer(line, dtype=np.uint8)
+        codes = table[arr]
+        invalid = codes == 0xFF
+        if invalid.any():
+            ambiguous = invalid & is_ambiguous[arr]
+            junk = invalid & ~ambiguous
+            if junk.any():
+                pos = int(np.argmax(junk))
+                raise FastaParseError(f"invalid sequence character {chr(arr[pos])!r}", line_no)
+            if strict:
+                pos = int(np.argmax(ambiguous))
+                raise FastaParseError(
+                    f"ambiguous base {chr(arr[pos])!r} rejected in strict mode", line_no
+                )
+            cur_replaced += int(ambiguous.sum())
+            codes = np.where(ambiguous, np.uint8(0), codes)
+        cur_chunks.append(codes)
+
+    finish()
+    return records
+
+
+def _parse_outcome(parser, data, strict):
+    try:
+        return parser(data, strict=strict)
+    except FastaParseError as exc:
+        return ("error", str(exc), exc.line)
+
+
+_fasta_lines = st.one_of(
+    st.tuples(st.just(b">"), st.sampled_from([b"", b" ", b"r1", b" id two", b"\xff\xfe"])),
+    st.tuples(st.just(b";"), st.sampled_from([b"", b" note", b">not a header"])),
+    st.tuples(st.sampled_from([b"", b"  ", b"\t", b"\r"])),
+    st.tuples(
+        st.sampled_from([b"", b" ", b"\t"]),
+        st.text(alphabet="ACGTacgtACGTNnRyUuWskm!-* 1", min_size=1, max_size=40).map(str.encode),
+        st.sampled_from([b"", b" "]),
+    ),
+    st.tuples(st.binary(min_size=1, max_size=6)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(_fasta_lines, st.sampled_from([b"\n", b"\r\n"])), max_size=14),
+    st.booleans(),
+    st.booleans(),
+)
+def test_parse_fasta_matches_line_by_line(lines, strict, as_text):
+    """Records, replacement counts, error messages and line numbers all equal
+    those of the line-by-line parser, on headers, blank and ';' lines, CRLF,
+    lowercase, IUPAC letters, junk bytes, data before the first header and
+    empty records."""
+    data = b"".join(b"".join(parts) + end for parts, end in lines)
+    if as_text:
+        data = data.decode("latin-1")
+    assert _parse_outcome(parse_fasta, data, strict) == _parse_outcome(
+        parse_fasta_by_line, data, strict
+    )
+
+
+def test_parse_fasta_reports_first_bad_line():
+    # junk after an ambiguity letter on one line is reported first; a line
+    # with only ambiguity letters is an error in strict mode alone
+    text = ">r\nACGN\nAN!T\n"
+    with pytest.raises(FastaParseError, match="line 3: invalid sequence character '!'"):
+        parse_fasta(text)
+    with pytest.raises(FastaParseError, match="line 2: ambiguous base 'N'"):
+        parse_fasta(text, strict=True)
 
 
 def test_fasta_file_round_trip(tmp_path):
