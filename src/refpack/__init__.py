@@ -23,6 +23,7 @@ from .container import (
     Container,
     ContainerRecord,
     decompress_record,
+    decompress_records,
     extract_range,
     read_container,
     write_container,
@@ -89,6 +90,7 @@ __all__ = [
     "compression_ratio",
     "decompress",
     "decompress_record",
+    "decompress_records",
     "edit_distance",
     "encode_groups",
     "extract_range",

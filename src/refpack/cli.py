@@ -29,7 +29,7 @@ from .bench import DEFAULT_K_VALUES, DEFAULT_S_VALUES, SweepDataset, SweepSpec, 
 from .compress import CompressParams, CompressResult, compress, compression_ratio, encoded_size
 from .container import (
     DEFAULT_GRANULARITY,
-    decompress_record,
+    decompress_records,
     extract_range,
     read_container,
     write_container,
@@ -228,7 +228,8 @@ def cmd_decompress(args: argparse.Namespace, config: dict[str, str]) -> int:
     chosen = _pick_record(container, args.record)
     if args.format == "2bit" and len(chosen) != 1:
         raise UsageError("--format 2bit holds a single sequence; pick one with --record")
-    sequences = [(rec.id, decompress_record(container, rec, reference)) for rec in chosen]
+    decoded = decompress_records(container, chosen, reference)
+    sequences = [(rec.id, seq) for rec, seq in zip(chosen, decoded)]
     out, owned = _open_out(args.out, binary=(args.format == "2bit"))
     try:
         if args.format == "2bit":

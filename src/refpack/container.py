@@ -48,7 +48,7 @@ from .compress import (
     encode_groups,
     group_count,
 )
-from .decompress import decode_groups
+from .decompress import decode_group, decompress_streams
 from .errors import ChecksumMismatch, CorruptContainer, CorruptStream
 from .sequence import PackedSequence, sequence_checksum
 
@@ -59,6 +59,10 @@ DEFAULT_GRANULARITY = 16
 
 _FIXED = struct.Struct("<4sHHH32sIQ")  # through the index blob offset (54 bytes)
 _CRC = struct.Struct("<I")
+_ID_LEN = struct.Struct("<H")
+_RECORD = struct.Struct("<QQQ")  # base count, group count, byte offset
+_SECTION = struct.Struct("<IQ")  # granularity, entry count
+_ENTRY = struct.Struct("<QQQ")  # base offset, group ordinal, byte offset
 
 
 @dataclass
@@ -201,16 +205,16 @@ def write_container(
     table_len = sum(2 + len(rid) + 24 for rid, *_ in specs)
     cursor = HEADER_LEN + table_len
     for rid, n_bases, n_groups, group_bytes, cindex in specs:
-        table += struct.pack("<H", len(rid)) + rid
-        table += struct.pack("<QQQ", n_bases, n_groups, cursor)
+        table += _ID_LEN.pack(len(rid)) + rid
+        table += _RECORD.pack(n_bases, n_groups, cursor)
         regions += group_bytes
         regions += _CRC.pack(zlib.crc32(group_bytes))
         cursor += len(group_bytes) + 4
-        section = struct.pack("<IQ", cindex.granularity, len(cindex.base_offsets))
+        section = _SECTION.pack(cindex.granularity, len(cindex.base_offsets))
         for b, g, y in zip(
             cindex.base_offsets, cindex.group_ordinals, cindex.byte_offsets
         ):
-            section += struct.pack("<QQQ", b, g, y)
+            section += _ENTRY.pack(b, g, y)
         blob += section
         blob += _CRC.pack(zlib.crc32(section))
 
@@ -228,28 +232,25 @@ def write_container(
     return len(payload)
 
 
-class _Cursor:
-    """Bounds-checked reader; any overrun is a structured corruption error."""
-
-    def __init__(self, data: bytes, pos: int = 0):
-        self.data = data
-        self.pos = pos
-
-    def take(self, n: int, what: str) -> bytes:
-        if n < 0 or self.pos + n > len(self.data):
+def _need(data: bytes, pos: int, fields: tuple[tuple[int, str], ...]) -> None:
+    """Raise for the first of the consecutive (size, name) fields at ``pos``
+    that runs past the end of ``data``."""
+    for size, what in fields:
+        pos += size
+        if pos > len(data):
             raise CorruptContainer(f"truncated container while reading {what}")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
 
-    def u16(self, what: str) -> int:
-        return int.from_bytes(self.take(2, what), "little")
 
-    def u32(self, what: str) -> int:
-        return int.from_bytes(self.take(4, what), "little")
-
-    def u64(self, what: str) -> int:
-        return int.from_bytes(self.take(8, what), "little")
+_ID_LEN_FIELD = ((_ID_LEN.size, "record id length"),)
+_RECORD_FIELDS = (
+    (8, "record base count"), (8, "record group count"), (8, "record byte offset"),
+)
+_SECTION_FIELDS = ((4, "chunk index granularity"), (8, "chunk index entry count"))
+_ENTRY_FIELDS = (
+    (8, "chunk index base offset"),
+    (8, "chunk index group ordinal"),
+    (8, "chunk index byte offset"),
+)
 
 
 def read_container(src: Union[str, Path, bytes, BinaryIO]) -> Container:
@@ -273,16 +274,21 @@ def read_container(src: Union[str, Path, bytes, BinaryIO]) -> Container:
     if k < s or k % s:
         raise CorruptContainer(f"invalid k={k} for s={s}")
 
-    cur = _Cursor(data, HEADER_LEN)
+    size = len(data)
+    pos = HEADER_LEN
     raw_records = []
     for _ in range(n_records):
-        id_len = cur.u16("record id length")
-        rid = cur.take(id_len, "record id").decode("utf-8", errors="replace")
-        n_bases = cur.u64("record base count")
-        n_groups = cur.u64("record group count")
-        byte_offset = cur.u64("record byte offset")
-        raw_records.append((rid, n_bases, n_groups, byte_offset))
-    table_end = cur.pos
+        if pos + _ID_LEN.size > size:
+            _need(data, pos, _ID_LEN_FIELD)
+        (id_len,) = _ID_LEN.unpack_from(data, pos)
+        pos += _ID_LEN.size
+        if pos + id_len + _RECORD.size > size:
+            _need(data, pos, ((id_len, "record id"), *_RECORD_FIELDS))
+        rid = data[pos : pos + id_len].decode("utf-8", errors="replace")
+        pos += id_len
+        raw_records.append((rid, *_RECORD.unpack_from(data, pos)))
+        pos += _RECORD.size
+    table_end = pos
 
     if zlib.crc32(data[: _FIXED.size] + data[HEADER_LEN:table_end]) != meta_crc:
         raise CorruptContainer("header/record-table CRC mismatch")
@@ -307,38 +313,40 @@ def read_container(src: Union[str, Path, bytes, BinaryIO]) -> Container:
         )
         prev_end = next_start
 
-    bcur = _Cursor(data, blob_offset)
+    pos = blob_offset
     for rec in records:
-        section_start = bcur.pos
-        granularity = bcur.u32("chunk index granularity")
-        n_entries = bcur.u64("chunk index entry count")
-        if n_entries > (len(data) - bcur.pos) // 24 + 1:
+        section_start = pos
+        if pos + _SECTION.size > size:
+            _need(data, pos, _SECTION_FIELDS)
+        granularity, n_entries = _SECTION.unpack_from(data, pos)
+        pos += _SECTION.size
+        if n_entries > (size - pos) // _ENTRY.size + 1:
             raise CorruptContainer("chunk index entry count exceeds file size")
-        bases, groups, bytes_ = [], [], []
-        for _ in range(n_entries):
-            bases.append(bcur.u64("chunk index base offset"))
-            groups.append(bcur.u64("chunk index group ordinal"))
-            bytes_.append(bcur.u64("chunk index byte offset"))
-        section = data[section_start : bcur.pos]
-        crc = bcur.u32("chunk index CRC")
-        if zlib.crc32(section) != crc:
+        entries_end = pos + n_entries * _ENTRY.size
+        if entries_end + _CRC.size > size:
+            _need(data, pos, _ENTRY_FIELDS * n_entries + ((_CRC.size, "chunk index CRC"),))
+        entries = list(_ENTRY.iter_unpack(data[pos:entries_end]))
+        (crc,) = _CRC.unpack_from(data, entries_end)
+        pos = entries_end + _CRC.size
+        if zlib.crc32(data[section_start:entries_end]) != crc:
             raise CorruptContainer(f"record {rec.id!r}: chunk index CRC mismatch")
         if granularity < 1:
             raise CorruptContainer(f"record {rec.id!r}: zero chunk index granularity")
-        if not bases or (bases[0], groups[0], bytes_[0]) != (0, 0, 0):
+        if not entries or entries[0] != (0, 0, 0):
             raise CorruptContainer(f"record {rec.id!r}: chunk index must start at origin")
-        for j in range(1, n_entries):
-            if bases[j] <= bases[j - 1]:
+        for (prev_base, _, _), (base, group, byte) in zip(entries, entries[1:]):
+            if base <= prev_base:
                 raise CorruptContainer(
                     f"record {rec.id!r}: chunk index keys not strictly increasing"
                 )
-            if groups[j] >= rec.n_groups or bytes_[j] >= rec.region_size - 4:
+            if group >= rec.n_groups or byte >= rec.region_size - 4:
                 raise CorruptContainer(
                     f"record {rec.id!r}: chunk index entry out of range"
                 )
-        rec.chunk_index = ChunkIndex(granularity, tuple(bases), tuple(groups), tuple(bytes_))
-    if bcur.pos != len(data):
-        raise CorruptContainer(f"{len(data) - bcur.pos} trailing bytes after index blob")
+        bases, groups, bytes_ = zip(*entries)
+        rec.chunk_index = ChunkIndex(granularity, bases, groups, bytes_)
+    if pos != size:
+        raise CorruptContainer(f"{size - pos} trailing bytes after index blob")
 
     return Container(
         params=CompressParams(k=k, s=s),
@@ -359,12 +367,17 @@ def record_stream(container: Container, record: ContainerRecord) -> CompressedSt
     )
 
 
+def decompress_records(
+    container: Container, records: Iterable[ContainerRecord], reference: PackedSequence
+) -> list[PackedSequence]:
+    """Decode the given records in one decoder call."""
+    return decompress_streams([record_stream(container, rec) for rec in records], reference)
+
+
 def decompress_record(
     container: Container, record: ContainerRecord, reference: PackedSequence
 ) -> PackedSequence:
-    from .decompress import decompress
-
-    return decompress(record_stream(container, record), reference)
+    return decompress_records(container, [record], reference)[0]
 
 
 def extract_range(
@@ -395,27 +408,20 @@ def extract_range(
 
     entry_base, entry_group, entry_byte = record.chunk_index.predecessor(base_offset)
     needed = (base_offset - entry_base) + length
-    parts: list[np.ndarray] = []
-    got = 0
-    for codes in decode_groups(
-        container.group_bytes(record)[entry_byte:],
-        record.n_groups - entry_group,
-        entry_group,
+    entry = memoryview(container.group_bytes(record))[entry_byte:]
+    (codes,), (groups,) = decode_group(
+        [(entry, record.n_groups - entry_group, entry_group)],
         reference,
         container.params,
-    ):
-        parts.append(codes)
-        got += codes.size
-        if got >= needed:
-            break
-    if got < needed:
+        needed=needed,
+    )
+    if codes.size < needed:
         raise CorruptStream(
-            f"record {record.id!r}: stream ended {needed - got} bases short of "
+            f"record {record.id!r}: stream ended {needed - codes.size} bases short of "
             f"extract range"
         )
     if _stats is not None:
-        _stats["decoded_bases"] = got
-        _stats["groups_decoded"] = len(parts)
+        _stats["decoded_bases"] = codes.size
+        _stats["groups_decoded"] = groups
     skip = base_offset - entry_base
-    codes = np.concatenate(parts)[skip : skip + length]
-    return PackedSequence.from_codes(codes)
+    return PackedSequence.from_codes(codes[skip : skip + length])

@@ -1,176 +1,231 @@
-"""Streaming decoder for grouped token streams.
+"""Decoder for grouped token streams.
 
-Slots are decoded in index order 0..15. Verbatim slots unpack their payload
-words; match slots copy (or reverse-complement) k reference bases; a
-continuation slot advances the last match's offset by +k (forward) or -k
-(reverse) with no payload. ``decode_groups`` is the one decode loop: it
-carries that last match from group to group, and both ``decompress`` and
-``container.extract_range`` consume it. Structural violations raise
-CorruptStream carrying the group ordinal and slot index.
+Each group is a header word of sixteen 2-bit kind codes, slot 0 in the low
+bits, followed by its payload words. A verbatim slot holds its S bases packed
+2-bit; a match slot copies (or reverse-complements) the K reference bases at
+its payload offset; a continuation slot has no payload and advances the last
+match's offset by +K (forward) or -K (reverse).
+
+``decode_group`` is the one decoder: ``decompress``, the container's
+``extract_range`` and the CLI's ``decompress`` of many records all call it
+once. It works in three steps:
+
+* frame walk: each group is sized from popcounts of its header's kind bits
+  and must fit in the bytes left; decoding stops once a caller that asked for
+  a number of bases has them;
+* token walk: one integer step per token, as in ``compress``, carrying the
+  last match across verbatim tokens and groups, resetting it at each stream
+  start. Group by group it runs before the next frame is read, so the first
+  fault in stream order is the one raised;
+* gather: the K-base windows of all match tokens are gathered from the
+  reference's packed bytes (``reference.codes()`` is never called), reverse
+  ones complemented, verbatim payloads unpacked, and all of it placed into
+  one output array. Windows go a chunk at a time, so that no temporary
+  exceeds ``_GATHER_BYTES``.
+
+Structural violations raise CorruptStream carrying the group ordinal and slot
+index.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Sequence
 
 import numpy as np
 
-from .compress import (
-    GROUP_SLOTS,
-    SLOT_SHIFTS,
-    WORD_BYTES,
-    CompressParams,
-    CompressedStream,
-    TokenKind,
-)
+from .compress import GROUP_SLOTS, WORD_BYTES, CompressParams, CompressedStream, TokenKind
 from .errors import ChecksumMismatch, CorruptStream
-from .sequence import PackedSequence, sequence_checksum
+from .sequence import PackedSequence, packed_windows, sequence_checksum, unpack_rows
 
-# The kind code and reference offset of the last match token, or None.
-LastMatch = tuple[int, int] | None
+# (group bytes, group count, ordinal of the first group); the first group is
+# a chain-free entry point: a stream start or a chunk-index entry.
+Stream = tuple[bytes | memoryview, int, int]
 
-
-def split_header(header: int) -> np.ndarray:
-    """The sixteen 2-bit kind codes of a group header, slot 0 first."""
-    return ((np.uint32(header) >> SLOT_SHIFTS) & 3).astype(np.uint8)
-
-
-def _unpack_words(words: np.ndarray) -> np.ndarray:
-    """(n,) u32 words -> (n, 16) 2-bit codes, low bits first."""
-    return ((words[:, None] >> SLOT_SHIFTS) & 3).astype(np.uint8)
-
-
-def iter_group_frames(
-    data: bytes,
-    n_groups: int,
-    params: CompressParams,
-    *,
-    first_group: int = 0,
-) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield (group_ordinal, header, payload_words) frames from raw bytes.
-
-    Once every group is read, the byte stream must end precisely there.
-    """
-    kind_words = params.kind_words
-    pos = 0
-    size = len(data)
-    for g in range(first_group, first_group + n_groups):
-        if pos + WORD_BYTES > size:
-            raise CorruptStream("truncated stream: missing group header", group=g)
-        header = int.from_bytes(data[pos : pos + WORD_BYTES], "little")
-        pos += WORD_BYTES
-        n_words = int(kind_words[split_header(header)].sum())
-        end = pos + n_words * WORD_BYTES
-        if end > size:
-            raise CorruptStream("truncated stream: payload exhausted", group=g)
-        words = np.frombuffer(data, dtype="<u4", count=n_words, offset=pos)
-        pos = end
-        yield g, header, words
-    if pos != size:
-        raise CorruptStream(
-            f"{size - pos} trailing bytes after final group", group=first_group + n_groups
-        )
+# Header byte -> the kind codes of its four slots, slot 0 first.
+_BYTE_KINDS = [tuple((b >> shift) & 3 for shift in (0, 2, 4, 6)) for b in range(256)]
+_EVEN_BITS = 0x55555555
+# Windows are gathered in chunks that keep each temporary under this size.
+_GATHER_BYTES = 1 << 20
+# Bases packed in one payload word.
+_WORD_BASES = 4 * WORD_BYTES
 
 
 def decode_group(
-    header: int,
-    payload: np.ndarray,
+    streams: Sequence[Stream],
     reference: PackedSequence,
-    last: LastMatch,
     params: CompressParams,
     *,
-    group_index: int = 0,
-) -> tuple[np.ndarray, LastMatch]:
-    """Decode one group; returns the emitted base codes and the last match."""
+    needed: int | None = None,
+) -> tuple[list[np.ndarray], list[int]]:
+    """The base codes of each stream and the number of groups decoded.
+
+    With ``needed``, each stream is decoded only up to the first group at
+    which it holds ``needed`` bases.
+    """
     k, s = params.k, params.s
     wv = params.words_per_verbatim
-    kinds = split_header(header)
-    ref_codes = reference.codes()
-    ref_len = reference.length
+    match_rows = k // s  # the output is laid out in rows of s bases
+    last_offset = reference.length - k
+    verbatim_kind = TokenKind.VERBATIM.value
+    forward = TokenKind.FORWARD_MATCH.value
+    continuation = TokenKind.CONTINUATION.value
+    if len(streams) == 1:
+        buf = streams[0][0]
+    else:  # each stream starts on a word of the joined buffer
+        pieces = []
+        for data, _, _ in streams:
+            pieces += (data, bytes(-len(data) % WORD_BYTES))
+        buf = b"".join(pieces)
+    words = memoryview(
+        np.frombuffer(buf, "<u4", count=len(buf) // WORD_BYTES).astype(np.uint32, copy=False)
+    )
 
-    counts = params.kind_words[kinds]
-    n_words = int(counts.sum())
-    if payload.size != n_words:
-        raise CorruptStream(
-            f"payload holds {payload.size} words, header requires {n_words}",
-            group=group_index,
-        )
-    # Index of each slot's first payload word.
-    first_word = (np.cumsum(counts) - counts).tolist()
-
-    # All verbatim codes of the group in one shot; sliced per slot below.
-    verbatim_codes = _unpack_words(payload)
-
-    chunks: list[np.ndarray] = []
-    for slot, kind in enumerate(kinds.tolist()):
-        wi = first_word[slot]
-        if kind == TokenKind.VERBATIM:
-            chunks.append(verbatim_codes[wi : wi + wv].reshape(-1)[:s])
-            continue
-        if kind == TokenKind.CONTINUATION:
-            if last is None:
-                raise CorruptStream(
-                    "continuation with no preceding match",
-                    group=group_index,
-                    slot=slot,
-                )
-            kind, offset = last
-            offset += k if kind == TokenKind.FORWARD_MATCH else -k
-        else:
-            offset = int(payload[wi])
-        if offset < 0 or offset + k > ref_len:
-            raise CorruptStream(
-                f"reference offset {offset} out of range for k={k}, "
-                f"reference length {ref_len}",
-                group=group_index,
-                slot=slot,
+    # Offset and output row of each match window, the rows of the reverse
+    # ones, and word index and row of each verbatim payload.
+    windows: list[int] = []
+    window_rows: list[int] = []
+    reverse_rows: list[int] = []
+    verbatim: list[int] = []
+    verbatim_rows: list[int] = []
+    row_ends: list[int] = []
+    walked: list[int] = []
+    row = start = 0
+    for data, n_groups, first_group in streams:
+        size = len(data)
+        stop = start + size // WORD_BYTES
+        pos = start
+        first_row = row
+        step = None  # +k or -k from the last match to the next continuation
+        for g in range(first_group, first_group + n_groups):
+            if pos >= stop:
+                raise CorruptStream("truncated stream: missing group header", group=g)
+            header = words[pos]
+            # kind_words in bits: wv payload words per verbatim slot (00), one
+            # per match slot (01, 10), none per continuation (11).
+            low, high = header & _EVEN_BITS, (header >> 1) & _EVEN_BITS
+            n_verbatim = GROUP_SLOTS - (low | high).bit_count()
+            if pos + 1 + (low ^ high).bit_count() + wv * n_verbatim > stop:
+                raise CorruptStream("truncated stream: payload exhausted", group=g)
+            pos += 1
+            kinds = (
+                _BYTE_KINDS[header & 0xFF] + _BYTE_KINDS[(header >> 8) & 0xFF]
+                + _BYTE_KINDS[(header >> 16) & 0xFF] + _BYTE_KINDS[header >> 24]
             )
-        window = ref_codes[offset : offset + k]
-        if kind == TokenKind.REVERSE_MATCH:
-            window = (window[::-1]) ^ 3
-        chunks.append(window)
-        last = (kind, offset)
+            for slot, kind in enumerate(kinds):
+                if kind == verbatim_kind:
+                    verbatim.append(pos)
+                    verbatim_rows.append(row)
+                    pos += wv
+                    row += 1
+                    continue
+                if kind == continuation:
+                    if step is None:
+                        raise CorruptStream(
+                            "continuation with no preceding match", group=g, slot=slot
+                        )
+                    offset += step
+                else:
+                    offset = words[pos]
+                    pos += 1
+                    step = k if kind == forward else -k
+                if not 0 <= offset <= last_offset:
+                    raise CorruptStream(
+                        f"reference offset {offset} out of range for k={k}, "
+                        f"reference length {reference.length}",
+                        group=g,
+                        slot=slot,
+                    )
+                windows.append(offset)
+                window_rows.append(row)
+                if step < 0:
+                    reverse_rows.append(row)
+                row += match_rows
+            if needed is not None and (row - first_row) * s >= needed:
+                walked.append(g + 1 - first_group)
+                break
+        else:
+            if pos != stop or size % WORD_BYTES:
+                raise CorruptStream(
+                    f"{size - WORD_BYTES * (pos - start)} trailing bytes after final group",
+                    group=first_group + n_groups,
+                )
+            walked.append(n_groups)
+        row_ends.append(row)
+        start += -(-size // WORD_BYTES)
 
-    return np.concatenate(chunks).astype(np.uint8, copy=False), last
+    out = np.empty(row * s, dtype=np.uint8)
+    _gather_windows(out, reference, windows, window_rows, reverse_rows, params)
+    _gather_verbatim(out, buf, verbatim, verbatim_rows, params)
+    bounds = [0, *row_ends]
+    return [out[a * s : b * s] for a, b in zip(bounds, row_ends)], walked
 
 
-def decode_groups(
-    data: bytes,
-    n_groups: int,
-    first_group: int,
-    reference: PackedSequence,
-    params: CompressParams,
-) -> Iterator[np.ndarray]:
-    """The base codes of each group in turn, entering with no previous match.
+def _gather_windows(out, reference, windows, rows, reverse_rows, params) -> None:
+    """Place the k reference bases at each window offset at its row."""
+    k, s = params.k, params.s
+    if not windows:
+        return
+    placed = np.ndarray((out.size // s - k // s + 1, k), np.uint8, out, strides=(s, 1))
+    chunk = max(1, _GATHER_BYTES // (k + 8))
+    for i in range(0, len(windows), chunk):
+        starts = np.array(windows[i : i + chunk], dtype=np.int64)
+        placed[rows[i : i + chunk]] = packed_windows(reference.data, starts, k)
+    for i in range(0, len(reverse_rows), chunk):
+        at = reverse_rows[i : i + chunk]
+        placed[at] = placed[at, ::-1] ^ 3
 
-    ``data`` starts at group ``first_group``, which must be a chain-free
-    entry point (stream start or a chunk-index entry).
+
+def _gather_verbatim(out, buf, verbatim, rows, params) -> None:
+    """Place the s bases of each verbatim payload at its row."""
+    s, wv = params.s, params.words_per_verbatim
+    if not verbatim:
+        return
+    placed = out.reshape(-1, s)
+    # One row of bytes per payload word, base 0 in the low bits of byte 0.
+    payload = np.frombuffer(buf, np.uint8, count=len(buf) // WORD_BYTES * WORD_BYTES)
+    payload = payload.reshape(-1, WORD_BYTES)
+    chunk = max(1, _GATHER_BYTES // (_WORD_BASES * wv + 8))
+    for i in range(0, len(verbatim), chunk):
+        first = np.array(verbatim[i : i + chunk], dtype=np.int64)
+        if wv > 1:
+            first = first[:, None] + np.arange(wv)
+        placed[rows[i : i + chunk]] = unpack_rows(payload[first].reshape(len(first), -1))[:, :s]
+
+
+def decompress_streams(
+    streams: Sequence[CompressedStream], reference: PackedSequence
+) -> list[PackedSequence]:
+    """Decode streams that share K and S in one decoder call.
+
+    Each stream's base count must be what its footer declares, up to the
+    padding of its final group.
     """
-    last: LastMatch = None
-    for g, header, words in iter_group_frames(
-        data, n_groups, params, first_group=first_group
-    ):
-        codes, last = decode_group(header, words, reference, last, params, group_index=g)
-        yield codes
+    if not streams:
+        return []
+    params = streams[0].params
+    for stream in streams:
+        if stream.ref_checksum != sequence_checksum(reference):
+            raise ChecksumMismatch("stream was compressed against a different reference")
+        if stream.params != params:
+            raise ValueError("streams decoded together must share k and s")
+    parts, _ = decode_group(
+        [(stream.data, stream.n_groups, 0) for stream in streams], reference, params
+    )
+    out = []
+    for stream, codes in zip(streams, parts):
+        if codes.size < stream.n_bases:
+            raise CorruptStream(
+                f"stream yields {codes.size} bases but footer declares {stream.n_bases}"
+            )
+        if codes.size - stream.n_bases >= GROUP_SLOTS * params.s:
+            raise CorruptStream(
+                f"stream yields {codes.size} bases, more than padding allows for "
+                f"footer count {stream.n_bases}"
+            )
+        out.append(PackedSequence.from_codes(codes[: stream.n_bases]))
+    return out
 
 
 def decompress(stream: CompressedStream, reference: PackedSequence) -> PackedSequence:
     """Decode a full stream and truncate padding to the footer base count."""
-    if stream.ref_checksum != sequence_checksum(reference):
-        raise ChecksumMismatch("stream was compressed against a different reference")
-    params = stream.params
-    parts = list(decode_groups(stream.data, stream.n_groups, 0, reference, params))
-    raw = sum(part.size for part in parts)
-    if raw < stream.n_bases:
-        raise CorruptStream(
-            f"stream yields {raw} bases but footer declares {stream.n_bases}"
-        )
-    if raw - stream.n_bases >= GROUP_SLOTS * params.s:
-        raise CorruptStream(
-            f"stream yields {raw} bases, more than padding allows for "
-            f"footer count {stream.n_bases}"
-        )
-    if not parts:
-        return PackedSequence(b"", 0)
-    codes = np.concatenate(parts)[: stream.n_bases]
-    return PackedSequence.from_codes(codes)
+    return decompress_streams([stream], reference)[0]

@@ -68,6 +68,36 @@ def _unpack_to_codes(data: bytes, length: int) -> np.ndarray:
     return codes[:length].copy()
 
 
+# packed byte -> a word whose four bytes are its 2-bit codes, base 0 first
+# (one word gathers faster than four bytes)
+_BYTE_CODES = (
+    ((np.arange(256)[:, None] >> _UNPACK_SHIFTS) & 3).astype(np.uint8).view(np.uint32).ravel()
+)
+
+
+def unpack_rows(rows: np.ndarray) -> np.ndarray:
+    """(n, m) packed bytes -> (n, 4m) base codes."""
+    return _BYTE_CODES[rows].view(np.uint8)
+
+
+def packed_windows(data, starts: np.ndarray, width: int) -> np.ndarray:
+    """(n, width) base codes of the windows at ``starts`` of packed bytes.
+
+    ``data`` is any buffer of 2-bit packed bases; every window must lie
+    within it. Only the bytes under the windows are unpacked.
+    """
+    raw = np.frombuffer(data, dtype=np.uint8)
+    # Bytes that hold a window whatever its start within a byte; windows
+    # running up to the last byte take their bytes from further left.
+    span = min((width + 2) // 4 + 1, raw.size)
+    first = np.minimum(starts >> 2, raw.size - span)
+    spans = np.ndarray((raw.size - span + 1, span), np.uint8, raw, strides=(1, 1))
+    codes = unpack_rows(spans[first])
+    # Row i's window starts at codes.ravel()[4 * span * i + starts[i] - 4 * first[i]].
+    windows = np.ndarray((codes.size - width + 1, width), np.uint8, codes, strides=(1, 1))
+    return windows[np.arange(0, codes.size, 4 * span) + (starts - 4 * first)]
+
+
 class PackedSequence:
     """Immutable 2-bit packed nucleotide sequence."""
 

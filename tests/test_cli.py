@@ -3,6 +3,7 @@ import pytest
 
 from refpack import (
     MutationProfile,
+    decompress_record,
     mutate,
     read_container,
     read_fasta,
@@ -83,6 +84,20 @@ def test_compress_then_decompress_round_trip(work, capsys, tmp_path):
     assert "decompressed 2 record(s)" in captured.err
     decoded = {rec.id: rec.seq for rec in read_fasta(out)}
     assert decoded == targets
+
+
+def test_decompress_matches_record_by_record(work, capsys, tmp_path):
+    root, ref, _ = work
+    out = tmp_path / "all.fa"
+    assert main([
+        "decompress", "--container", str(root / "out.bnc"),
+        "--reference", str(root / "ref.fa"), "--out", str(out),
+    ]) == 0
+    box = read_container(root / "out.bnc")
+    expected = tmp_path / "each.fa"
+    write_fasta([(rec.id, decompress_record(box, rec, ref)) for rec in box.records], expected)
+    assert len(box.records) == 2
+    assert out.read_bytes() == expected.read_bytes()
 
 
 def test_compress_stdout_summary(work, capsys, tmp_path):

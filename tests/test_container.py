@@ -1,4 +1,6 @@
 import io
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -13,13 +15,21 @@ from refpack import (
     compress,
     decompress,
     mutate,
+    pack_bases,
+    random_sequence,
     read_container,
     write_container,
 )
 from refpack.container import (
+    _CRC,
+    _FIXED,
     DEFAULT_GRANULARITY,
     HEADER_LEN,
+    MAGIC,
+    VERSION,
     ChunkIndex,
+    Container,
+    ContainerRecord,
     build_chunk_index,
     decompress_record,
     extract_range,
@@ -347,6 +357,17 @@ def test_extract_wrong_reference(packed, reference):
         extract_range(box, box.records[0], other, 0, 10)
 
 
+def test_extract_leaves_reference_packed(packed, reference):
+    data, targets, _ = packed
+    box = read_container(data)
+    fresh = PackedSequence(reference.data, reference.length)
+    rec = box.find_record("whole")
+    piece = extract_range(box, rec, fresh, 7_000, 64)
+    assert piece.codes().tolist() == targets["whole"].codes()[7_000:7_064].tolist()
+    assert decompress_record(box, rec, fresh) == targets["whole"]
+    assert fresh._codes is None
+
+
 def test_header_field_errors(packed):
     data, _, _ = packed
     bad = bytearray(data)
@@ -376,6 +397,170 @@ def test_truncations_detected(packed):
     for n in range(0, len(data), 17):
         with pytest.raises(CorruptContainer):
             read_container(data[:n])
+
+
+def read_container_by_field(data):
+    """The field-by-field container reader that ``read_container`` replaced,
+    kept as the reference for its checks, messages and their order."""
+
+    class Cursor:
+        def __init__(self, pos):
+            self.pos = pos
+
+        def take(self, n, what):
+            if n < 0 or self.pos + n > len(data):
+                raise CorruptContainer(f"truncated container while reading {what}")
+            out = data[self.pos : self.pos + n]
+            self.pos += n
+            return out
+
+        def uint(self, n, what):
+            return int.from_bytes(self.take(n, what), "little")
+
+    if len(data) < HEADER_LEN:
+        raise CorruptContainer(f"file too short for header: {len(data)} bytes")
+    magic, version, k, s, checksum, n_records, blob_offset = _FIXED.unpack_from(data)
+    (meta_crc,) = _CRC.unpack_from(data, _FIXED.size)
+    if magic != MAGIC:
+        raise CorruptContainer("bad magic")
+    if version != VERSION:
+        raise CorruptContainer(f"unsupported container version {version}")
+    if s != 16:
+        raise CorruptContainer(f"container version {VERSION} requires s=16, found s={s}")
+    if k < s or k % s:
+        raise CorruptContainer(f"invalid k={k} for s={s}")
+    cur = Cursor(HEADER_LEN)
+    raw_records = []
+    for _ in range(n_records):
+        id_len = cur.uint(2, "record id length")
+        rid = cur.take(id_len, "record id").decode("utf-8", errors="replace")
+        n_bases = cur.uint(8, "record base count")
+        n_groups = cur.uint(8, "record group count")
+        byte_offset = cur.uint(8, "record byte offset")
+        raw_records.append((rid, n_bases, n_groups, byte_offset))
+    table_end = cur.pos
+    if zlib.crc32(data[: _FIXED.size] + data[HEADER_LEN:table_end]) != meta_crc:
+        raise CorruptContainer("header/record-table CRC mismatch")
+    if not table_end <= blob_offset <= len(data):
+        raise CorruptContainer(f"index blob offset {blob_offset} out of bounds")
+    records = []
+    prev_end = table_end
+    for i, (rid, n_bases, n_groups, byte_offset) in enumerate(raw_records):
+        if byte_offset != prev_end:
+            raise CorruptContainer(
+                f"record {rid!r}: group data at {byte_offset}, expected {prev_end}"
+            )
+        next_start = raw_records[i + 1][3] if i + 1 < len(raw_records) else blob_offset
+        region_size = next_start - byte_offset
+        if region_size < 4:
+            raise CorruptContainer(f"record {rid!r}: region too small")
+        records.append(ContainerRecord(rid, n_bases, n_groups, byte_offset, region_size, None))
+        prev_end = next_start
+    bcur = Cursor(blob_offset)
+    for rec in records:
+        section_start = bcur.pos
+        granularity = bcur.uint(4, "chunk index granularity")
+        n_entries = bcur.uint(8, "chunk index entry count")
+        if n_entries > (len(data) - bcur.pos) // 24 + 1:
+            raise CorruptContainer("chunk index entry count exceeds file size")
+        bases, groups, bytes_ = [], [], []
+        for _ in range(n_entries):
+            bases.append(bcur.uint(8, "chunk index base offset"))
+            groups.append(bcur.uint(8, "chunk index group ordinal"))
+            bytes_.append(bcur.uint(8, "chunk index byte offset"))
+        section = data[section_start : bcur.pos]
+        crc = bcur.uint(4, "chunk index CRC")
+        if zlib.crc32(section) != crc:
+            raise CorruptContainer(f"record {rec.id!r}: chunk index CRC mismatch")
+        if granularity < 1:
+            raise CorruptContainer(f"record {rec.id!r}: zero chunk index granularity")
+        if not bases or (bases[0], groups[0], bytes_[0]) != (0, 0, 0):
+            raise CorruptContainer(f"record {rec.id!r}: chunk index must start at origin")
+        for j in range(1, n_entries):
+            if bases[j] <= bases[j - 1]:
+                raise CorruptContainer(
+                    f"record {rec.id!r}: chunk index keys not strictly increasing"
+                )
+            if groups[j] >= rec.n_groups or bytes_[j] >= rec.region_size - 4:
+                raise CorruptContainer(f"record {rec.id!r}: chunk index entry out of range")
+        rec.chunk_index = ChunkIndex(granularity, tuple(bases), tuple(groups), tuple(bytes_))
+    if bcur.pos != len(data):
+        raise CorruptContainer(f"{len(data) - bcur.pos} trailing bytes after index blob")
+    return Container(CompressParams(k=k, s=s), checksum, records, data)
+
+
+def _read_outcome(reader, data):
+    try:
+        return reader(data)
+    except CorruptContainer as err:
+        return str(err)
+
+
+def _with_section(data, record_index, section):
+    """``data`` with one record's chunk-index section replaced and re-CRC'd."""
+    box = read_container(data)
+    blob_offset = int.from_bytes(data[46:54], "little")
+    pos = blob_offset
+    for i, rec in enumerate(box.records):
+        length = 12 + 24 * len(rec.chunk_index.base_offsets) + 4
+        if i == record_index:
+            return data[:pos] + section + _CRC.pack(zlib.crc32(section)) + data[pos + length :]
+        pos += length
+    raise IndexError(record_index)
+
+
+def test_read_container_matches_field_by_field_reader(reference, index64):
+    params = CompressParams(k=64, s=16)
+    rng = np.random.default_rng(11)
+    targets = [
+        ("a", mutate(reference, MutationProfile(snp=0.02), rng)),
+        ("", pack_bases("")),
+        ("long-id-" + "x" * 40, random_sequence(700, rng)),
+    ]
+    records = [
+        (rec_id, compress(t, index64, reference, params, break_every_groups=2))
+        for rec_id, t in targets
+    ]
+    data = container_bytes(records, params, reference, granularity=2)
+    good = read_container(data)
+    assert good == read_container_by_field(data)
+    assert len(good.records[0].chunk_index.base_offsets) > 2
+    crafted = [data[:n] for n in range(len(data))] + [data + b"\x00", data + bytes(30)]
+    for pos in range(len(data)):
+        bad = bytearray(data)
+        bad[pos] ^= 0x41
+        crafted.append(bytes(bad))
+    entries = good.records[0].chunk_index.entries
+    sections = {
+        "too many entries": struct.pack("<IQ", 2, 10**6),
+        "zero granularity": struct.pack("<IQ", 0, 1) + struct.pack("<QQQ", 0, 0, 0),
+        "no entries": struct.pack("<IQ", 2, 0),
+        "off origin": struct.pack("<IQ", 2, 1) + struct.pack("<QQQ", 1, 0, 0),
+        "decreasing": struct.pack("<IQ", 2, 3)
+        + b"".join(struct.pack("<QQQ", *e) for e in (entries[0], entries[2], entries[1])),
+        "repeated": struct.pack("<IQ", 2, 3)
+        + b"".join(struct.pack("<QQQ", *e) for e in (entries[0], entries[1], entries[1])),
+        "group out of range": struct.pack("<IQ", 2, 2)
+        + struct.pack("<QQQ", 0, 0, 0) + struct.pack("<QQQ", 5, 10**6, 4),
+        "byte out of range": struct.pack("<IQ", 2, 2)
+        + struct.pack("<QQQ", 0, 0, 0) + struct.pack("<QQQ", 5, 1, 10**6),
+    }
+    for name, section in sections.items():
+        crafted.append(_with_section(data, 0, section))
+        assert isinstance(_read_outcome(read_container, crafted[-1]), str), name
+    outcomes = set()
+    for bad in crafted:
+        expected = _read_outcome(read_container_by_field, bad)
+        assert _read_outcome(read_container, bad) == expected
+        if isinstance(expected, str):
+            outcomes.add(expected.split(":")[-1].split(" while reading ")[-1])
+    # every check of the reader was reached
+    for what in ("record id length", "record id", "record byte offset",
+                 "chunk index entry count", "chunk index base offset", "chunk index CRC",
+                 " chunk index keys not strictly increasing", " zero chunk index granularity",
+                 " chunk index entry out of range", " chunk index must start at origin",
+                 "chunk index entry count exceeds file size"):
+        assert what in outcomes, what
 
 
 def test_single_byte_corruption_sampled(packed, reference):
