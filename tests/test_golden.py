@@ -5,13 +5,17 @@ granularity 4, chains broken every 4 groups), and ``fixtures/golden.json``
 holds the SHA-256 of every record's ``make_stream(...).data`` for each stride
 in ``DEFAULT_S_VALUES`` (k=64, so that every stride divides k). Both were
 written by the code before the array token pipeline; any change to them is a
-format change.
+format change. ``golden.json`` also holds digests at k=30 for the strides in
+``ODD_K_S_VALUES``, which pin the tail of a k-mer or verbatim word that is not
+a whole number of bytes; those were written by the code before k-mers were
+read straight from the packed bytes.
 
 ``fixtures/golden_index.json`` holds what a built index means, not how its
 slots are laid out: for each ``(k, stride)`` the occupied slot count, the
 skipped keys, the load factor and a SHA-256 over the ``query`` result of the
 forward k-mer and of its reverse complement at every reference offset. It was
-written by the per-key insertion loop that preceded the batched cuckoo build.
+written by the per-key insertion loop that preceded the batched cuckoo build;
+the cases with k not a multiple of 4 were added later, from the batched build.
 
 Regenerate, only for an intended format change, with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -41,7 +45,9 @@ from refpack.sequence import concat_sequences, kmer_at, reverse_complement_seque
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GRANULARITY = 4
-INDEX_CASES = ((16, 1), (32, 4))
+INDEX_CASES = ((16, 1), (32, 4), (15, 1), (30, 3))
+ODD_K = 30
+ODD_K_S_VALUES = (3, 5, 15)
 
 
 def golden_inputs():
@@ -69,17 +75,18 @@ def golden_container(reference, targets) -> bytes:
 
 
 def golden_digests(reference, targets) -> dict[str, dict[str, str]]:
-    index = build_index(reference, 64)
     checksum = sequence_checksum(reference)
     out = {}
-    for s in DEFAULT_S_VALUES:
-        params = CompressParams(k=64, s=s)
-        out[f"s={s}"] = {
-            name: hashlib.sha256(
-                make_stream(compress(target, index, reference, params), params, checksum).data
-            ).hexdigest()
-            for name, target in targets.items()
-        }
+    for k, strides, label in ((64, DEFAULT_S_VALUES, "s={s}"), (ODD_K, ODD_K_S_VALUES, "k={k},s={s}")):
+        index = build_index(reference, k)
+        for s in strides:
+            params = CompressParams(k=k, s=s)
+            out[label.format(k=k, s=s)] = {
+                name: hashlib.sha256(
+                    make_stream(compress(target, index, reference, params), params, checksum).data
+                ).hexdigest()
+                for name, target in targets.items()
+            }
     return out
 
 
