@@ -124,7 +124,6 @@ _CSV_COLUMNS = (
     "reverse",
     "continuation",
     "n_tokens",
-    "external_ratio",
     "error",
 )
 
@@ -143,9 +142,6 @@ class SweepRow:
     forward: int = 0
     reverse: int = 0
     continuation: int = 0
-    # Hook for pasting in ratios measured with third-party compressors on the
-    # same dataset; never populated by the sweep itself.
-    external_ratio: Optional[float] = None
     error: Optional[str] = None
 
     @property
@@ -185,7 +181,6 @@ class BenchReport:
                     r.reverse,
                     r.continuation,
                     r.n_tokens,
-                    "" if r.external_ratio is None else f"{r.external_ratio:.6f}",
                     r.error or "",
                 ]
             )

@@ -36,14 +36,8 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import ChecksumMismatch
-from .index import (
-    Orientation,
-    QueryStats,
-    ReferenceIndex,
-    _pack_rows,
-    window_probe_tables,
-)
-from .sequence import PackedSequence, sequence_checksum
+from .index import Orientation, QueryStats, ReferenceIndex
+from .sequence import PackedSequence, packed_kmers, sequence_checksum
 
 GROUP_SLOTS = 16
 WORD_BYTES = 4
@@ -134,14 +128,12 @@ def compress(
 
     k, s = params.k, params.s
     n = target.length
-    tcodes = target.codes()
 
     # Probe every stride-aligned window at once; the walk below only reads
     # the outcome. Window i starts at base i * s.
     n_windows = (n + s - 1) // s
     positions = np.arange(0, n - k + 1, s, dtype=np.int64)
-    tables = window_probe_tables(tcodes, k, positions, index.seeds, include_rc=True)
-    found = index.probe(reference, tcodes, positions, tables, use_prefilter=use_prefilter)
+    found = index.probe(reference, target.data, positions, use_prefilter=use_prefilter)
     # Windows too close to the end for a k-mer stay unmatched (orientation 0).
     # The walk indexes bytes and memoryviews, which hand out Python ints
     # without holding one object per window.
@@ -151,13 +143,11 @@ def compress(
     offsets = memoryview(found.offset)
 
     # Verbatim payload words of every stride-aligned window, precomputed:
-    # window i's words are vb_words[i * wv : (i + 1) * wv].
+    # window i's words are vb_words[i * wv : (i + 1) * wv]. Bases past the
+    # target's end read as zero.
     wv = params.words_per_verbatim
-    padded = np.zeros(n_windows * s, dtype=np.uint8)
-    padded[:n] = tcodes
     vb_bytes = np.zeros((n_windows, WORD_BYTES * wv), dtype=np.uint8)
-    if n:
-        vb_bytes[:, : (s + 3) // 4] = _pack_rows(padded.reshape(n_windows, s))
+    vb_bytes[:, : (s + 3) // 4] = packed_kmers(target.data, np.arange(0, n, s), s)
     vb_words = memoryview(vb_bytes.view("<u4").astype(np.uint32, copy=False).ravel())
 
     verbatim = TokenKind.VERBATIM.value

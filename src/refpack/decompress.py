@@ -18,7 +18,7 @@ once. It works in three steps:
   start. Group by group it runs before the next frame is read, so the first
   fault in stream order is the one raised;
 * gather: the K-base windows of all match tokens are gathered from the
-  reference's packed bytes (``reference.codes()`` is never called), reverse
+  reference's packed bytes (the reference is never unpacked), reverse
   ones complemented, verbatim payloads unpacked, and all of it placed into
   one output array. Windows go a chunk at a time, so that no temporary
   exceeds ``_GATHER_BYTES``.
@@ -35,7 +35,7 @@ import numpy as np
 
 from .compress import GROUP_SLOTS, WORD_BYTES, CompressParams, CompressedStream, TokenKind
 from .errors import ChecksumMismatch, CorruptStream
-from .sequence import PackedSequence, packed_windows, sequence_checksum, unpack_rows
+from .sequence import PackedSequence, packed_kmers, sequence_checksum, unpack_rows
 
 # (group bytes, group count, ordinal of the first group); the first group is
 # a chain-free entry point: a stream start or a chunk-index entry.
@@ -169,7 +169,7 @@ def _gather_windows(out, reference, windows, rows, reverse_rows, params) -> None
     chunk = max(1, _GATHER_BYTES // (k + 8))
     for i in range(0, len(windows), chunk):
         starts = np.array(windows[i : i + chunk], dtype=np.int64)
-        placed[rows[i : i + chunk]] = packed_windows(reference.data, starts, k)
+        placed[rows[i : i + chunk]] = unpack_rows(packed_kmers(reference.data, starts, k))[:, :k]
     for i in range(0, len(reverse_rows), chunk):
         at = reverse_rows[i : i + chunk]
         placed[at] = placed[at, ::-1] ^ 3

@@ -17,12 +17,12 @@ which of its two slots a key landed in.
 
 Lookups come in two forms with the same answers. ``ReferenceIndex.probe`` is
 the array form the compressor uses: it takes every stride-aligned window of a
-target at once (hashed by ``window_probe_tables``, one hash call per chunk),
-gathers the four candidate slots of each as a (4, n) array, applies the
+target at once, hashes the packed k-mers of both strands in one call per
+chunk, gathers the four candidate slots of each as a (4, n) array, applies the
 nibble test, drops empty slots and offsets past the reference end, verifies
-the survivors by comparing gathered reference k-mers with the target windows,
-and keeps each window's first verified probe. ``ReferenceIndex.query`` looks
-up one k-mer with scalar code, which is cheaper for a single lookup.
+the survivors by comparing packed k-mers, and keeps each window's first
+verified probe. ``ReferenceIndex.query`` looks up one k-mer with scalar code,
+which is cheaper for a single lookup. Nothing unpacks the reference.
 
 On-disk ".bidx" layout, all little-endian:
 
@@ -50,7 +50,7 @@ import numpy as np
 
 from .errors import RefpackError
 from .hashing import DEFAULT_SEED_1, DEFAULT_SEED_2, murmur3_low64, murmur3_low64_batch
-from .sequence import Kmer, PackedSequence, sequence_checksum
+from .sequence import _REVCOMP_BYTE, Kmer, PackedSequence, kmer_at, packed_kmers, sequence_checksum
 
 EMPTY_SLOT = 0xFFFFFFFF
 EVICTION_LIMIT = 500
@@ -61,14 +61,15 @@ _HEADER = struct.Struct("<4sHHIQQQ32s")
 # A claim in the batched build: a little-endian u64 whose high word is the
 # slot and low word the key, so that sorting the u64 orders slot, then key.
 _CLAIM = np.dtype([("key", "<u4"), ("slot", "<u4")])
-# Positions per step of the array probe, which bounds its (positions, k)
-# gathers of target and reference k-mers.
+# Positions per step of the array probe, which bounds its packed rows and
+# hashes of target and reference k-mers.
 _PROBE_CHUNK = 1 << 14
 # Indexed by the first verified probe (4 = none): its orientation code and
 # the number of probes made up to and including it.
 _PROBE_ORIENTATION = np.array([1, 1, 2, 2, 0], dtype=np.uint8)
 _PROBES_MADE = np.array([1, 2, 3, 4, 4], dtype=np.uint8)
 _PROBE_ROWS = np.arange(4)[:, None]
+_REVCOMP_TABLE = np.frombuffer(_REVCOMP_BYTE, dtype=np.uint8)
 
 
 class Orientation(IntEnum):
@@ -118,33 +119,41 @@ class ProbeResult(NamedTuple):
         stats.hits += hits
 
 
-def _kmer_windows(codes: np.ndarray, k: int) -> np.ndarray:
-    """(len - k + 1, k) view of every k-mer of a uint8 code array.
+def _reverse_complement_rows(rows: np.ndarray, k: int) -> np.ndarray:
+    """Packed reverse complements of packed k-mer rows.
 
-    The same view as numpy's ``sliding_window_view``, made without its
-    argument checks, which cost more than the probe of a short record.
+    A table complements each byte and reverses its four bases, and the bytes
+    are reversed. The (-k) % 4 zero bases of the tail, now complemented at
+    the front, are shifted out through u16 pairs of adjacent bytes, as in
+    ``packed_kmers``.
     """
-    codes = np.ascontiguousarray(codes, dtype=np.uint8)
-    return np.ndarray((max(codes.size - k + 1, 0), k), np.uint8, codes, strides=(1, 1))
+    n, m = rows.shape
+    pad = -k % 4
+    if not pad:
+        return _REVCOMP_TABLE[rows[:, ::-1]]
+    flipped = np.zeros((n, m + 1), dtype=np.uint8)
+    flipped[:, :m] = _REVCOMP_TABLE[rows[:, ::-1]]
+    pairs = np.ndarray((n, m), "<u2", flipped, strides=(m + 1, 1))
+    return (pairs >> 2 * pad).astype(np.uint8)
 
 
-def _pack_rows(win: np.ndarray) -> np.ndarray:
-    """Pack (n, k) code rows into (n, ceil(k/4)) bytes, base 0 in low bits."""
-    n, k = win.shape
-    pad = (-k) % 4
-    if pad:
-        win = np.concatenate([win, np.zeros((n, pad), dtype=np.uint8)], axis=1)
-    # Each little-endian u32 holds four codes, one per byte; fold the four
-    # 2-bit codes into its low byte.
-    quad = np.ascontiguousarray(win).view("<u4")
-    quad = quad | (quad >> 6)
-    quad &= 0x000F000F
-    quad |= quad >> 12
-    return quad.astype(np.uint8)
+def _hashed_rows(data, k: int, starts: np.ndarray, seeds: tuple[int, int], include_rc: bool):
+    """The packed k-mers at ``starts`` as hash messages, and their hashes.
+
+    Block j of the messages (n rows each) and row j of the hashes are strand
+    j // 2 under seed j % 2, the strands being the k-mers and, with
+    ``include_rc``, their reverse complements. One hash call covers all.
+    """
+    forward = packed_kmers(data, starts, k)
+    strands = (forward, _reverse_complement_rows(forward, k)) if include_rc else (forward,)
+    messages = np.concatenate([strand for strand in strands for _ in seeds])
+    seed_pattern = np.array(seeds * len(strands), dtype=np.uint64)
+    hashes = murmur3_low64_batch(messages, np.repeat(seed_pattern, starts.size))
+    return messages, hashes.reshape(-1, starts.size)
 
 
 def window_probe_tables(
-    codes: np.ndarray,
+    data,
     k: int,
     offsets: np.ndarray,
     seeds: tuple[int, int],
@@ -154,12 +163,11 @@ def window_probe_tables(
 ):
     """Hashes (and filter nibbles) of the k-mers starting at ``offsets``.
 
-    Returns (h1, h2, low4) arrays, plus (h1_rc, h2_rc, low4_rc) for the
-    reverse complements when ``include_rc`` is set. Windows are hashed a
-    chunk at a time in one ``murmur3_low64_batch`` call: the forward rows
-    under both seeds (and the reverse-complement rows under both seeds), with
-    the seed given per row. A call holds at most ``chunk`` rows, which bounds
-    the transient (rows, k) expansion.
+    ``data`` is the packed bytes of the sequence. Returns (h1, h2, low4)
+    arrays, plus (h1_rc, h2_rc, low4_rc) for the reverse complements when
+    ``include_rc`` is set. Each chunk of windows is hashed in one
+    ``murmur3_low64_batch`` call (``_hashed_rows``) of at most ``chunk``
+    rows, which bounds the transient rows and hashes.
     """
     strands = 2 if include_rc else 1
     per_call = max(1, chunk // (2 * strands))
@@ -168,20 +176,15 @@ def window_probe_tables(
         (np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.uint8))
         for _ in range(strands)
     ]
-    seed_pattern = np.array(seeds * strands, dtype=np.uint64)
     for start in range(0, n, per_call):
-        win = _kmer_windows(codes, k)[offsets[start : start + per_call]]
-        m = win.shape[0]
-        packed = [_pack_rows(win)]
-        if include_rc:
-            packed.append(_pack_rows((win ^ 3)[:, ::-1]))
-        # Rows in order: strand 0 under seed 1, strand 0 under seed 2, ...
-        rows = np.concatenate([strand for strand in packed for _ in seeds])
-        hashed = murmur3_low64_batch(rows, np.repeat(seed_pattern, m)).reshape(-1, m)
+        part = offsets[start : start + per_call]
+        messages, hashed = _hashed_rows(data, k, part, seeds, include_rc)
+        m = hashed.shape[1]
+        nibbles = (messages[:, 0] & 0xF).reshape(-1, m)
         for j, (h1, h2, low4) in enumerate(tables):
             h1[start : start + m] = hashed[2 * j]
             h2[start : start + m] = hashed[2 * j + 1]
-            low4[start : start + m] = packed[j][:, 0] & 0xF
+            low4[start : start + m] = nibbles[2 * j]
     return tuple(array for table in tables for array in table)
 
 
@@ -221,23 +224,21 @@ class ReferenceIndex:
     def probe(
         self,
         reference: PackedSequence,
-        codes: np.ndarray,
+        data,
         positions: np.ndarray,
-        tables: tuple[np.ndarray, ...],
         *,
         use_prefilter: bool = True,
     ) -> ProbeResult:
-        """Look up the k-mers of ``codes`` starting at ``positions``, all at once.
+        """Look up the k-mers starting at ``positions`` of the packed bytes ``data``.
 
-        ``tables`` are the six arrays ``window_probe_tables(codes, k,
-        positions, seeds, include_rc=True)`` returns. Each position's probes
-        of the slots h1(t), h2(t), h1(rc t), h2(rc t) are the rows of a (4, n)
-        array. A probe passes the nibble test, then the slot's offset (empty
-        slots and offsets past ``reference.length - k`` fail), then a
-        comparison of the reference k-mer there with the target window. The
-        first verified probe wins, so forward orientation wins ties, as in
-        ``query``. Positions are taken _PROBE_CHUNK at a time, which bounds
-        the gathered k-mers.
+        Each position's probes of the slots h1(t), h2(t), h1(rc t), h2(rc t)
+        are the rows of a (4, n) array. A probe passes the nibble test, then
+        the slot's offset (empty slots and offsets past ``reference.length -
+        k`` fail), then a comparison of the packed reference k-mer there with
+        the packed target k-mer, or with its reverse complement for a reverse
+        probe. The first verified probe wins, so forward orientation wins
+        ties, as in ``query``. Positions are gathered and hashed _PROBE_CHUNK
+        at a time, which bounds the temporaries.
         """
         k = self.k
         # Offsets above this fail (all of them when the reference is shorter
@@ -251,33 +252,29 @@ class ReferenceIndex:
             probes=np.full(n, 4, dtype=np.uint8),
             prefilter_rejects=np.zeros(n, dtype=np.uint8),
         )
-        if n == 0:
-            return result
-        target_windows = _kmer_windows(codes, k)
-        ref_windows = _kmer_windows(reference.codes(), k)
-        h1f, h2f, low4f, h1r, h2r, low4r = tables
         mask = np.uint64(self._mask)
         for start in range(0, n, _PROBE_CHUNK):
             part = slice(start, start + _PROBE_CHUNK)
-            # Row j holds every position's j-th probe.
-            slot = np.concatenate((h1f[part], h2f[part], h1r[part], h2r[part])).reshape(4, -1)
+            # Row j of ``slot`` holds every position's j-th probe, and block j
+            # of ``messages`` the packed k-mers it hashed.
+            messages, slot = _hashed_rows(data, k, positions[part], self.seeds, True)
             slot &= mask
             offsets = self.slots[slot]
             live = offsets <= last
             if use_prefilter:
-                low4 = np.concatenate((low4f[part], low4f[part], low4r[part], low4r[part]))
-                rejected = self.nibbles[slot] != low4.reshape(4, -1)
+                rejected = self.nibbles[slot] != (messages[:, 0] & 0xF).reshape(4, -1)
                 live &= ~rejected
             probe_no, rows = np.nonzero(live)
-            # Verify in forward orientation: a reverse probe's reference
-            # k-mer, reverse-complemented, must equal the target window.
-            ref_kmers = ref_windows[offsets[probe_no, rows]]
-            reverse = probe_no >= 2
-            ref_kmers[reverse] = ref_kmers[reverse, ::-1] ^ 3
+            # A probe verifies against the row it hashed: the target k-mer for
+            # probes 0 and 1, its reverse complement for 2 and 3, so no row
+            # is flipped. Rows compare as single void values.
+            void = f"V{messages.shape[1]}"
+            ref_kmers = packed_kmers(reference.data, offsets[probe_no, rows], k).view(void)
+            wanted = messages[probe_no * live.shape[1] + rows].view(void)
             # Row 4 stands for "no probe verified".
             verified = np.zeros((5, live.shape[1]), dtype=bool)
             verified[4] = True
-            verified[probe_no, rows] = (ref_kmers == target_windows[positions[part][rows]]).all(axis=1)
+            verified[probe_no, rows] = (ref_kmers == wanted).ravel()
             first = verified.argmax(axis=0)
             result.orientation[part] = _PROBE_ORIENTATION[first]
             result.offset[part] = np.where(first < 4, offsets[first & 3, np.arange(first.size)], 0)
@@ -304,13 +301,12 @@ class ReferenceIndex:
         if target.k != self.k:
             raise ValueError(f"query k {target.k} does not match index k {self.k}")
         k = self.k
-        ref_codes_bytes = reference.codes_bytes()
+        last = min(reference.length - k, EMPTY_SLOT - 1)
         for kmer, orient in (
             (target, Orientation.FORWARD),
             (target.reverse_complement(), Orientation.REVERSE),
         ):
             raw = kmer.bytes_le()
-            codes = kmer.to_codes()
             for seed in self.seeds:
                 slot = murmur3_low64(raw, seed) & self._mask
                 if stats is not None:
@@ -320,7 +316,7 @@ class ReferenceIndex:
                         stats.prefilter_rejects += 1
                     continue
                 off = int(self.slots[slot])
-                if off == EMPTY_SLOT or ref_codes_bytes[off : off + k] != codes:
+                if off > last or kmer_at(reference, off, k) != kmer:
                     if stats is not None:
                         stats.verify_failures += 1
                     continue
@@ -398,12 +394,12 @@ def _next_power_of_two(n: int) -> int:
     return 1 << max(1, (n - 1).bit_length())
 
 
-def _first_occurrences(codes: np.ndarray, k: int, stride: int, h1s: np.ndarray) -> np.ndarray:
+def _first_occurrences(data, k: int, stride: int, h1s: np.ndarray) -> np.ndarray:
     """Ascending uint32 key indices of the first occurrence of each distinct k-mer.
 
     Key ``i`` is the k-mer at offset ``i * stride``. Sorting by ``h1`` finds
-    the keys that share an ``h1`` with another key; only those are compared
-    base by base, and of equal k-mers the smallest key index stays.
+    the keys that share an ``h1`` with another key; only their packed k-mers
+    are compared, and of equal k-mers the smallest key index stays.
     """
     n = h1s.size
     order = np.argsort(h1s)
@@ -416,8 +412,8 @@ def _first_occurrences(codes: np.ndarray, k: int, stride: int, h1s: np.ndarray) 
         in_run[tied] = True
         in_run[tied + 1] = True
         candidates = np.sort(order[in_run])
-        windows = _kmer_windows(codes, k)[candidates * stride]
-        kmers = np.ascontiguousarray(windows).view(f"V{k}").ravel()
+        rows = packed_kmers(data, candidates * stride, k)
+        kmers = rows.view(f"V{rows.shape[1]}").ravel()
         # A stable sort keeps equal k-mers in key order: the first one stays.
         by_kmer = np.argsort(kmers, kind="stable")
         repeat = kmers[by_kmer[1:]] == kmers[by_kmer[:-1]]
@@ -471,16 +467,15 @@ def build_index(
         raise ValueError("too many k-mers for 32-bit slot indices; raise sampling_stride")
     mask = capacity - 1
 
-    codes = reference.codes()
     offsets = np.arange(0, reference.length - k + 1, stride, dtype=np.int64)
-    h1s, h2s, low4s = window_probe_tables(codes, k, offsets, seeds)
+    h1s, h2s, low4s = window_probe_tables(reference.data, k, offsets, seeds)
     # Each 64-bit array is freed once spent, so the build's peak memory stays
     # near the hashing step's: the rounds work on uint32 slots and keys.
     del offsets
     h2s &= mask
     slot_b = h2s.astype(np.uint32)
     del h2s
-    pending = _first_occurrences(codes, k, stride, h1s)
+    pending = _first_occurrences(reference.data, k, stride, h1s)
     h1s &= mask
     slot_a = h1s.astype(np.uint32)
     del h1s

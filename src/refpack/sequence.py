@@ -36,9 +36,6 @@ for _c in _IUPAC_AMBIGUOUS:
     _IS_AMBIGUOUS[_c] = True
     _IS_AMBIGUOUS[_c + 32] = True
 
-# code byte -> complemented code byte for 1-byte-per-base arrays
-_COMP_TABLE = bytes((c ^ 3) if c < 4 else 0 for c in range(256))
-
 # packed byte -> packed byte with its four 2-bit codes complemented and reversed
 _REVCOMP_BYTE = bytes(
     (((b >> 6) & 3) ^ 3)
@@ -80,28 +77,56 @@ def unpack_rows(rows: np.ndarray) -> np.ndarray:
     return _BYTE_CODES[rows].view(np.uint8)
 
 
-def packed_windows(data, starts: np.ndarray, width: int) -> np.ndarray:
-    """(n, width) base codes of the windows at ``starts`` of packed bytes.
+# Start within its first byte -> the shift that brings base 0 down.
+_PAIR_SHIFTS = np.arange(0, 8, 2, dtype=np.uint16)
 
-    ``data`` is any buffer of 2-bit packed bases; every window must lie
-    within it. Only the bytes under the windows are unpacked.
+
+def _pair_rows(raw: np.ndarray, n: int) -> np.ndarray:
+    """View whose row i holds n little-endian u16s: bytes i + j and i + j + 1."""
+    return np.ndarray((max(raw.size - n, 0), n), "<u2", raw, strides=(1, 1))
+
+
+def packed_kmers(data, starts: np.ndarray, width: int) -> np.ndarray:
+    """(n, ceil(width / 4)) packed bytes of the ``width``-base windows at ``starts``.
+
+    ``data`` is any buffer of 2-bit packed bases. Row i is the bytes under
+    window i shifted down by 2 * (starts[i] % 4) bits, so that the window's
+    base 0 sits in the low bits of its first byte, as in ``Kmer.bytes_le``.
+    Bits past ``width`` are zero and bytes past the end of ``data`` read as
+    zero. Only the bytes under the windows are read.
     """
     raw = np.frombuffer(data, dtype=np.uint8)
-    # Bytes that hold a window whatever its start within a byte; windows
-    # running up to the last byte take their bytes from further left.
-    span = min((width + 2) // 4 + 1, raw.size)
-    first = np.minimum(starts >> 2, raw.size - span)
-    spans = np.ndarray((raw.size - span + 1, span), np.uint8, raw, strides=(1, 1))
-    codes = unpack_rows(spans[first])
-    # Row i's window starts at codes.ravel()[4 * span * i + starts[i] - 4 * first[i]].
-    windows = np.ndarray((codes.size - width + 1, width), np.uint8, codes, strides=(1, 1))
-    return windows[np.arange(0, codes.size, 4 * span) + (starts - 4 * first)]
+    n_bytes = (width + 3) // 4
+    first = starts >> 2
+    # Byte j of a row is the low byte of the pair of bytes first + j and
+    # first + j + 1, shifted. Rows that reach the last byte (row ``cut`` of
+    # the pair view and on) read their pairs from a zero-padded copy of the
+    # buffer's tail instead.
+    pairs = _pair_rows(raw, n_bytes)
+    cut = pairs.shape[0]
+    edge = np.flatnonzero(first >= cut)
+    if edge.size:
+        tail = np.zeros(raw.size - cut + n_bytes + 1, dtype=np.uint8)
+        tail[: raw.size - cut] = raw[cut:]
+        tail_pairs = _pair_rows(tail, n_bytes)[np.minimum(first[edge], raw.size) - cut]
+        if edge.size == first.size:
+            pairs = tail_pairs
+        else:
+            pairs = pairs[np.minimum(first, cut - 1)]
+            pairs[edge] = tail_pairs
+    else:
+        pairs = pairs[first]
+    pairs >>= _PAIR_SHIFTS[starts & 3][:, None]
+    rows = pairs.astype(np.uint8)
+    if width % 4:
+        rows[:, -1] &= (1 << 2 * (width % 4)) - 1
+    return rows
 
 
 class PackedSequence:
     """Immutable 2-bit packed nucleotide sequence."""
 
-    __slots__ = ("data", "length", "_codes", "_codes_bytes", "_checksum")
+    __slots__ = ("data", "length", "_codes", "_checksum")
 
     def __init__(self, data: bytes, length: int):
         if length < 0:
@@ -117,7 +142,6 @@ class PackedSequence:
         self.data = bytes(data)
         self.length = length
         self._codes: np.ndarray | None = None
-        self._codes_bytes: bytes | None = None
         self._checksum: bytes | None = None
 
     @classmethod
@@ -140,10 +164,8 @@ class PackedSequence:
         return self._codes
 
     def codes_bytes(self) -> bytes:
-        """One byte per base, values 0..3 (cached)."""
-        if self._codes_bytes is None:
-            self._codes_bytes = self.codes().tobytes()
-        return self._codes_bytes
+        """One byte per base, values 0..3."""
+        return self.codes().tobytes()
 
     def to_ascii(self) -> str:
         return self.codes_bytes().translate(bytes.maketrans(bytes([0, 1, 2, 3]), CODE_TO_ASCII)).decode("ascii")
@@ -235,21 +257,15 @@ class Kmer:
 
 
 def kmer_at(seq: PackedSequence, offset: int, k: int) -> Kmer:
-    """Extract the k-mer starting at ``offset``."""
+    """The k-mer starting at ``offset``, read from the packed bytes."""
     if k < 1:
         raise ValueError("k must be positive")
     if offset < 0 or offset + k > seq.length:
         raise ValueError(
             f"k-mer out of range: offset {offset}, k {k}, sequence length {seq.length}"
         )
-    window = seq.codes()[offset : offset + k]
-    packed = int.from_bytes(_pack_code_array(window), "little")
-    return Kmer(packed, k)
-
-
-def reverse_complement(seq: PackedSequence, start: int, k: int) -> Kmer:
-    """Reverse complement of the k bases starting at ``start``."""
-    return kmer_at(seq, start, k).reverse_complement()
+    value = int.from_bytes(seq.data[offset >> 2 : (offset + k + 3) >> 2], "little")
+    return Kmer((value >> 2 * (offset & 3)) & ((1 << 2 * k) - 1), k)
 
 
 def sequence_checksum(seq: PackedSequence) -> bytes:

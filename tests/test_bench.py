@@ -199,7 +199,7 @@ class TestReportFormats:
                      reverse=1, continuation=10),
             SweepRow("d", 64, 16, 1, n_bases=1000, compressed_bytes=50,
                      ratio=20.0, seconds=0.25, verbatim=0, forward=1,
-                     reverse=0, continuation=15, external_ratio=4.25),
+                     reverse=0, continuation=15),
             SweepRow("d", 32, 16, 0, error="ValueError: nope"),
         )
         return BenchReport(rows)
@@ -213,9 +213,6 @@ class TestReportFormats:
         assert first["ratio"] == "10.000000"
         assert first["bases_per_sec"] == "2000.0"
         assert first["n_tokens"] == "16"
-        assert first["external_ratio"] == ""
-        second = dict(zip(parsed[0], parsed[2]))
-        assert second["external_ratio"] == "4.250000"
         errored = dict(zip(parsed[0], parsed[3]))
         assert errored["ratio"] == ""
         assert errored["error"] == "ValueError: nope"

@@ -32,6 +32,22 @@ from refpack.sequence import (
 )
 
 
+def test_build_compress_query_leave_sequences_packed(reference, params):
+    """Every k-mer is read from the packed bytes: no step unpacks the
+    reference or the target."""
+    fresh = PackedSequence(reference.data, reference.length)
+    source = mutate(reference, MutationProfile(snp=0.01), np.random.default_rng(4))
+    target = PackedSequence(source.data, source.length)
+    index = build_index(fresh, params.k)
+    result = compress(target, index, fresh, params)
+    assert decompress(make_stream(result, params, sequence_checksum(fresh)), fresh) == target
+    kmer = kmer_at(fresh, 1_000, params.k)
+    hit = index.query(fresh, kmer)
+    assert hit is not None and kmer_at(fresh, hit.offset, params.k) == kmer
+    index.query(fresh, kmer_at(target, 0, params.k).reverse_complement())  # hit or miss
+    assert fresh._codes is None and target._codes is None
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         CompressParams(k=64, s=0)
@@ -392,7 +408,7 @@ def test_crafted_offsets_near_reference_end(reference, index32):
     target = oracle_target(reference, np.random.default_rng(3))
     positions = np.arange(0, target.length - k + 1, params.s, dtype=np.int64)
     h1f, _, low4f, _, h2r, low4r = window_probe_tables(
-        target.codes(), k, positions, index32.seeds, include_rc=True
+        target.data, k, positions, index32.seeds, include_rc=True
     )
     last = reference.length - k
     bad = np.array([last, last + 1, reference.length - 1, reference.length, EMPTY_SLOT - 1])

@@ -321,8 +321,9 @@ def test_iter_group_frames_truncation(reference, params):
 
 # ------------------------------------------------------------------ differential
 
-# (k, s) pairs: one-word (s <= 16) and two-word (s = 32) verbatim payloads.
-KS_PAIRS = [(k, s) for k in (16, 32, 64) for s in (4, 16, 32) if s <= k]
+# (k, s) pairs: one-word (s <= 16) and two-word (s = 32) verbatim payloads,
+# and a k that is not a multiple of 4, whose windows end inside a byte.
+KS_PAIRS = [(k, s) for k in (16, 32, 64) for s in (4, 16, 32) if s <= k] + [(30, 5), (30, 15)]
 
 
 def random_tokens(rng, params, ref_len, n_tokens):

@@ -164,7 +164,7 @@ def test_window_probe_tables_match_scalar():
     k = 21
     offsets = np.array([0, 3, 17, 100, 479], dtype=np.int64)
     h1, h2, low4, h1r, h2r, low4r = window_probe_tables(
-        ref.codes(), k, offsets, (7, 9), include_rc=True
+        ref.data, k, offsets, (7, 9), include_rc=True
     )
     for i, off in enumerate(offsets):
         km = kmer_at(ref, int(off), k)
@@ -182,7 +182,7 @@ def test_window_probe_tables_one_hash_call_per_chunk(monkeypatch, include_rc):
     rows; chunking does not change the tables."""
     ref = random_sequence(300, np.random.default_rng(18))
     offsets = np.arange(0, 280, 3, dtype=np.int64)
-    whole = window_probe_tables(ref.codes(), 13, offsets, (7, 9), include_rc=include_rc)
+    whole = window_probe_tables(ref.data, 13, offsets, (7, 9), include_rc=include_rc)
     rows = []
     real_batch = index_mod.murmur3_low64_batch
 
@@ -191,7 +191,7 @@ def test_window_probe_tables_one_hash_call_per_chunk(monkeypatch, include_rc):
         return real_batch(messages, seed)
 
     monkeypatch.setattr(index_mod, "murmur3_low64_batch", counting_batch)
-    chunked = window_probe_tables(ref.codes(), 13, offsets, (7, 9), include_rc=include_rc, chunk=16)
+    chunked = window_probe_tables(ref.data, 13, offsets, (7, 9), include_rc=include_rc, chunk=16)
     per_call = 4 if include_rc else 8
     assert len(rows) == -(-offsets.size // per_call)
     assert max(rows) <= 16 and sum(rows) == offsets.size * (4 if include_rc else 2)
@@ -232,11 +232,9 @@ def test_probe_agrees_with_query(k, stride, use_prefilter, chunk, seed):
         ref = concat_sequences([ref, half, reverse_complement_sequence(half)])
     idx = build_index(ref, k, sampling_stride=stride)
     target = probe_target(ref, k, rng)
-    codes = target.codes()
     positions = np.arange(0, target.length - k + 1, dtype=np.int64)
-    tables = window_probe_tables(codes, k, positions, idx.seeds, include_rc=True)
     with mock.patch.object(index_mod, "_PROBE_CHUNK", chunk):
-        found = idx.probe(ref, codes, positions, tables, use_prefilter=use_prefilter)
+        found = idx.probe(ref, target.data, positions, use_prefilter=use_prefilter)
 
     expected = QueryStats()
     answers = [
@@ -257,9 +255,7 @@ def test_probe_of_no_positions():
     ref = random_sequence(200, np.random.default_rng(17))
     idx = build_index(ref, 16)
     none = np.empty(0, dtype=np.int64)
-    found = idx.probe(ref, pack_bases("ACGT").codes(), none, window_probe_tables(
-        pack_bases("ACGT").codes(), 16, none, idx.seeds, include_rc=True
-    ))
+    found = idx.probe(ref, pack_bases("ACGT").data, none)
     assert all(column.size == 0 for column in found)
 
 

@@ -18,7 +18,6 @@ from refpack.sequence import (
     parse_fasta,
     read_2bit_raw,
     read_fasta,
-    reverse_complement,
     reverse_complement_sequence,
     sequence_checksum,
     unpack_bases,
@@ -131,12 +130,51 @@ def test_kmer_range_errors():
 
 @given(dna.filter(lambda t: len(t) >= 8), st.data())
 def test_kmer_reverse_complement_matches_sequence(text, data):
+    """Oracle: the text itself, reverse-complemented with ``str.translate``."""
     seq = pack_bases(text)
-    k = data.draw(st.integers(1, min(31, len(text))))
+    k = data.draw(st.integers(1, min(70, len(text))))
     off = data.draw(st.integers(0, len(text) - k))
     km = kmer_at(seq, off, k)
-    rc = km.reverse_complement()
-    assert rc.to_ascii() == unpack_bases(reverse_complement(seq, off, k))
+    window = text[off : off + k]
+    assert km.to_ascii() == window
+    assert km.reverse_complement().to_ascii() == window.translate(str.maketrans("ACGT", "TGCA"))[::-1]
+
+
+def kmer_windows(codes, k):
+    """(len - k + 1, k) view of every k-mer of a code array (the library's
+    former ``_kmer_windows``)."""
+    return np.ndarray((max(codes.size - k + 1, 0), k), np.uint8, codes, strides=(1, 1))
+
+
+def pack_rows(win):
+    """Pack (n, k) code rows into (n, ceil(k/4)) bytes, base 0 in the low bits
+    (the library's former ``_pack_rows``)."""
+    n, k = win.shape
+    pad = (-k) % 4
+    if pad:
+        win = np.concatenate([win, np.zeros((n, pad), dtype=np.uint8)], axis=1)
+    quad = np.ascontiguousarray(win).view("<u4")
+    quad = quad | (quad >> 6)
+    quad &= 0x000F000F
+    quad |= quad >> 12
+    return quad.astype(np.uint8)
+
+
+@pytest.mark.parametrize("width", [1, 3, 4, 5, 16, 31, 32, 33, 63, 64, 256])
+def test_packed_kmers_matches_unpacked_windows(width):
+    """Oracle: the unpacked code windows packed again. Starts take every
+    value mod 4 and run to the last window, past it (bases past the buffer
+    read as zero) and past the buffer's end, sorted and shuffled."""
+    rng = np.random.default_rng(width)
+    for size in (0, 1, 2, 7, 40, 67, 130):
+        data = rng.integers(0, 256, size, dtype=np.uint8).tobytes()
+        codes = np.zeros(4 * size + width + 8, dtype=np.uint8)
+        codes[: 4 * size] = sequence_mod._unpack_to_codes(data, 4 * size)
+        for starts in (np.arange(4 * size + 8), rng.permutation(4 * size + 8)[:9]):
+            got = sequence_mod.packed_kmers(data, starts, width)
+            assert got.dtype == np.uint8
+            assert got.shape == (starts.size, (width + 3) // 4)
+            assert got.tolist() == pack_rows(kmer_windows(codes, width)[starts]).tolist()
 
 
 def test_sequence_checksum_definition():
