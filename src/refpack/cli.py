@@ -267,6 +267,12 @@ def cmd_extract(args: argparse.Namespace, config: dict[str, str]) -> int:
     return 0
 
 
+def _clip(seq: PackedSequence, n: int) -> PackedSequence:
+    """The first n bases of ``seq``: the low 2n bits of its packed bytes."""
+    head = int.from_bytes(seq.data, "little") & ((1 << 2 * n) - 1)
+    return PackedSequence(head.to_bytes((n + 3) // 4, "little"), n)
+
+
 def cmd_shd_filter(args: argparse.Namespace, config: dict[str, str]) -> int:
     reads = _read_sequence_file(args.reads)
     segments = _read_sequence_file(args.segments)
@@ -277,15 +283,15 @@ def cmd_shd_filter(args: argparse.Namespace, config: dict[str, str]) -> int:
     pairs = []
     clipped = 0
     for read, seg in zip(reads, segments):
-        a, b = read.seq.to_ascii(), seg.seq.to_ascii()
-        if len(a) != len(b):
+        a, b = read.seq, seg.seq
+        if a.length != b.length:
             if not args.clip:
                 raise UsageError(
                     f"length mismatch for {read.id!r}/{seg.id!r} "
-                    f"({len(a)} vs {len(b)}); pass --clip to truncate"
+                    f"({a.length} vs {b.length}); pass --clip to truncate"
                 )
-            n = min(len(a), len(b))
-            a, b = a[:n], b[:n]
+            n = min(a.length, b.length)
+            a, b = _clip(a, n), _clip(b, n)
             clipped += 1
         pairs.append((a, b))
     cfg = ShdConfig(

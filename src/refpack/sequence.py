@@ -27,6 +27,10 @@ _ASCII_TO_CODE = np.full(256, 0xFF, dtype=np.uint8)
 for _i, _c in enumerate(CODE_TO_ASCII):
     _ASCII_TO_CODE[_c] = _i
     _ASCII_TO_CODE[_c + 32] = _i  # lowercase
+# ASCII -> the base-4 digit of its code, or "!" where it is not A/C/G/T
+_ASCII_TO_DIGIT = bytes(
+    b"0123"[_ASCII_TO_CODE[_b]] if _ASCII_TO_CODE[_b] < 4 else ord("!") for _b in range(256)
+)
 
 # IUPAC one-letter ambiguity codes (everything legal in a FASTA sequence line
 # that is not a concrete A/C/G/T). U is RNA uracil and treated the same way.
@@ -187,15 +191,17 @@ class PackedSequence:
 
 
 def pack_bases(text: str | bytes) -> PackedSequence:
-    """Pack an ASCII A/C/G/T string. Any other character is an error."""
+    """Pack an ASCII A/C/G/T string. Any other character is an error.
+
+    Base i is base-4 digit i of one int, read from the reversed digit string.
+    """
     raw = text.encode("ascii") if isinstance(text, str) else bytes(text)
-    arr = np.frombuffer(raw, dtype=np.uint8)
-    codes = _ASCII_TO_CODE[arr]
-    bad = codes == 0xFF
-    if bad.any():
-        pos = int(np.argmax(bad))
+    digits = raw.translate(_ASCII_TO_DIGIT)
+    pos = digits.find(b"!")
+    if pos >= 0:
         raise ValueError(f"non-ACGT character {chr(raw[pos])!r} at position {pos}")
-    return PackedSequence(_pack_code_array(codes), len(raw))
+    value = int(digits[::-1], 4) if raw else 0
+    return PackedSequence(value.to_bytes((len(raw) + 3) // 4, "little"), len(raw))
 
 
 def unpack_bases(seq: PackedSequence) -> str:

@@ -11,28 +11,38 @@ within [-e, e], each zeroing its mask over the segment, so only edited read
 positions can survive the AND. Amendment (rewriting short zero runs that are
 flanked by ones, per mask) sharpens the count toward the true distance but
 surrenders that guarantee, which is why it is configurable.
+
+The masks are shifts and ANDs over Python ints; no base is unpacked. The
+reads' packed bytes, each pair's followed by a gap of e // 4 + 1 zero bytes
+(more than e bases), are joined into one little-endian int, and likewise the
+segments'. ``even`` sets bit 2i of every base in a pair. Mask d keeps base i's
+mismatch bit only where ``even`` is set at i and at i + d, so a partner in a
+gap counts as out of range. Amendment fills a zero run of one pair's bases
+between two ones; the bits beside a pair are gap bits, neither one nor zero,
+so runs at a pair's edge stay as they are and no run joins two pairs. A
+stream is joined ``_CHUNK_BYTES`` of reads at a time.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Union
-
-import numpy as np
 
 from .sequence import PackedSequence, pack_bases
 
 SequenceLike = Union[PackedSequence, str, bytes]
 
+# About this many read bytes per int: bounds the temporaries, costs no speed.
+_CHUNK_BYTES = 1 << 16
 
-def _as_codes(x: SequenceLike) -> np.ndarray:
+
+def _packed(x: SequenceLike) -> PackedSequence:
     if isinstance(x, PackedSequence):
-        return x.codes()
-    if isinstance(x, bytes):
-        x = x.decode("ascii")
-    if isinstance(x, str):
-        return pack_bases(x).codes()
+        return x
+    if isinstance(x, (str, bytes)):
+        return pack_bases(x)
     raise TypeError(f"expected a sequence, str, or bytes, got {type(x).__name__}")
 
 
@@ -65,48 +75,38 @@ class ShdVerdict:
     accepted: bool
 
 
-def _amend_row(mask: np.ndarray, run: int) -> None:
-    """Set zero runs of length <= run to ones when flanked by ones on both
-    sides. Runs touching either mask edge are left alone."""
-    ones = np.flatnonzero(mask)
-    if ones.size < 2:
-        return
-    gaps = np.diff(ones)
-    for idx in np.flatnonzero((gaps > 1) & (gaps <= run + 1)):
-        mask[ones[idx] + 1 : ones[idx + 1]] = True
-
-
 def shd(read: SequenceLike, refseg: SequenceLike, config: ShdConfig | None = None) -> ShdVerdict:
     """Filter verdict for an equal-length (read, reference segment) pair."""
-    if config is None:
-        config = ShdConfig()
-    r = _as_codes(read)
-    f = _as_codes(refseg)
-    n = r.size
-    if f.size != n:
-        raise ValueError(
-            f"length mismatch: read {n} vs reference segment {f.size} "
-            "(caller pads or clips)"
-        )
-    threshold = config.threshold
-    if n == 0:
-        return ShdVerdict(0, True)
+    return filter_stream([read], [refseg], config)[0][0]
 
-    e = config.e
-    agg = np.ones(n, dtype=bool)
+
+def _count_ones(pairs: list[tuple[PackedSequence, PackedSequence]], config: ShdConfig) -> list[int]:
+    """Unsaturated ones in the AND of each pair's 2e+1 masks."""
+    e, run = config.e, config.amend_run
+    gap = bytes(e // 4 + 1)
+    reads = int.from_bytes(gap.join(r.data for r, _ in pairs), "little")
+    segs = int.from_bytes(gap.join(f.data for _, f in pairs), "little")
+    # 4**n // 3 sets bit 2i of each of n bases
+    ranges = gap.join((4**r.length // 3).to_bytes(len(r.data), "little") for r, _ in pairs)
+    even = agg = int.from_bytes(ranges, "little")
     for d in range(-e, e + 1):
-        mask = np.zeros(n, dtype=bool)
         if d >= 0:
-            if n - d > 0:
-                mask[: n - d] = r[: n - d] != f[d:]
-        elif n + d > 0:
-            mask[-d:] = r[-d:] != f[: n + d]
-        if config.amend_run:
-            _amend_row(mask, config.amend_run)
-        agg &= mask
-    ones = int(agg.sum())
-    saturated = min(ones, threshold + 1)
-    return ShdVerdict(saturated, ones <= threshold)
+            x, valid = reads ^ (segs >> 2 * d), even & (even >> 2 * d)
+        else:
+            x, valid = reads ^ (segs << -2 * d), even & (even << -2 * d)
+        m = (x | x >> 1) & valid
+        zeros, inner, fill = even ^ m, -1, 0
+        for j in range(1, run + 1):  # amend: fill each run of j zeros that ones flank
+            inner &= zeros >> 2 * j
+            starts = m & (m >> 2 * (j + 1)) & inner
+            for t in range(1, j + 1):
+                fill |= starts << 2 * t
+        agg &= m | fill
+        if not agg:  # no later mask can bring a one back
+            break
+    ones = agg.to_bytes(len(ranges), "little")
+    bounds = list(accumulate((len(r.data) + len(gap) for r, _ in pairs), initial=0))
+    return [int.from_bytes(ones[lo:hi], "little").bit_count() for lo, hi in zip(bounds, bounds[1:])]
 
 
 @dataclass
@@ -130,66 +130,65 @@ def filter_stream(
     refsegs: Iterable[SequenceLike],
     config: ShdConfig | None = None,
 ) -> tuple[list[ShdVerdict], FilterSummary]:
-    """Run shd over paired streams; order of verdicts follows the input."""
-    reads = list(reads)
-    refsegs = list(refsegs)
+    """Filter paired streams; order of verdicts follows the input."""
+    if config is None:
+        config = ShdConfig()
+    reads, refsegs = list(reads), list(refsegs)
     if len(reads) != len(refsegs):
         raise ValueError(
             f"stream length mismatch: {len(reads)} reads vs {len(refsegs)} segments"
         )
     start = time.perf_counter()
-    verdicts = []
-    total_bases = 0
-    for r, f in zip(reads, refsegs):
-        verdicts.append(shd(r, f, config))
-        total_bases += r.length if isinstance(r, PackedSequence) else len(r)
-    elapsed = time.perf_counter() - start
-    summary = FilterSummary(
-        pairs=len(reads),
-        accepted=sum(v.accepted for v in verdicts),
-        total_bases=total_bases,
-        seconds=elapsed,
-    )
-    return verdicts, summary
+    pairs = []
+    for r, f in zip(map(_packed, reads), map(_packed, refsegs)):
+        if f.length != r.length:
+            raise ValueError(
+                f"length mismatch: read {r.length} vs reference segment {f.length} "
+                "(caller pads or clips)"
+            )
+        pairs.append((r, f))
+    counts, lo, size = [], 0, 0
+    for hi, (r, _) in enumerate(pairs, 1):
+        size += len(r.data)
+        if size >= _CHUNK_BYTES or hi == len(pairs):
+            counts += _count_ones(pairs[lo:hi], config)
+            lo, size = hi, 0
+    threshold = config.threshold
+    verdicts = [ShdVerdict(min(n, threshold + 1), n <= threshold) for n in counts]
+    accepted, bases = sum(v.accepted for v in verdicts), sum(r.length for r, _ in pairs)
+    return verdicts, FilterSummary(len(pairs), accepted, bases, time.perf_counter() - start)
+
+
+def _text(x: SequenceLike) -> str:
+    if isinstance(x, PackedSequence):
+        return x.to_ascii()
+    return x.decode("ascii") if isinstance(x, bytes) else x
 
 
 def edit_distance(a: SequenceLike, b: SequenceLike) -> int:
-    """Levenshtein distance by dynamic programming (unit costs)."""
-    sa = a.to_ascii() if isinstance(a, PackedSequence) else (
-        a.decode("ascii") if isinstance(a, bytes) else a
-    )
-    sb = b.to_ascii() if isinstance(b, PackedSequence) else (
-        b.decode("ascii") if isinstance(b, bytes) else b
-    )
-    n, m = len(sa), len(sb)
-    if n == 0 or m == 0:
-        return n or m
-    if n < 32 and m < 32:
-        prev = list(range(m + 1))
-        for i, ca in enumerate(sa, start=1):
-            cur = [i] + [0] * m
-            for j, cb in enumerate(sb, start=1):
-                cur[j] = min(
-                    prev[j] + 1,
-                    cur[j - 1] + 1,
-                    prev[j - 1] + (ca != cb),
-                )
-            prev = cur
-        return prev[m]
-    # Row-vectorized form of the same recurrence. The horizontal dependency
-    #   row[j] = min(cand[j], row[j-1] + 1)
-    # unrolls to row[j] = j + min over l <= j of (cand[l] - l), with the row
-    # border contributing the constant i, so one prefix-minimum scan per row
-    # replaces the inner loop.
-    av = np.frombuffer(sa.encode(), dtype=np.uint8)
-    bv = np.frombuffer(sb.encode(), dtype=np.uint8)
-    jarr = np.arange(1, m + 1, dtype=np.int64)
-    prev_row = np.arange(m + 1, dtype=np.int64)
-    for i in range(1, n + 1):
-        cand = np.minimum(prev_row[:-1] + (bv != av[i - 1]), prev_row[1:] + 1)
-        runmin = np.minimum.accumulate(cand - jarr)
-        new_row = np.empty(m + 1, dtype=np.int64)
-        new_row[0] = i
-        new_row[1:] = jarr + np.minimum(runmin, i)
-        prev_row = new_row
-    return int(prev_row[m])
+    """Levenshtein distance (unit costs), any alphabet: Myers' bit-vector
+    algorithm in Hyyrö's global form. Two ints hold a DP column's +1 and -1
+    vertical deltas over the longer string; the loop walks the shorter."""
+    a, b = _text(a), _text(b)
+    if len(a) < len(b):
+        a, b = b, a
+    peq: dict[str, int] = {}
+    for i, c in enumerate(a):
+        peq[c] = peq.get(c, 0) | 1 << i
+    mask = (1 << len(a)) - 1
+    last = 1 << len(a) >> 1
+    pv, mv, score = mask, 0, len(a)
+    for c in b:
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        ph = ph << 1 | 1  # row 0 of the global DP rises by one per column
+        pv = (mh << 1 | ~(xv | ph)) & mask
+        mv = ph & xv
+    return score
