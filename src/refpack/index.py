@@ -50,7 +50,9 @@ import numpy as np
 
 from .errors import RefpackError
 from .hashing import DEFAULT_SEED_1, DEFAULT_SEED_2, murmur3_low64, murmur3_low64_batch
-from .sequence import _REVCOMP_BYTE, Kmer, PackedSequence, kmer_at, packed_kmers, sequence_checksum
+from .sequence import (
+    Kmer, PackedSequence, kmer_at, packed_kmers, reverse_complement_rows, sequence_checksum
+)
 
 EMPTY_SLOT = 0xFFFFFFFF
 EVICTION_LIMIT = 500
@@ -69,7 +71,6 @@ _PROBE_CHUNK = 1 << 14
 _PROBE_ORIENTATION = np.array([1, 1, 2, 2, 0], dtype=np.uint8)
 _PROBES_MADE = np.array([1, 2, 3, 4, 4], dtype=np.uint8)
 _PROBE_ROWS = np.arange(4)[:, None]
-_REVCOMP_TABLE = np.frombuffer(_REVCOMP_BYTE, dtype=np.uint8)
 
 
 class Orientation(IntEnum):
@@ -119,24 +120,6 @@ class ProbeResult(NamedTuple):
         stats.hits += hits
 
 
-def _reverse_complement_rows(rows: np.ndarray, k: int) -> np.ndarray:
-    """Packed reverse complements of packed k-mer rows.
-
-    A table complements each byte and reverses its four bases, and the bytes
-    are reversed. The (-k) % 4 zero bases of the tail, now complemented at
-    the front, are shifted out through u16 pairs of adjacent bytes, as in
-    ``packed_kmers``.
-    """
-    n, m = rows.shape
-    pad = -k % 4
-    if not pad:
-        return _REVCOMP_TABLE[rows[:, ::-1]]
-    flipped = np.zeros((n, m + 1), dtype=np.uint8)
-    flipped[:, :m] = _REVCOMP_TABLE[rows[:, ::-1]]
-    pairs = np.ndarray((n, m), "<u2", flipped, strides=(m + 1, 1))
-    return (pairs >> 2 * pad).astype(np.uint8)
-
-
 def _hashed_rows(data, k: int, starts: np.ndarray, seeds: tuple[int, int], include_rc: bool):
     """The packed k-mers at ``starts`` as hash messages, and their hashes.
 
@@ -145,7 +128,7 @@ def _hashed_rows(data, k: int, starts: np.ndarray, seeds: tuple[int, int], inclu
     ``include_rc``, their reverse complements. One hash call covers all.
     """
     forward = packed_kmers(data, starts, k)
-    strands = (forward, _reverse_complement_rows(forward, k)) if include_rc else (forward,)
+    strands = (forward, reverse_complement_rows(forward, k)) if include_rc else (forward,)
     messages = np.concatenate([strand for strand in strands for _ in seeds])
     seed_pattern = np.array(seeds * len(strands), dtype=np.uint64)
     hashes = murmur3_low64_batch(messages, np.repeat(seed_pattern, starts.size))

@@ -1,5 +1,9 @@
 """2-bit nucleotide sequences, FASTA ingestion, and k-mer extraction.
 
+This module owns the 2-bit format: packing, unpacking to codes or ASCII,
+k-mer gathers and the reverse complement. A ``PackedSequence`` holds only
+its packed bytes; ``codes()`` unpacks on every call, so callers hoist it.
+
 Packing convention: A=00, C=01, G=10, T=11. Base j of a byte occupies bits
 [2j+1:2j], so base 0 sits in the lowest two bits ("ACGT" packs to 0xE4).
 Complementing a base is bitwise NOT of its 2-bit code. Unused high bits of
@@ -40,15 +44,6 @@ for _c in _IUPAC_AMBIGUOUS:
     _IS_AMBIGUOUS[_c] = True
     _IS_AMBIGUOUS[_c + 32] = True
 
-# packed byte -> packed byte with its four 2-bit codes complemented and reversed
-_REVCOMP_BYTE = bytes(
-    (((b >> 6) & 3) ^ 3)
-    | (((((b >> 4) & 3) ^ 3)) << 2)
-    | (((((b >> 2) & 3) ^ 3)) << 4)
-    | (((b & 3) ^ 3) << 6)
-    for b in range(256)
-)
-
 _UNPACK_SHIFTS = np.arange(0, 8, 2, dtype=np.uint8)
 
 
@@ -63,22 +58,49 @@ def _pack_code_array(codes: np.ndarray) -> bytes:
     return packed.astype(np.uint8).tobytes()
 
 
-def _unpack_to_codes(data: bytes, length: int) -> np.ndarray:
-    raw = np.frombuffer(data, dtype=np.uint8)
-    codes = ((raw[:, None] >> _UNPACK_SHIFTS) & 3).reshape(-1)
-    return codes[:length].copy()
-
-
 # packed byte -> a word whose four bytes are its 2-bit codes, base 0 first
-# (one word gathers faster than four bytes)
+# (one word gathers faster than four bytes, and ``take`` faster than indexing)
 _BYTE_CODES = (
     ((np.arange(256)[:, None] >> _UNPACK_SHIFTS) & 3).astype(np.uint8).view(np.uint32).ravel()
 )
+# packed byte -> a word whose four bytes are its bases as ASCII letters
+_BYTE_ASCII = np.frombuffer(CODE_TO_ASCII, dtype=np.uint8)[_BYTE_CODES.view(np.uint8)].view(np.uint32)
+# packed byte -> packed byte with its four 2-bit codes complemented and reversed
+_REVCOMP_BYTE = _pack_code_array(3 - _BYTE_CODES.view(np.uint8).reshape(-1, 4)[:, ::-1].ravel())
+_REVCOMP_TABLE = np.frombuffer(_REVCOMP_BYTE, dtype=np.uint8)
 
 
 def unpack_rows(rows: np.ndarray) -> np.ndarray:
-    """(n, m) packed bytes -> (n, 4m) base codes."""
-    return _BYTE_CODES[rows].view(np.uint8)
+    """(n, m) packed bytes -> (n, 4m) base codes (or m bytes -> 4m codes)."""
+    return _BYTE_CODES.take(rows).view(np.uint8)
+
+
+def _unpack_ascii(data: bytes, length: int) -> str:
+    """The first ``length`` bases of packed ``data`` as A/C/G/T text."""
+    return _BYTE_ASCII.take(np.frombuffer(data, dtype=np.uint8)).tobytes()[:length].decode("ascii")
+
+
+def _reverse_complement_int(data: bytes, length: int) -> int:
+    """The reverse complement of the ``length`` bases packed in ``data``, as an int:
+    each byte complemented with its bases reversed, the bytes read big-endian,
+    and the tail's (-length) % 4 pad bases, now at the front, shifted out."""
+    return int.from_bytes(data.translate(_REVCOMP_BYTE), "big") >> 2 * (-length % 4)
+
+
+def reverse_complement_rows(rows: np.ndarray, k: int) -> np.ndarray:
+    """Packed reverse complements of (n, ceil(k / 4)) packed k-mer rows.
+
+    The row form of ``_reverse_complement_int``: the tail's pad bases are
+    shifted out through u16 pairs of adjacent bytes, as in ``packed_kmers``.
+    """
+    n, m = rows.shape
+    pad = -k % 4
+    if not pad:
+        return _REVCOMP_TABLE[rows[:, ::-1]]
+    flipped = np.zeros((n, m + 1), dtype=np.uint8)
+    flipped[:, :m] = _REVCOMP_TABLE[rows[:, ::-1]]
+    pairs = np.ndarray((n, m), "<u2", flipped, strides=(m + 1, 1))
+    return (pairs >> 2 * pad).astype(np.uint8)
 
 
 # Start within its first byte -> the shift that brings base 0 down.
@@ -128,9 +150,9 @@ def packed_kmers(data, starts: np.ndarray, width: int) -> np.ndarray:
 
 
 class PackedSequence:
-    """Immutable 2-bit packed nucleotide sequence."""
+    """Immutable 2-bit packed nucleotide sequence: its packed bytes and length."""
 
-    __slots__ = ("data", "length", "_codes", "_checksum")
+    __slots__ = ("data", "length", "_checksum")
 
     def __init__(self, data: bytes, length: int):
         if length < 0:
@@ -145,7 +167,6 @@ class PackedSequence:
             raise ValueError("nonzero padding bits in final packed byte")
         self.data = bytes(data)
         self.length = length
-        self._codes: np.ndarray | None = None
         self._checksum: bytes | None = None
 
     @classmethod
@@ -154,25 +175,18 @@ class PackedSequence:
         if arr.size and arr.max() > 3:
             bad = int(np.argmax(arr > 3))
             raise ValueError(f"base code out of range at position {bad}")
-        seq = cls(_pack_code_array(arr), int(arr.size))
-        seq._codes = arr.copy()
-        seq._codes.setflags(write=False)
-        return seq
+        return cls(_pack_code_array(arr), int(arr.size))
 
     def codes(self) -> np.ndarray:
-        """One uint8 code per base (read-only view, cached)."""
-        if self._codes is None:
-            arr = _unpack_to_codes(self.data, self.length)
-            arr.setflags(write=False)
-            self._codes = arr
-        return self._codes
+        """One uint8 code per base, unpacked anew on every call."""
+        return unpack_rows(np.frombuffer(self.data, dtype=np.uint8))[: self.length]
 
     def codes_bytes(self) -> bytes:
         """One byte per base, values 0..3."""
         return self.codes().tobytes()
 
     def to_ascii(self) -> str:
-        return self.codes_bytes().translate(bytes.maketrans(bytes([0, 1, 2, 3]), CODE_TO_ASCII)).decode("ascii")
+        return _unpack_ascii(self.data, self.length)
 
     def __len__(self) -> int:
         return self.length
@@ -186,7 +200,8 @@ class PackedSequence:
         return hash((self.data, self.length))
 
     def __repr__(self) -> str:
-        head = self.to_ascii() if self.length <= 24 else self.to_ascii()[:21] + "..."
+        head = _unpack_ascii(self.data[:6], min(self.length, 24))
+        head = head if self.length <= 24 else head[:21] + "..."
         return f"PackedSequence({head!r}, length={self.length})"
 
 
@@ -209,14 +224,17 @@ def unpack_bases(seq: PackedSequence) -> str:
 
 
 def concat_sequences(parts: Iterable[PackedSequence]) -> PackedSequence:
-    chunks = [p.codes() for p in parts]
-    if not chunks:
-        return PackedSequence(b"", 0)
-    return PackedSequence.from_codes(np.concatenate(chunks))
+    """The parts joined in order; a lone part is returned as it is."""
+    parts = list(parts)
+    if len(parts) == 1:
+        return parts[0]
+    codes = [p.codes() for p in parts]
+    return PackedSequence.from_codes(np.concatenate(codes) if codes else codes)
 
 
 def reverse_complement_sequence(seq: PackedSequence) -> PackedSequence:
-    return PackedSequence.from_codes((seq.codes()[::-1]) ^ 3)
+    value = _reverse_complement_int(seq.data, seq.length)
+    return PackedSequence(value.to_bytes(len(seq.data), "little"), seq.length)
 
 
 @dataclass(frozen=True)
@@ -235,20 +253,16 @@ class Kmer:
         if self.packed < 0 or self.packed >> (2 * self.k):
             raise ValueError("packed value out of range for k")
 
-    @property
-    def nbytes(self) -> int:
-        return (2 * self.k + 7) // 8
-
     def bytes_le(self) -> bytes:
         """Packed little-endian bytes; this is the hashing input."""
-        return self.packed.to_bytes(self.nbytes, "little")
+        return self.packed.to_bytes((self.k + 3) // 4, "little")
 
     def to_codes(self) -> bytes:
         """One byte per base, values 0..3."""
-        return _unpack_to_codes(self.bytes_le(), self.k).tobytes()
+        return unpack_rows(np.frombuffer(self.bytes_le(), dtype=np.uint8))[: self.k].tobytes()
 
     def to_ascii(self) -> str:
-        return bytes(CODE_TO_ASCII[c] for c in self.to_codes()).decode("ascii")
+        return _unpack_ascii(self.bytes_le(), self.k)
 
     @property
     def low4(self) -> int:
@@ -256,10 +270,7 @@ class Kmer:
         return self.packed & 0xF
 
     def reverse_complement(self) -> "Kmer":
-        flipped = self.bytes_le().translate(_REVCOMP_BYTE)
-        value = int.from_bytes(flipped[::-1], "little")
-        value >>= 2 * (4 * self.nbytes - self.k)
-        return Kmer(value, self.k)
+        return Kmer(_reverse_complement_int(self.bytes_le(), self.k), self.k)
 
 
 def kmer_at(seq: PackedSequence, offset: int, k: int) -> Kmer:

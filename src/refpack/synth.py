@@ -42,18 +42,16 @@ def mutate(
     Each input base draws one event: substitution replaces it with a different
     base, deletion drops it, insertion places a random base in front of it.
     """
-    codes = seq.codes()
-    n = codes.size
-    if n == 0 or profile.total == 0.0:
-        return PackedSequence.from_codes(codes)
-    draw = rng.random(n)
+    if seq.length == 0 or profile.total == 0.0:
+        return seq
+    base = seq.codes()  # unpacked afresh, so ours to edit
+    draw = rng.random(base.size)
     is_sub = draw < profile.snp
     is_del = (draw >= profile.snp) & (draw < profile.snp + profile.deletion)
     is_ins = (draw >= profile.snp + profile.deletion) & (
         draw < profile.snp + profile.deletion + profile.insertion
     )
 
-    base = codes.copy()
     if is_sub.any():
         bump = rng.integers(1, 4, int(is_sub.sum()), dtype=np.uint8)
         base[is_sub] = (base[is_sub] + bump) & 3
@@ -62,7 +60,7 @@ def mutate(
     counts = keep.astype(np.int64) + is_ins.astype(np.int64)
     ends = np.cumsum(counts)
     starts = ends - counts
-    out = np.zeros(int(ends[-1]) if n else 0, dtype=np.uint8)
+    out = np.zeros(int(ends[-1]), dtype=np.uint8)
     kept_idx = np.flatnonzero(keep)
     out[starts[kept_idx] + is_ins[kept_idx]] = base[kept_idx]
     ins_idx = np.flatnonzero(is_ins)
@@ -86,10 +84,11 @@ def random_reads(
     """
     if read_len > reference.length:
         raise ValueError("read length exceeds reference length")
+    codes = reference.codes()
     reads = []
     for _ in range(n_reads):
         start = int(rng.integers(0, reference.length - read_len + 1))
-        piece = PackedSequence.from_codes(reference.codes()[start : start + read_len])
+        piece = PackedSequence.from_codes(codes[start : start + read_len])
         if rc_fraction and rng.random() < rc_fraction:
             piece = reverse_complement_sequence(piece)
         reads.append(mutate(piece, profile, rng))
@@ -108,12 +107,13 @@ def spliced_rearrangement(
     """Concatenation of random reference segments, some reverse-complemented."""
     if reference.length < min_len:
         raise ValueError("reference shorter than the minimum segment length")
+    codes = reference.codes()
     parts = []
     hi = min(max_len, reference.length)
     for _ in range(n_segments):
         seg_len = int(rng.integers(min_len, hi + 1))
         start = int(rng.integers(0, reference.length - seg_len + 1))
-        piece = PackedSequence.from_codes(reference.codes()[start : start + seg_len])
+        piece = PackedSequence.from_codes(codes[start : start + seg_len])
         if rng.random() < rc_fraction:
             piece = reverse_complement_sequence(piece)
         parts.append(piece)

@@ -1,7 +1,9 @@
+import contextlib
+
 import numpy as np
 import pytest
 
-from refpack import CompressParams, build_index, random_sequence
+from refpack import CompressParams, PackedSequence, build_index, random_sequence
 
 REF_LEN = 30_000
 
@@ -19,3 +21,20 @@ def index64(reference):
 @pytest.fixture
 def params():
     return CompressParams(k=64, s=16)
+
+
+@pytest.fixture
+def forbid_unpack(monkeypatch):
+    """A context manager under which any ``PackedSequence.codes()`` call, and
+    so any unpacking of a sequence to one byte per base, fails the test."""
+
+    def unpacked(self):
+        raise AssertionError(f"unpacked a sequence of {self.length} bases")
+
+    @contextlib.contextmanager
+    def forbidden():
+        with monkeypatch.context() as patch:
+            patch.setattr(PackedSequence, "codes", unpacked)
+            yield
+
+    return forbidden

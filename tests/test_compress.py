@@ -32,20 +32,19 @@ from refpack.sequence import (
 )
 
 
-def test_build_compress_query_leave_sequences_packed(reference, params):
+def test_build_compress_query_leave_sequences_packed(reference, params, forbid_unpack):
     """Every k-mer is read from the packed bytes: no step unpacks the
     reference or the target."""
-    fresh = PackedSequence(reference.data, reference.length)
-    source = mutate(reference, MutationProfile(snp=0.01), np.random.default_rng(4))
-    target = PackedSequence(source.data, source.length)
-    index = build_index(fresh, params.k)
-    result = compress(target, index, fresh, params)
-    assert decompress(make_stream(result, params, sequence_checksum(fresh)), fresh) == target
-    kmer = kmer_at(fresh, 1_000, params.k)
-    hit = index.query(fresh, kmer)
-    assert hit is not None and kmer_at(fresh, hit.offset, params.k) == kmer
-    index.query(fresh, kmer_at(target, 0, params.k).reverse_complement())  # hit or miss
-    assert fresh._codes is None and target._codes is None
+    target = mutate(reference, MutationProfile(snp=0.01), np.random.default_rng(4))
+    with forbid_unpack():
+        index = build_index(reference, params.k)
+        result = compress(target, index, reference, params)
+        stream = make_stream(result, params, sequence_checksum(reference))
+        assert decompress(stream, reference) == target
+        kmer = kmer_at(reference, 1_000, params.k)
+        hit = index.query(reference, kmer)
+        assert hit is not None and kmer_at(reference, hit.offset, params.k) == kmer
+        index.query(reference, kmer_at(target, 0, params.k).reverse_complement())  # hit or miss
 
 
 def test_params_validation():

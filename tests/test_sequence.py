@@ -10,6 +10,7 @@ import refpack.sequence as sequence_mod
 from refpack.errors import FastaParseError
 from refpack.sequence import (
     CODE_TO_ASCII,
+    Kmer,
     PackedSequence,
     concat_sequences,
     kmer_at,
@@ -18,6 +19,7 @@ from refpack.sequence import (
     parse_fasta,
     read_2bit_raw,
     read_fasta,
+    reverse_complement_rows,
     reverse_complement_sequence,
     sequence_checksum,
     unpack_bases,
@@ -107,6 +109,80 @@ def test_concat():
     assert unpack_bases(concat_sequences([])) == ""
 
 
+@pytest.mark.parametrize("lengths", [(), (0,), (5,), (1_000,), (3, 0, 5), (8, 4), (1, 1, 1, 1, 1)])
+def test_concat_matches_oracle(lengths, forbid_unpack):
+    """A lone part comes back as it is, unpacked by nothing; zero or several
+    parts give the bytes of the former codes-based join."""
+    rng = np.random.default_rng(len(lengths))
+    parts = [PackedSequence.from_codes(rng.integers(0, 4, n, dtype=np.uint8)) for n in lengths]
+    want = PackedSequence.from_codes(np.concatenate([oracle_codes(p) for p in parts] or [[]]))
+    if len(parts) == 1:
+        with forbid_unpack():
+            assert concat_sequences(iter(parts)) is parts[0]
+    assert concat_sequences(iter(parts)) == want
+
+
+# ---------------------------------------------------------------- 2-bit oracle
+# The former codes-based unpack, ASCII and reverse complement, kept as the
+# oracle of the table and int forms.
+
+_SHIFTS = np.arange(0, 8, 2, dtype=np.uint8)
+
+
+def oracle_codes(seq):
+    raw = np.frombuffer(seq.data, dtype=np.uint8)
+    return ((raw[:, None] >> _SHIFTS) & 3).reshape(-1)[: seq.length]
+
+
+def oracle_ascii(seq):
+    return oracle_codes(seq).tobytes().translate(bytes.maketrans(b"\0\1\2\3", CODE_TO_ASCII)).decode()
+
+
+def oracle_reverse_complement(seq):
+    return PackedSequence.from_codes(oracle_codes(seq)[::-1] ^ 3)
+
+
+@pytest.mark.parametrize("residue", range(4))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_two_bit_forms_match_oracle(residue, data):
+    """Random packed bytes of every length mod 4 up to 300: the reverse
+    complement of the sequence, of its one ``Kmer`` and of its one packed
+    row agree with one another and with the oracle; so do the sequence's
+    and the k-mer's ASCII and codes. Each result passes the constructor's
+    zero-padding check."""
+    n = 4 * data.draw(st.integers(0, 74)) + residue
+    raw = bytearray(data.draw(st.binary(min_size=(n + 3) // 4, max_size=(n + 3) // 4)))
+    if n % 4:
+        raw[-1] &= (1 << 2 * (n % 4)) - 1
+    seq = PackedSequence(bytes(raw), n)
+    want = oracle_reverse_complement(seq)
+    rc = reverse_complement_sequence(seq)
+    assert PackedSequence(rc.data, rc.length) == want
+    text = oracle_ascii(seq)
+    assert seq.to_ascii() == text
+    assert seq.codes().tolist() == oracle_codes(seq).tolist()
+    assert seq.codes_bytes() == oracle_codes(seq).tobytes()
+    if n == 0:
+        return
+    kmer = Kmer(int.from_bytes(seq.data, "little"), n)
+    assert kmer.to_ascii() == text
+    assert kmer.to_codes() == oracle_codes(seq).tobytes()
+    assert PackedSequence(kmer.reverse_complement().bytes_le(), n) == want
+    row = reverse_complement_rows(np.frombuffer(seq.data, dtype=np.uint8)[None, :], n)
+    assert row.shape == (1, len(seq.data))
+    assert PackedSequence(row[0].tobytes(), n) == want
+
+
+@pytest.mark.parametrize("n", [0, 24, 25, 10**6])
+def test_repr_shows_at_most_24_bases_without_unpacking(n, forbid_unpack):
+    seq = PackedSequence.from_codes(np.random.default_rng(n).integers(0, 4, n, dtype=np.uint8))
+    text = oracle_ascii(seq)
+    head = text if n <= 24 else text[:21] + "..."
+    with forbid_unpack():
+        assert repr(seq) == f"PackedSequence({head!r}, length={n})"
+
+
 # ---------------------------------------------------------------------- kmers
 
 
@@ -169,7 +245,7 @@ def test_packed_kmers_matches_unpacked_windows(width):
     for size in (0, 1, 2, 7, 40, 67, 130):
         data = rng.integers(0, 256, size, dtype=np.uint8).tobytes()
         codes = np.zeros(4 * size + width + 8, dtype=np.uint8)
-        codes[: 4 * size] = sequence_mod._unpack_to_codes(data, 4 * size)
+        codes[: 4 * size] = sequence_mod.unpack_rows(np.frombuffer(data, dtype=np.uint8))
         for starts in (np.arange(4 * size + 8), rng.permutation(4 * size + 8)[:9]):
             got = sequence_mod.packed_kmers(data, starts, width)
             assert got.dtype == np.uint8

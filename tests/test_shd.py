@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from refpack import ShdConfig, ShdVerdict, edit_distance, filter_stream, shd
 from refpack.cli import main
-from refpack.sequence import PackedSequence, pack_bases, write_fasta
+from refpack.sequence import pack_bases, write_fasta
 
 # The package exports the function ``shd`` under the module's name.
 shd_module = importlib.import_module("refpack.shd")
@@ -336,30 +336,22 @@ class TestAgainstOracle:
             assert filter_stream(reads, refs, config)[0] == expect
 
 
-def test_filter_leaves_sequences_packed(monkeypatch, tmp_path, capsys):
-    def fresh(text):
-        seq = pack_bases(text)
-        return PackedSequence(seq.data, seq.length)
-
+def test_filter_leaves_sequences_packed(tmp_path, capsys, forbid_unpack):
     rng = np.random.default_rng(0x5D)
     stream = [_pair(int(rng.integers(2**32)), n, 2, 1, False) for n in (0, 3, 50, 201)]
-    reads, refs = [fresh(r) for r, _ in stream], [fresh(f) for _, f in stream]
-    filter_stream(reads, refs)
-    shd(reads[2], refs[2])
-    assert all(seq._codes is None for seq in reads + refs)
+    reads, refs = [pack_bases(r) for r, _ in stream], [pack_bases(f) for _, f in stream]
+    with forbid_unpack():
+        filter_stream(reads, refs)
+        shd(reads[2], refs[2])
 
     # FASTA holds no empty record; the second read is longer, for --clip.
     stream = stream[1:]
     write_fasta([(f"r{i}", pack_bases(r + "ACG" * i)) for i, (r, _) in enumerate(stream)],
                 tmp_path / "r.fa")
     write_fasta([(f"s{i}", pack_bases(f)) for i, (_, f) in enumerate(stream)], tmp_path / "s.fa")
-
-    def unpacked(self):
-        raise AssertionError("the filter path unpacked a sequence")
-
-    monkeypatch.setattr(PackedSequence, "codes", unpacked)
-    assert main(["shd-filter", "--reads", str(tmp_path / "r.fa"),
-                 "--segments", str(tmp_path / "s.fa"), "--clip"]) == 0
+    with forbid_unpack():
+        assert main(["shd-filter", "--reads", str(tmp_path / "r.fa"),
+                     "--segments", str(tmp_path / "s.fa"), "--clip"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == len(stream)
 
 
