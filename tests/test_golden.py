@@ -17,6 +17,12 @@ forward k-mer and of its reverse complement at every reference offset. It was
 written by the per-key insertion loop that preceded the batched cuckoo build;
 the cases with k not a multiple of 4 were added later, from the batched build.
 
+``fixtures/golden_index_layout.json`` does pin layout: the SHA-256 of the
+saved ``.bidx`` bytes and the skipped keys of random 64 kbp references at
+``LAYOUT_SEEDS`` (k=32), each of which leaves one key unplaced. It was written
+by the build that still ran a scalar cuckoo loop over the keys the rounds
+left pending, so it checks that dropping that loop changed no byte.
+
 Regenerate, only for an intended format change, with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -48,6 +54,7 @@ GRANULARITY = 4
 INDEX_CASES = ((16, 1), (32, 4), (15, 1), (30, 3))
 ODD_K = 30
 ODD_K_S_VALUES = (3, 5, 15)
+LAYOUT_SEEDS = (1003, 1016)
 
 
 def golden_inputs():
@@ -126,6 +133,19 @@ def golden_index_meaning(reference) -> dict[str, dict]:
     return out
 
 
+def golden_index_layout() -> dict[str, dict]:
+    out = {}
+    for seed in LAYOUT_SEEDS:
+        index = build_index(random_sequence(64_000, np.random.default_rng(seed)), 32)
+        buf = io.BytesIO()
+        index.save(buf)
+        out[f"seed={seed}"] = {
+            "bidx_sha256": hashlib.sha256(buf.getvalue()).hexdigest(),
+            "skipped_keys": index.skipped_keys,
+        }
+    return out
+
+
 def test_golden_container_bytes():
     reference, targets = golden_inputs()
     assert golden_container(reference, targets) == (FIXTURES / "golden.bnc").read_bytes()
@@ -142,6 +162,11 @@ def test_golden_index_meaning():
     assert golden_index_meaning(golden_index_reference()) == expected
 
 
+def test_golden_index_layout():
+    expected = json.loads((FIXTURES / "golden_index_layout.json").read_text())
+    assert golden_index_layout() == expected
+
+
 if __name__ == "__main__":
     reference, targets = golden_inputs()
     FIXTURES.mkdir(exist_ok=True)
@@ -151,4 +176,7 @@ if __name__ == "__main__":
     )
     (FIXTURES / "golden_index.json").write_text(
         json.dumps(golden_index_meaning(golden_index_reference()), indent=1, sort_keys=True) + "\n"
+    )
+    (FIXTURES / "golden_index_layout.json").write_text(
+        json.dumps(golden_index_layout(), indent=1, sort_keys=True) + "\n"
     )
