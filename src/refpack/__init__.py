@@ -46,7 +46,6 @@ from .sequence import (
     read_fasta,
     reverse_complement_sequence,
     sequence_checksum,
-    unpack_bases,
     write_fasta,
 )
 from .shd import ShdConfig, ShdVerdict, edit_distance, filter_stream, shd
@@ -108,7 +107,6 @@ __all__ = [
     "sequence_checksum",
     "shd",
     "spliced_rearrangement",
-    "unpack_bases",
     "write_container",
     "write_fasta",
     "__version__",

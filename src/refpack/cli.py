@@ -10,8 +10,8 @@ Exit codes:
   4  corrupt compressed stream or container
 
 A config file (``--config PATH``) holds ``key = value`` lines ('#' starts a
-comment) supplying defaults for: k, s, stride, granularity, threads,
-prefilter, seed.  Explicit flags always win over the config file.
+comment) supplying defaults for: k, stride, granularity, threads, prefilter,
+seed.  Explicit flags always win over the config file.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .sequence import (
 from .shd import ShdConfig, filter_stream
 from .synth import MutationProfile, mutate, random_reads, random_sequence, spliced_rearrangement
 
-_CONFIG_KEYS = ("k", "s", "stride", "granularity", "threads", "prefilter", "seed")
+_CONFIG_KEYS = ("k", "stride", "granularity", "threads", "prefilter", "seed")
 
 _TRUE_WORDS = {"1", "true", "yes", "on"}
 _FALSE_WORDS = {"0", "false", "no", "off"}
@@ -111,17 +111,10 @@ def _cfg_bool(config: dict[str, str], key: str, default: bool) -> bool:
 
 def _load_reference(path: str) -> PackedSequence:
     """Load a reference file; multi-record FASTA is concatenated in order."""
-    records = _read_sequence_file(path)
+    records = load_sequences(path)
     if len(records) > 1:
         _diag(f"note: concatenating {len(records)} reference records from {path}")
     return concat_sequences([rec.seq for rec in records])
-
-
-def _read_sequence_file(path: str) -> list[FastaRecord]:
-    try:
-        return load_sequences(path)
-    except OSError as exc:
-        raise UsageError(str(exc))
 
 
 def _open_out(path: Optional[str], *, binary: bool):
@@ -194,7 +187,7 @@ def cmd_compress(args: argparse.Namespace, config: dict[str, str]) -> int:
         else _cfg_int(config, "granularity", DEFAULT_GRANULARITY)
     )
     params = CompressParams(k=index.k, s=16)
-    targets = _read_sequence_file(args.target)
+    targets = load_sequences(args.target)
     started = time.perf_counter()
     records, total_bases, group_bytes = _compress_records(
         targets, index, reference, params,
@@ -274,8 +267,8 @@ def _clip(seq: PackedSequence, n: int) -> PackedSequence:
 
 
 def cmd_shd_filter(args: argparse.Namespace, config: dict[str, str]) -> int:
-    reads = _read_sequence_file(args.reads)
-    segments = _read_sequence_file(args.segments)
+    reads = load_sequences(args.reads)
+    segments = load_sequences(args.segments)
     if len(reads) != len(segments):
         raise UsageError(
             f"pair count mismatch: {len(reads)} reads vs {len(segments)} segments"
@@ -388,7 +381,7 @@ def cmd_gen_synthetic(args: argparse.Namespace, config: dict[str, str]) -> int:
                                               rc_fraction=args.rc_fraction))
         ]
     elif args.source:
-        source_records = _read_sequence_file(args.source)
+        source_records = load_sequences(args.source)
         profile = MutationProfile(args.snp, args.insertion, args.deletion)
         records = [
             (f"{rec.id}_mut", mutate(rec.seq, profile, rng)) for rec in source_records

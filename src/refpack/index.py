@@ -8,9 +8,8 @@ verification would fail; a nibble match proves nothing.
 
 The build is batched (``build_index``): exact-duplicate k-mers are dropped up
 front, keeping each k-mer's first offset; numpy rounds then place all pending
-keys at once, one winner per slot, for at most EVICTION_LIMIT rounds; the few
-keys still pending go through the scalar cuckoo loop, where EVICTION_LIMIT
-bounds each key's eviction chain and a key past it is skipped and counted.
+keys at once, one winner per slot, for at most EVICTION_LIMIT rounds. A key
+still pending after the last round is skipped and counted.
 Lookups try both slots of the forward k-mer before either slot of its reverse
 complement, so with no skipped key every lookup result is independent of
 which of its two slots a key landed in.
@@ -136,39 +135,25 @@ def _hashed_rows(data, k: int, starts: np.ndarray, seeds: tuple[int, int], inclu
 
 
 def window_probe_tables(
-    data,
-    k: int,
-    offsets: np.ndarray,
-    seeds: tuple[int, int],
-    *,
-    include_rc: bool = False,
-    chunk: int = 1 << 16,
+    data, k: int, offsets: np.ndarray, seeds: tuple[int, int], *, chunk: int = 1 << 16
 ):
-    """Hashes (and filter nibbles) of the k-mers starting at ``offsets``.
+    """Hashes (h1, h2) and filter nibbles (low4) of the k-mers starting at ``offsets``.
 
-    ``data`` is the packed bytes of the sequence. Returns (h1, h2, low4)
-    arrays, plus (h1_rc, h2_rc, low4_rc) for the reverse complements when
-    ``include_rc`` is set. Each chunk of windows is hashed in one
-    ``murmur3_low64_batch`` call (``_hashed_rows``) of at most ``chunk``
-    rows, which bounds the transient rows and hashes.
+    ``data`` is the packed bytes of the sequence. Each chunk of windows is
+    hashed in one ``murmur3_low64_batch`` call (``_hashed_rows``) of at most
+    ``chunk`` rows, which bounds the transient rows and hashes.
     """
-    strands = 2 if include_rc else 1
-    per_call = max(1, chunk // (2 * strands))
+    per_call = max(1, chunk // 2)
     n = offsets.size
-    tables = [
-        (np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.uint8))
-        for _ in range(strands)
-    ]
+    h1, h2 = np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.uint64)
+    low4 = np.empty(n, dtype=np.uint8)
     for start in range(0, n, per_call):
         part = offsets[start : start + per_call]
-        messages, hashed = _hashed_rows(data, k, part, seeds, include_rc)
-        m = hashed.shape[1]
-        nibbles = (messages[:, 0] & 0xF).reshape(-1, m)
-        for j, (h1, h2, low4) in enumerate(tables):
-            h1[start : start + m] = hashed[2 * j]
-            h2[start : start + m] = hashed[2 * j + 1]
-            low4[start : start + m] = nibbles[2 * j]
-    return tuple(array for table in tables for array in table)
+        messages, hashed = _hashed_rows(data, k, part, seeds, False)
+        stop = start + part.size
+        h1[start:stop], h2[start:stop] = hashed
+        low4[start:stop] = messages[: part.size, 0] & 0xF
+    return h1, h2, low4
 
 
 class ReferenceIndex:
@@ -416,7 +401,7 @@ def build_index(
     Capacity is the smallest power of two at least twice the number of
     insertion attempts, so the load factor never exceeds 0.5. Key ``i`` is
     the k-mer at offset ``i * stride``; slots hold offsets, so a slot's key
-    is its offset divided by the stride. The build has three steps:
+    is its offset divided by the stride. The build has two steps:
 
     1. Exact duplicates are dropped up front: each k-mer keeps its first
        (smallest) offset. Distinct k-mers with equal hashes all stay.
@@ -424,12 +409,8 @@ def build_index(
        EVICTION_LIMIT rounds. In a round every pending key claims one of its
        two slots; the lowest key index claiming a slot wins it and displaces
        the key held there. Losers and displaced keys claim their other slot
-       in the next round.
-    3. The keys still pending after the rounds (the residue) go through the
-       scalar cuckoo loop one at a time, in key order. A key whose eviction
-       chain there exceeds EVICTION_LIMIT displacements is skipped and
-       counted; the table is restored to its prior state, so a skip never
-       loses an already-placed key.
+       in the next round. A key still pending after the last round, having
+       lost its claim or been displaced in it, is skipped and counted.
 
     Placement is deterministic. With no skipped key, every distinct k-mer is
     stored with its first offset, whatever the slot layout.
@@ -495,38 +476,6 @@ def build_index(
         first = slot_a[pending]
         target = np.where(left == first, slot_b[pending], first)
 
-    skipped = 0
-    for key in np.sort(pending).tolist():
-        off = key * stride
-        cur = off
-        cur_low4 = int(low4s[key])
-        pos = int(slot_a[key])
-        trail: list[int] = []
-        placed = False
-        for _ in range(EVICTION_LIMIT):
-            prev = int(slots[pos])
-            prev_low4 = int(nibbles[pos])
-            slots[pos] = cur
-            nibbles[pos] = cur_low4
-            trail.append(pos)
-            if prev == EMPTY_SLOT:
-                placed = True
-                break
-            cur, cur_low4 = prev, prev_low4
-            j = cur // stride
-            a = int(slot_a[j])
-            b = int(slot_b[j])
-            pos = b if pos == a else a
-        if not placed:
-            # Unwind the displacement chain so only the new key is dropped.
-            for pos in reversed(trail):
-                held, held_low4 = int(slots[pos]), int(nibbles[pos])
-                slots[pos] = cur
-                nibbles[pos] = cur_low4
-                cur, cur_low4 = held, held_low4
-            assert cur == off
-            skipped += 1
-
     return ReferenceIndex(
         k=k,
         sampling_stride=sampling_stride,
@@ -535,5 +484,5 @@ def build_index(
         ref_checksum=sequence_checksum(reference),
         slots=slots,
         nibbles=nibbles,
-        skipped_keys=skipped,
+        skipped_keys=int(pending.size),
     )

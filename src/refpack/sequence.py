@@ -219,10 +219,6 @@ def pack_bases(text: str | bytes) -> PackedSequence:
     return PackedSequence(value.to_bytes((len(raw) + 3) // 4, "little"), len(raw))
 
 
-def unpack_bases(seq: PackedSequence) -> str:
-    return seq.to_ascii()
-
-
 def concat_sequences(parts: Iterable[PackedSequence]) -> PackedSequence:
     """The parts joined in order; a lone part is returned as it is."""
     parts = list(parts)
@@ -256,10 +252,6 @@ class Kmer:
     def bytes_le(self) -> bytes:
         """Packed little-endian bytes; this is the hashing input."""
         return self.packed.to_bytes((self.k + 3) // 4, "little")
-
-    def to_codes(self) -> bytes:
-        """One byte per base, values 0..3."""
-        return unpack_rows(np.frombuffer(self.bytes_le(), dtype=np.uint8))[: self.k].tobytes()
 
     def to_ascii(self) -> str:
         return _unpack_ascii(self.bytes_le(), self.k)

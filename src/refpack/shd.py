@@ -64,10 +64,6 @@ class ShdConfig:
     def threshold(self) -> int:
         return self.e if self.accept_threshold is None else self.accept_threshold
 
-    @property
-    def n_masks(self) -> int:
-        return 2 * self.e + 1
-
 
 @dataclass(frozen=True)
 class ShdVerdict:

@@ -65,12 +65,12 @@ def test_build_index_reports(work, capsys, tmp_path):
 
 
 def test_build_index_missing_file(tmp_path, capsys):
+    missing = tmp_path / "nope.fa"
     code = main([
-        "build-index", "--reference", str(tmp_path / "nope.fa"),
-        "--out", str(tmp_path / "o.bidx"),
+        "build-index", "--reference", str(missing), "--out", str(tmp_path / "o.bidx"),
     ])
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
 
 
 def test_compress_then_decompress_round_trip(work, capsys, tmp_path):
@@ -377,6 +377,16 @@ class TestConfig:
             "gen-synthetic", "--config", str(cfg), "--out", "-", "--length", "5",
         ]) == 2
         assert "unknown config key" in capsys.readouterr().err
+
+    def test_s_is_not_a_config_key(self, tmp_path, capsys):
+        """No command reads ``s`` (compress always uses s=16), so a config
+        file that sets it is an error, not a silent no-op."""
+        cfg = tmp_path / "r.conf"
+        cfg.write_text("s = 8\n")
+        assert main([
+            "gen-synthetic", "--config", str(cfg), "--out", "-", "--length", "5",
+        ]) == 2
+        assert "unknown config key 's'" in capsys.readouterr().err
 
     def test_malformed_line(self, tmp_path):
         cfg = tmp_path / "r.conf"

@@ -406,8 +406,11 @@ def test_crafted_offsets_near_reference_end(reference, index32):
     params = CompressParams(k=k, s=16)
     target = oracle_target(reference, np.random.default_rng(3))
     positions = np.arange(0, target.length - k + 1, params.s, dtype=np.int64)
-    h1f, _, low4f, _, h2r, low4r = window_probe_tables(
-        target.data, k, positions, index32.seeds, include_rc=True
+    h1f, _, low4f = window_probe_tables(target.data, k, positions, index32.seeds)
+    # The reverse complement of the k-mer at ``p`` starts at n - k - p of the
+    # reverse-complemented target.
+    _, h2r, low4r = window_probe_tables(
+        reverse_complement_sequence(target).data, k, target.length - k - positions, index32.seeds
     )
     last = reference.length - k
     bad = np.array([last, last + 1, reference.length - 1, reference.length, EMPTY_SLOT - 1])

@@ -55,7 +55,7 @@ def test_query_every_forward_kmer():
         assert hit is not None
         assert hit.orientation is Orientation.FORWARD
         # any offset holding identical bases is a correct answer
-        assert ref.codes_bytes()[hit.offset : hit.offset + 24] == kmer_at(ref, off, 24).to_codes()
+        assert ref.codes_bytes()[hit.offset : hit.offset + 24] == ref.codes_bytes()[off : off + 24]
 
 
 def test_query_reverse_complement():
@@ -163,8 +163,11 @@ def test_window_probe_tables_match_scalar():
     ref = random_sequence(500, rng)
     k = 21
     offsets = np.array([0, 3, 17, 100, 479], dtype=np.int64)
-    h1, h2, low4, h1r, h2r, low4r = window_probe_tables(
-        ref.data, k, offsets, (7, 9), include_rc=True
+    h1, h2, low4 = window_probe_tables(ref.data, k, offsets, (7, 9))
+    # The reverse complement of the k-mer at ``off`` starts at n - k - off of
+    # the reverse-complemented reference.
+    h1r, h2r, low4r = window_probe_tables(
+        reverse_complement_sequence(ref).data, k, ref.length - k - offsets, (7, 9)
     )
     for i, off in enumerate(offsets):
         km = kmer_at(ref, int(off), k)
@@ -173,16 +176,19 @@ def test_window_probe_tables_match_scalar():
         assert h2[i] == index_mod.murmur3_low64(km.bytes_le(), 9)
         assert low4[i] == km.low4
         assert h1r[i] == index_mod.murmur3_low64(rc.bytes_le(), 7)
+        assert h2r[i] == index_mod.murmur3_low64(rc.bytes_le(), 9)
         assert low4r[i] == rc.low4
 
 
-@pytest.mark.parametrize("include_rc", [False, True])
-def test_window_probe_tables_one_hash_call_per_chunk(monkeypatch, include_rc):
-    """Both seeds (and both strands) share one hash call of at most ``chunk``
-    rows; chunking does not change the tables."""
+@pytest.mark.parametrize("reverse", [False, True])
+def test_window_probe_tables_one_hash_call_per_chunk(monkeypatch, reverse):
+    """Both seeds share one hash call of at most ``chunk`` rows; chunking
+    does not change the tables, on either strand of the reference."""
     ref = random_sequence(300, np.random.default_rng(18))
     offsets = np.arange(0, 280, 3, dtype=np.int64)
-    whole = window_probe_tables(ref.data, 13, offsets, (7, 9), include_rc=include_rc)
+    if reverse:
+        ref, offsets = reverse_complement_sequence(ref), ref.length - 13 - offsets
+    whole = window_probe_tables(ref.data, 13, offsets, (7, 9))
     rows = []
     real_batch = index_mod.murmur3_low64_batch
 
@@ -191,10 +197,9 @@ def test_window_probe_tables_one_hash_call_per_chunk(monkeypatch, include_rc):
         return real_batch(messages, seed)
 
     monkeypatch.setattr(index_mod, "murmur3_low64_batch", counting_batch)
-    chunked = window_probe_tables(ref.data, 13, offsets, (7, 9), include_rc=include_rc, chunk=16)
-    per_call = 4 if include_rc else 8
-    assert len(rows) == -(-offsets.size // per_call)
-    assert max(rows) <= 16 and sum(rows) == offsets.size * (4 if include_rc else 2)
+    chunked = window_probe_tables(ref.data, 13, offsets, (7, 9), chunk=16)
+    assert len(rows) == -(-offsets.size // 8)
+    assert max(rows) <= 16 and sum(rows) == offsets.size * 2
     for a, b in zip(whole, chunked):
         assert a.tolist() == b.tolist()
 

@@ -81,7 +81,7 @@ def equal_length_pair(rng, n, *, subs=0, shifts=0):
 class TestConfig:
     def test_defaults(self):
         cfg = ShdConfig()
-        assert (cfg.e, cfg.amend_run, cfg.threshold, cfg.n_masks) == (5, 2, 5, 11)
+        assert (cfg.e, cfg.amend_run, cfg.threshold, 2 * cfg.e + 1) == (5, 2, 5, 11)
 
     def test_threshold_override(self):
         assert ShdConfig(e=1, accept_threshold=9).threshold == 9
