@@ -54,6 +54,7 @@ from .sequence import (
 )
 
 EMPTY_SLOT = 0xFFFFFFFF
+# Rounds of the batched build; a key still pending after the last is skipped.
 EVICTION_LIMIT = 500
 
 _MAGIC = b"BIDX"
