@@ -14,6 +14,7 @@ from .compress import (
     CompressedStream,
     TokenKind,
     compress,
+    compress_records,
     compression_ratio,
     encode_groups,
     make_stream,
@@ -86,6 +87,7 @@ __all__ = [
     "TokenKind",
     "build_index",
     "compress",
+    "compress_records",
     "compression_ratio",
     "decompress",
     "decompress_record",

@@ -23,7 +23,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
-from .compress import CompressParams, TokenKind, compress, compression_ratio, encoded_size
+import numpy as np
+
+from .compress import CompressParams, TokenKind, compress_records, compression_ratio, encoded_sizes
 from .index import ReferenceIndex, build_index
 from .sequence import PackedSequence, load_sequences
 
@@ -236,15 +238,15 @@ def _run_one(
     try:
         params = CompressParams(k=k, s=s)
         started = time.perf_counter()
-        counts = {kind: 0 for kind in TokenKind}
-        total_bases = 0
-        total_bytes = 0
-        for target in dataset.targets_for_trial(trial):
-            result = compress(target, index, dataset.reference, params, use_prefilter=use_prefilter)
-            total_bases += result.n_bases
-            total_bytes += encoded_size(result.kinds, params)
-            for kind, n in result.kind_counts().items():
-                counts[kind] += n
+        results = compress_records(
+            dataset.targets_for_trial(trial), index, dataset.reference, params,
+            use_prefilter=use_prefilter,
+        )
+        kinds = [result.kinds for result in results]
+        total_bases = sum(result.n_bases for result in results)
+        total_bytes = int(encoded_sizes(kinds, params).sum())
+        joined = np.concatenate([np.zeros(0, np.uint8), *kinds])
+        counts = np.bincount(joined, minlength=len(TokenKind)).tolist()
         elapsed = time.perf_counter() - started
         return SweepRow(
             dataset=dataset.name,

@@ -26,7 +26,13 @@ import numpy as np
 
 from . import __version__
 from .bench import DEFAULT_K_VALUES, DEFAULT_S_VALUES, SweepDataset, SweepSpec, run_sweep
-from .compress import CompressParams, CompressResult, compress, compression_ratio, encoded_size
+from .compress import (
+    CompressParams,
+    CompressResult,
+    compress_records,
+    compression_ratio,
+    encoded_sizes,
+)
 from .container import (
     DEFAULT_GRANULARITY,
     decompress_records,
@@ -149,24 +155,19 @@ def _compress_records(
     use_prefilter: bool,
     granularity: int,
 ) -> tuple[list[tuple[str, CompressResult]], int, int]:
-    records = []
-    total_bases = 0
-    total_group_bytes = 0
-    for rec in targets:
-        # Breaking chains at the chunk spacing keeps every chunk-index entry
-        # decodable with fresh state.
-        result = compress(
-            rec.seq,
-            index,
-            reference,
-            params,
-            use_prefilter=use_prefilter,
-            break_every_groups=granularity,
-        )
-        records.append((rec.id, result))
-        total_bases += result.n_bases
-        total_group_bytes += encoded_size(result.kinds, params)
-    return records, total_bases, total_group_bytes
+    # Breaking chains at the chunk spacing keeps every chunk-index entry
+    # decodable with fresh state.
+    results = compress_records(
+        [rec.seq for rec in targets],
+        index,
+        reference,
+        params,
+        use_prefilter=use_prefilter,
+        break_every_groups=granularity,
+    )
+    total_bases = sum(result.n_bases for result in results)
+    group_bytes = int(encoded_sizes([result.kinds for result in results], params).sum())
+    return [(rec.id, result) for rec, result in zip(targets, results)], total_bases, group_bytes
 
 
 def cmd_compress(args: argparse.Namespace, config: dict[str, str]) -> int:

@@ -7,8 +7,10 @@ verbatim and the scan advances by S. Since S divides k, every position the
 scan can visit is stride-aligned: all of them are hashed and probed at once
 with ``ReferenceIndex.probe`` before the scan, and the scan itself is a
 Python walk over the precomputed orientations and offsets, one integer step
-per token. Sixteen tokens share one 32-bit header holding a 2-bit kind code
-per token:
+per token. ``compress_records`` does this for many records with one probe,
+so that the cost follows bases rather than records; ``compress`` is its
+one-record case. Sixteen tokens share one 32-bit header holding a 2-bit kind
+code per token:
 
     00 verbatim      payload: S bases packed 2-bit (one u32 word when S=16)
     01 forward match payload: u32 reference offset
@@ -29,9 +31,11 @@ only statement of how many payload words and bases each kind stands for.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import Sequence
 
 import numpy as np
 
@@ -111,11 +115,37 @@ def compress(
     break_every_groups: int | None = None,
     stats: QueryStats | None = None,
 ) -> CompressResult:
-    """Tokenize ``target`` against ``reference`` via ``index``.
+    """Tokenize ``target`` against ``reference`` via ``index``: the one-record
+    case of ``compress_records``."""
+    return compress_records(
+        [target], index, reference, params,
+        use_prefilter=use_prefilter, break_every_groups=break_every_groups, stats=stats,
+    )[0]
+
+
+def compress_records(
+    targets: Sequence[PackedSequence],
+    index: ReferenceIndex,
+    reference: PackedSequence,
+    params: CompressParams | None = None,
+    *,
+    use_prefilter: bool = True,
+    break_every_groups: int | None = None,
+    stats: QueryStats | None = None,
+) -> list[CompressResult]:
+    """Tokenize each of ``targets`` against ``reference`` via ``index``.
 
     ``break_every_groups`` = G suppresses continuation chains across every
     G-group boundary so a chunk index can later enter the stream there with
     fresh decoder state.
+
+    All records share one probe and one verbatim gather. Their packed bytes
+    are joined with a zero gap of ceil(s / 4) bytes after each, so a record
+    starts on a byte and its window i starts i * s bases later. A probed
+    k-mer ends inside its record, and a verbatim window, which may run past
+    the record's end, reads only the record's zero padding bits and the gap.
+    The walk then runs over each record's slice of the outcome, with fresh
+    match state and group count at each record start.
     """
     if params is None:
         params = CompressParams(k=index.k)
@@ -125,70 +155,109 @@ def compress(
         raise ChecksumMismatch("index was built for a different reference")
     if break_every_groups is not None and break_every_groups < 1:
         raise ValueError("break_every_groups must be positive")
+    if not targets:
+        return []
 
     k, s = params.k, params.s
-    n = target.length
+    lengths = np.array([target.length for target in targets], dtype=np.int64)
+    gap = bytes((s + 3) // 4)
+    joined = gap.join([target.data for target in targets]) + gap
+    record_bytes = (lengths + 3) // 4 + len(gap)
+    origins = 4 * (np.cumsum(record_bytes) - record_bytes)
 
-    # Probe every stride-aligned window at once; the walk below only reads
-    # the outcome. Window i starts at base i * s.
-    n_windows = (n + s - 1) // s
-    positions = np.arange(0, n - k + 1, s, dtype=np.int64)
-    found = index.probe(reference, target.data, positions, use_prefilter=use_prefilter)
-    # Windows too close to the end for a k-mer stay unmatched (orientation 0).
-    # The walk indexes bytes and memoryviews, which hand out Python ints
-    # without holding one object per window.
-    orientation = np.zeros(n_windows, dtype=np.uint8)
-    orientation[: positions.size] = found.orientation
-    orientations = orientation.tobytes()
-    offsets = memoryview(found.offset)
+    # Window i of a record starts at base i * s. Windows too close to its end
+    # for a k-mer are not probed and stay unmatched (orientation 0).
+    n_windows = (lengths + s - 1) // s
+    n_probed = np.where(lengths >= k, (lengths - k) // s + 1, 0)
+    first_probed = np.cumsum(n_probed) - n_probed
+    record, window = ragged_arange(n_windows)
+    starts = origins[record] + window * s
+    probed = window < n_probed[record]
+    # No per-window int64 array outlives its use: with the probe's chunks,
+    # they set the peak memory of a command's compress.
+    del record, window
 
-    # Verbatim payload words of every stride-aligned window, precomputed:
-    # window i's words are vb_words[i * wv : (i + 1) * wv]. Bases past the
-    # target's end read as zero.
+    # Verbatim payload words of every window: window i's words are
+    # vb_words[i * wv : (i + 1) * wv]. Bases past a record's end read as zero.
     wv = params.words_per_verbatim
-    vb_bytes = np.zeros((n_windows, WORD_BYTES * wv), dtype=np.uint8)
-    vb_bytes[:, : (s + 3) // 4] = packed_kmers(target.data, np.arange(0, n, s), s)
-    vb_words = memoryview(vb_bytes.view("<u4").astype(np.uint32, copy=False).ravel())
+    vb_bytes = np.zeros((starts.size, WORD_BYTES * wv), dtype=np.uint8)
+    vb_bytes[:, : (s + 3) // 4] = packed_kmers(joined, starts, s)
+    vb_words = array("I", vb_bytes.view("<u4").astype(np.uint32, copy=False).tobytes())
+
+    positions = starts[probed]
+    del starts
+    found = index.probe(reference, joined, positions, use_prefilter=use_prefilter)
+    # The walk indexes bytes and memoryviews, which hand out Python ints
+    # without holding one object per window, and collects words in an array
+    # of u32, which holds no object per word.
+    orientation = np.zeros(probed.size, dtype=np.uint8)
+    orientation[probed] = found.orientation
+    orientations = orientation.tobytes()
+    offset = np.zeros(probed.size, dtype=np.uint32)
+    offset[probed] = found.offset
+    offsets = memoryview(offset)
 
     verbatim = TokenKind.VERBATIM.value
     continuation = TokenKind.CONTINUATION.value
     forward = Orientation.FORWARD.value
     kinds = bytearray()
-    words: list[int] = []
-    # The last match's orientation and the offset a continuation would have;
-    # kept across verbatim runs. A reverse chain that reaches offset 0 expects
-    # a negative offset, which no match has: the next match starts fresh.
-    last = expected = None
+    words = array("I")
+    token_ends: list[int] = []
+    word_ends: list[int] = []
     break_tokens = GROUP_SLOTS * break_every_groups if break_every_groups else 0
     match_step = k // s
 
-    i = 0
-    while i < n_windows:
-        if break_tokens and len(kinds) % break_tokens == 0:
-            last = expected = None
-        o = orientations[i]
-        if not o:
-            kinds.append(verbatim)
-            words += vb_words[i * wv : i * wv + wv]
-            i += 1
-            continue
-        off = offsets[i]
-        if o == last and off == expected:
-            kinds.append(continuation)
-        else:
-            kinds.append(o)  # Orientation values are the match kind codes
-            words.append(off)
-        last, expected = o, (off + k if o == forward else off - k)
-        i += match_step
+    window_ends = np.cumsum(n_windows).tolist()
+    for i, end in zip([0, *window_ends], window_ends):
+        # The last match's orientation and the offset a continuation would
+        # have; kept across verbatim runs. A reverse chain that reaches offset
+        # 0 expects a negative offset, which no match has: the next match
+        # starts fresh.
+        last = expected = None
+        next_break = len(kinds) + break_tokens
+        while i < end:
+            if break_tokens and len(kinds) == next_break:
+                last = expected = None
+                next_break += break_tokens
+            o = orientations[i]
+            if not o:
+                kinds.append(verbatim)
+                words += vb_words[i * wv : i * wv + wv]
+                i += 1
+                continue
+            off = offsets[i]
+            if o == last and off == expected:
+                kinds.append(continuation)
+            else:
+                kinds.append(o)  # Orientation values are the match kind codes
+                words.append(off)
+            last, expected = o, (off + k if o == forward else off - k)
+            i += match_step
+        token_ends.append(len(kinds))
+        word_ends.append(len(words))
 
     kinds = np.frombuffer(kinds, dtype=np.uint8)
+    words = np.frombuffer(words, dtype=np.uint32).astype("<u4")
+    n_tokens = np.diff(token_ends, prepend=0)
     if stats is not None:
         # Charge only the windows the walk probed: those a token starts at.
-        bases = params.kind_bases[kinds]
-        starts = np.cumsum(bases) - bases
-        found.count(starts[starts <= n - k] // s, stats)
+        before = np.append(0, np.cumsum(params.kind_bases[kinds]))  # bases before each token
+        record, _ = ragged_arange(n_tokens)
+        at = before[:-1] - before[np.array(token_ends) - n_tokens][record]  # in its record
+        used = at <= lengths[record] - k
+        found.count(first_probed[record[used]] + at[used] // s, stats)
 
-    return CompressResult(kinds=kinds, words=np.array(words, dtype="<u4"), n_bases=n)
+    bounds = zip([0, *token_ends], token_ends, [0, *word_ends], word_ends, lengths.tolist())
+    return [
+        CompressResult(kinds=kinds[a:b], words=words[c:d], n_bases=n)
+        for a, b, c, d, n in bounds
+    ]
+
+
+def ragged_arange(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For runs of ``counts[r]`` items: each item's run ``r`` and its index in the run."""
+    run = np.repeat(np.arange(counts.size), counts)
+    return run, np.arange(run.size) - (np.cumsum(counts) - counts)[run]
 
 
 def _padded(kinds: np.ndarray) -> np.ndarray:
@@ -212,10 +281,58 @@ def encode_groups(kinds: np.ndarray, words: np.ndarray, params: CompressParams) 
     return np.insert(payload, np.cumsum(group_words) - group_words, headers).tobytes()
 
 
-def encoded_size(kinds: np.ndarray, params: CompressParams) -> int:
-    """Byte length of ``encode_groups`` output for these token kinds."""
-    n_words = group_count(kinds.size) + int(params.kind_words[_padded(kinds)].sum())
-    return WORD_BYTES * n_words
+def encode_records(results: Sequence[CompressResult], params: CompressParams) -> list[bytes]:
+    """Each result's ``encode_groups`` bytes, from one ``encode_groups`` call.
+
+    Each record's kinds are padded to whole groups and its words followed by
+    its padding's zero words, so the joined stream's groups are the records'
+    groups in order, and it splits at the records' ``encoded_sizes``.
+    """
+    kinds = [result.kinds for result in results]
+    tokens, groups, payload, record_words = _stream_shapes(kinds, params)
+    got = np.array([result.words.size for result in results], dtype=np.int64)
+    bad = np.flatnonzero(payload != got)
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(
+            f"record {i}: token kinds require {payload[i]} payload words, got {got[i]}"
+        )
+    padded = np.full(GROUP_SLOTS * int(groups.sum()), TokenKind.VERBATIM.value, dtype=np.uint8)
+    record, token = ragged_arange(tokens)
+    padded[(GROUP_SLOTS * (np.cumsum(groups) - groups))[record] + token] = np.concatenate(
+        [np.zeros(0, np.uint8), *kinds]
+    )
+    words = np.zeros(int(record_words.sum()), dtype="<u4")  # padding words stay 0
+    record, word = ragged_arange(payload)
+    words[(np.cumsum(record_words) - record_words)[record] + word] = np.concatenate(
+        [np.zeros(0, np.uint32), *(result.words for result in results)]
+    )
+    data = encode_groups(padded, words, params)
+    ends = np.cumsum(WORD_BYTES * (groups + record_words)).tolist()
+    return [data[a:b] for a, b in zip([0, *ends], ends)]
+
+
+def encoded_sizes(kinds: Sequence[np.ndarray], params: CompressParams) -> np.ndarray:
+    """Byte length of ``encode_groups`` output for each record's token kinds."""
+    _, groups, _, record_words = _stream_shapes(kinds, params)
+    return WORD_BYTES * (groups + record_words)
+
+
+def _stream_shapes(kinds: Sequence[np.ndarray], params: CompressParams):
+    """Each record's token count, group count, payload words of its tokens,
+    and payload words with those of its final group's padding."""
+    tokens = np.array([k.size for k in kinds], dtype=np.int64)
+    groups = (tokens + GROUP_SLOTS - 1) // GROUP_SLOTS
+    payload = record_sums(params.kind_words, kinds)
+    padding = params.words_per_verbatim * (GROUP_SLOTS * groups - tokens)
+    return tokens, groups, payload, payload + padding
+
+
+def record_sums(per_kind: np.ndarray, kinds: Sequence[np.ndarray]) -> np.ndarray:
+    """Each record's sum of ``per_kind[kind]`` over its token ``kinds``."""
+    ends = np.cumsum([k.size for k in kinds], dtype=np.int64)
+    sums = np.append(0, np.cumsum(per_kind[np.concatenate([np.zeros(0, np.uint8), *kinds])]))
+    return np.diff(sums[ends], prepend=0)
 
 
 def group_count(n_tokens: int) -> int:

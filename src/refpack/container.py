@@ -34,7 +34,7 @@ import zlib
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Union
+from typing import BinaryIO, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -45,8 +45,10 @@ from .compress import (
     CompressResult,
     CompressedStream,
     TokenKind,
-    encode_groups,
+    encode_records,
     group_count,
+    ragged_arange,
+    record_sums,
 )
 from .decompress import decode_group, decompress_streams
 from .errors import ChecksumMismatch, CorruptContainer, CorruptStream
@@ -93,41 +95,56 @@ class ChunkIndex:
 
 
 def build_chunk_index(
-    kinds: np.ndarray, granularity: int, params: CompressParams
-) -> ChunkIndex:
-    """One entry per ``granularity`` groups, at chain-free positions only.
+    kinds: Sequence[np.ndarray], granularity: int, params: CompressParams
+) -> list[ChunkIndex]:
+    """Each record's chunk index: one entry per ``granularity`` groups of its
+    token ``kinds``, at chain-free positions only.
 
     A boundary is an entry point when decoding from it with fresh state never
     hits a continuation before the first full match token, which is exactly
-    what the compressor's break mode guarantees.
+    what the compressor's break mode guarantees. All records are indexed
+    from one cumulative sum over their joined kinds.
     """
     if granularity < 1:
         raise ValueError("granularity must be positive")
     step = GROUP_SLOTS * granularity
+    sizes = np.array([k.size for k in kinds], dtype=np.int64)
+    ends = np.cumsum(sizes)
+    firsts = ends - sizes
+    joined = np.concatenate([np.zeros(0, np.uint8), *kinds])
+    # Each record's boundaries, at least its origin (that of an empty record
+    # included), as record-local and joined token positions.
+    record, boundary = ragged_arange(np.maximum(1, (sizes + step - 1) // step))
+    local = boundary * step
+    at = firsts[record] + local
     # A boundary is chain-free when the first non-verbatim token at or after
-    # it is a match, or when there is none.
-    if kinds.size <= step:
-        # Token 0 is the only candidate, and it sits at the origin.
-        first = kinds[kinds != TokenKind.VERBATIM.value][:1]
-        origin = () if (first == TokenKind.CONTINUATION.value).any() else (0,)
-        return ChunkIndex(granularity, origin, origin, origin)
-    starts = np.arange(0, kinds.size, step)
-    non_verbatim = np.flatnonzero(kinds != TokenKind.VERBATIM.value)
-    free = np.append(kinds[non_verbatim] != TokenKind.CONTINUATION.value, True)
-    at = starts[free[np.searchsorted(non_verbatim, starts)]]
-    groups = at // GROUP_SLOTS
-    words = _sums_before(params.kind_words[kinds], at)
-    return ChunkIndex(
-        granularity,
-        tuple(_sums_before(params.kind_bases[kinds], at).tolist()),
-        tuple(groups.tolist()),
-        tuple((WORD_BYTES * (groups + words)).tolist()),
+    # it in its record is a match, or when there is none.
+    non_verbatim = np.flatnonzero(joined != TokenKind.VERBATIM.value)
+    after = np.searchsorted(non_verbatim, at)
+    free = np.append(joined[non_verbatim] != TokenKind.CONTINUATION.value, True)[after]
+    free |= np.append(non_verbatim, joined.size)[after] >= ends[record]
+    record, local, at = record[free], local[free], at[free]
+    groups = local // GROUP_SLOTS
+    words = _sums_before(params.kind_words[joined], at, firsts[record])
+    bases, groups, byte_offsets = (
+        tuple(column.tolist())
+        for column in (
+            _sums_before(params.kind_bases[joined], at, firsts[record]),
+            groups,
+            WORD_BYTES * (groups + words),
+        )
     )
+    cuts = np.cumsum(np.bincount(record, minlength=sizes.size)).tolist()
+    return [
+        ChunkIndex(granularity, bases[a:b], groups[a:b], byte_offsets[a:b])
+        for a, b in zip([0, *cuts], cuts)
+    ]
 
 
-def _sums_before(per_token: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """``per_token[:i].sum()`` for each ``i`` in ``at``."""
-    return np.concatenate([[0], np.cumsum(per_token)])[at]
+def _sums_before(per_token: np.ndarray, at: np.ndarray, origin: np.ndarray) -> np.ndarray:
+    """``per_token[o:i].sum()`` for each ``i`` in ``at`` and ``o`` in ``origin``."""
+    sums = np.concatenate([[0], np.cumsum(per_token)])
+    return sums[at] - sums[origin]
 
 
 @dataclass
@@ -182,10 +199,12 @@ def write_container(
     if len(ref_checksum) != 32:
         raise ValueError("ref_checksum must be 32 bytes")
 
-    specs = []
-    for rec_id, result in records:
-        kinds, n_bases = result.kinds, result.n_bases
-        raw = int(params.kind_bases[kinds].sum())
+    records = list(records)
+    results = [result for _, result in records]
+    kinds = [result.kinds for result in results]
+    rids = []
+    for (rec_id, result), raw in zip(records, record_sums(params.kind_bases, kinds).tolist()):
+        n_bases = result.n_bases
         if not (0 <= raw - n_bases < params.s) and not (raw == 0 and n_bases == 0):
             raise ValueError(
                 f"record {rec_id!r}: token stream yields {raw} bases, "
@@ -194,19 +213,19 @@ def write_container(
         rid = rec_id.encode("utf-8")
         if len(rid) > 0xFFFF:
             raise ValueError(f"record id too long: {len(rid)} bytes")
-        group_bytes = encode_groups(kinds, result.words, params)
-        cindex = build_chunk_index(kinds, granularity, params)
-        specs.append((rid, n_bases, group_count(kinds.size), group_bytes, cindex))
+        rids.append(rid)
+    encoded = encode_records(results, params)
+    cindexes = build_chunk_index(kinds, granularity, params)
 
     table = bytearray()
     regions = bytearray()
     blob = bytearray()
     # Record table sized first so absolute offsets are known.
-    table_len = sum(2 + len(rid) + 24 for rid, *_ in specs)
+    table_len = sum(2 + len(rid) + 24 for rid in rids)
     cursor = HEADER_LEN + table_len
-    for rid, n_bases, n_groups, group_bytes, cindex in specs:
+    for rid, result, group_bytes, cindex in zip(rids, results, encoded, cindexes):
         table += _ID_LEN.pack(len(rid)) + rid
-        table += _RECORD.pack(n_bases, n_groups, cursor)
+        table += _RECORD.pack(result.n_bases, group_count(result.kinds.size), cursor)
         regions += group_bytes
         regions += _CRC.pack(zlib.crc32(group_bytes))
         cursor += len(group_bytes) + 4
@@ -220,7 +239,7 @@ def write_container(
 
     index_blob_offset = HEADER_LEN + table_len + len(regions)
     fixed = _FIXED.pack(
-        MAGIC, VERSION, params.k, params.s, ref_checksum, len(specs), index_blob_offset
+        MAGIC, VERSION, params.k, params.s, ref_checksum, len(rids), index_blob_offset
     )
     meta_crc = zlib.crc32(fixed + bytes(table))
     payload = fixed + _CRC.pack(meta_crc) + bytes(table) + bytes(regions) + bytes(blob)

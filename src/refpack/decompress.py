@@ -35,7 +35,7 @@ import numpy as np
 
 from .compress import GROUP_SLOTS, WORD_BYTES, CompressParams, CompressedStream, TokenKind
 from .errors import ChecksumMismatch, CorruptStream
-from .sequence import PackedSequence, packed_kmers, sequence_checksum, unpack_rows
+from .sequence import PackedSequence, pack_code_runs, packed_kmers, sequence_checksum, unpack_rows
 
 # (group bytes, group count, ordinal of the first group); the first group is
 # a chain-free entry point: a stream start or a chunk-index entry.
@@ -211,7 +211,6 @@ def decompress_streams(
     parts, _ = decode_group(
         [(stream.data, stream.n_groups, 0) for stream in streams], reference, params
     )
-    out = []
     for stream, codes in zip(streams, parts):
         if codes.size < stream.n_bases:
             raise CorruptStream(
@@ -222,8 +221,7 @@ def decompress_streams(
                 f"stream yields {codes.size} bases, more than padding allows for "
                 f"footer count {stream.n_bases}"
             )
-        out.append(PackedSequence.from_codes(codes[: stream.n_bases]))
-    return out
+    return pack_code_runs([codes[: stream.n_bases] for stream, codes in zip(streams, parts)])
 
 
 def decompress(stream: CompressedStream, reference: PackedSequence) -> PackedSequence:

@@ -64,8 +64,9 @@ _HEADER = struct.Struct("<4sHHIQQQ32s")
 # slot and low word the key, so that sorting the u64 orders slot, then key.
 _CLAIM = np.dtype([("key", "<u4"), ("slot", "<u4")])
 # Positions per step of the array probe, which bounds its packed rows and
-# hashes of target and reference k-mers.
-_PROBE_CHUNK = 1 << 14
+# hashes of target and reference k-mers. A probe covers every record of a
+# command, so this bounds the transient memory of compress on any input.
+_PROBE_CHUNK = 1 << 13
 # Indexed by the first verified probe (4 = none): its orientation code and
 # the number of probes made up to and including it.
 _PROBE_ORIENTATION = np.array([1, 1, 2, 2, 0], dtype=np.uint8)
@@ -250,6 +251,8 @@ class ReferenceIndex:
             result.probes[part] = _PROBES_MADE[first]
             if use_prefilter:
                 result.prefilter_rejects[part] = (rejected & (_PROBE_ROWS < first)).sum(axis=0)
+            # Free this chunk's rows before the next chunk makes its own.
+            del messages, slot, offsets, live, probe_no, rows, ref_kmers, wanted, verified
         return result
 
     def query(

@@ -48,14 +48,22 @@ _UNPACK_SHIFTS = np.arange(0, 8, 2, dtype=np.uint8)
 
 
 def _pack_code_array(codes: np.ndarray) -> bytes:
-    """Pack an array of 2-bit codes, four per byte, base 0 in the low bits."""
-    n = codes.size
-    pad = (-n) % 4
-    if pad:
-        codes = np.concatenate([codes, np.zeros(pad, dtype=np.uint8)])
-    quad = codes.reshape(-1, 4)
-    packed = quad[:, 0] | (quad[:, 1] << 2) | (quad[:, 2] << 4) | (quad[:, 3] << 6)
-    return packed.astype(np.uint8).tobytes()
+    """Pack an array of 2-bit codes, four per byte, base 0 in the low bits.
+
+    Codes c0..c3 read as one little-endian word q hold cj at bit 8j. Then
+    q | q >> 6 holds c1 at bit 2 and c3 at bit 18, and OR-ing that with itself
+    shifted down by 12 moves c2 and c3 to bits 4 and 6. No other code lands in
+    the low byte, since every code is below 4. A last partial byte is packed
+    on its own.
+    """
+    whole = codes.size - codes.size % 4
+    q = np.ascontiguousarray(codes[:whole]).view("<u4")
+    q = q | (q >> 6)
+    q |= q >> 12
+    packed = q.astype(np.uint8).tobytes()
+    if whole < codes.size:
+        packed += bytes([sum(c << 2 * j for j, c in enumerate(codes[whole:].tolist()))])
+    return packed
 
 
 # packed byte -> a word whose four bytes are its 2-bit codes, base 0 first
@@ -203,6 +211,26 @@ class PackedSequence:
         head = _unpack_ascii(self.data[:6], min(self.length, 24))
         head = head if self.length <= 24 else head[:21] + "..."
         return f"PackedSequence({head!r}, length={self.length})"
+
+
+def pack_code_runs(runs: Sequence[np.ndarray]) -> list[PackedSequence]:
+    """A ``PackedSequence`` of each run of base codes, packed in one pass.
+
+    Each run is padded with zero codes to a multiple of 4 bases, so that it
+    starts on a byte of the one packed buffer. Unlike ``from_codes``, this
+    does not check that the codes are 0-3: it is for codes that refpack
+    itself produced, such as a decoder's output.
+    """
+    padded = [(run.size + 3) // 4 * 4 for run in runs]
+    starts = np.cumsum([0, *padded]).tolist()
+    joined = np.zeros(starts[-1], dtype=np.uint8)
+    for run, start in zip(runs, starts):
+        joined[start : start + run.size] = run
+    data = _pack_code_array(joined)
+    return [
+        PackedSequence(data[start // 4 : (start + size) // 4], run.size)
+        for run, start, size in zip(runs, starts, padded)
+    ]
 
 
 def pack_bases(text: str | bytes) -> PackedSequence:

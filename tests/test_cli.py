@@ -1,12 +1,20 @@
+import hashlib
+import io
+
 import numpy as np
 import pytest
 
 from refpack import (
+    CompressParams,
     MutationProfile,
+    ReferenceIndex,
+    compress,
     decompress_record,
     mutate,
+    random_reads,
     read_container,
     read_fasta,
+    write_container,
     write_fasta,
 )
 from refpack.cli import load_config, main
@@ -98,6 +106,53 @@ def test_decompress_matches_record_by_record(work, capsys, tmp_path):
     write_fasta([(rec.id, decompress_record(box, rec, ref)) for rec in box.records], expected)
     assert len(box.records) == 2
     assert out.read_bytes() == expected.read_bytes()
+
+
+# SHA-256 of the container that the CLI ``compress`` writes for
+# ``many_records``; it was written by the path that compressed and encoded
+# one record at a time, so batching all records must not change a byte.
+MANY_RECORDS_BNC_SHA256 = "590dafd8be253a9c395a8ad6129ed90954cc0a83bfeb68a7c848608887fbb6b8"
+
+
+def many_records(rng, ref):
+    """Reads of every length from below k to past a group, on both strands and
+    with errors, lengths on and off multiples of 4, plus long and unrelated
+    records and a record shorter than k."""
+    lengths = [5, 31, 32, 33, 34, 35, 36, 64, 65, 199, 200, 201, 202, 203, 257, 1_000]
+    records = []
+    for n in lengths:
+        for rc in (0.0, 1.0):
+            (read,) = random_reads(ref, 1, n, MutationProfile(snp=0.02), rng, rc_fraction=rc)
+            records.append((f"r{len(records)}_{n}", read))
+    records += [
+        ("long", mutate(ref, MutationProfile(snp=0.01, insertion=0.001, deletion=0.001), rng)),
+        ("unrelated", random_sequence(300, rng)),
+        ("tiny", random_sequence(3, rng)),
+    ]
+    return records
+
+
+def test_compress_many_records_bytes_unchanged(work, tmp_path):
+    root, ref, _ = work
+    records = many_records(np.random.default_rng(0xB17), ref)
+    write_fasta(records, tmp_path / "many.fa")
+    assert main([
+        "compress", "--reference", str(root / "ref.fa"),
+        "--index", str(root / "ref.bidx"),
+        "--target", str(tmp_path / "many.fa"),
+        "--granularity", "1", "--out", str(tmp_path / "many.bnc"),
+    ]) == 0
+    data = (tmp_path / "many.bnc").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == MANY_RECORDS_BNC_SHA256
+    index = ReferenceIndex.load(root / "ref.bidx")
+    params = CompressParams(k=32, s=16)
+    one_by_one = [
+        (rec_id, compress(seq, index, ref, params, break_every_groups=1))
+        for rec_id, seq in records
+    ]
+    buf = io.BytesIO()
+    write_container(one_by_one, params, index.ref_checksum, buf, granularity=1)
+    assert buf.getvalue() == data
 
 
 def test_compress_stdout_summary(work, capsys, tmp_path):

@@ -7,17 +7,20 @@ from hypothesis import strategies as st
 
 from refpack import (
     CompressParams,
+    CompressResult,
     MutationProfile,
     TokenKind,
     build_index,
     compress,
+    compress_records,
     compression_ratio,
     encode_groups,
     make_stream,
     mutate,
     random_sequence,
 )
-from refpack.compress import GROUP_SLOTS, encoded_size, group_count
+import refpack.index as index_mod
+from refpack.compress import GROUP_SLOTS, encode_records, encoded_sizes, group_count
 from refpack.container import build_chunk_index
 from refpack.decompress import decompress
 from refpack.errors import ChecksumMismatch
@@ -152,7 +155,7 @@ def test_encode_groups_matches_reference(n, s, seed):
     words = rng.integers(0, 2**32, int(params.kind_words[kinds].sum())).astype("<u4")
     data = encode_groups(kinds, words, params)
     assert data == encode_groups_reference(kinds, words, params)
-    assert encoded_size(kinds, params) == len(data)
+    assert encoded_sizes([kinds], params).tolist() == [len(data)]
 
 
 def test_compression_ratio():
@@ -260,7 +263,7 @@ def test_break_every_groups_clears_state(reference, index64, params):
     # at every 16-token boundary the chain restarts: a match, not continuation
     assert (res.kinds[::GROUP_SLOTS] != TokenKind.CONTINUATION).all()
     # so every group boundary is a chunk-index entry point
-    ci = build_chunk_index(res.kinds, 1, params)
+    ci = build_chunk_index([res.kinds], 1, params)[0]
     assert len(ci.entries) == group_count(res.kinds.size)
     assert ci.base_offsets[0] == 0
     assert ci.base_offsets == tuple(sorted(ci.base_offsets))
@@ -458,3 +461,74 @@ def test_index_longer_than_reference_k():
     )
     assert stats == expected_stats and stats.hits == 0 and stats.verify_failures > 0
     assert decompress(make_stream(res, params, crafted.ref_checksum), short) == target
+
+
+def mixed_records(reference, k, rng):
+    """Empty records, records shorter than k and of exactly k and k + 1 bases,
+    lengths on and off multiples of 4 (the last verbatim window of a record
+    whose length is a multiple of 4 ends at its last byte), long records, and
+    records that go on where the one before them left off in the reference,
+    on either strand, so a record whose match state leaked into the next
+    would read a continuation."""
+    ref = reference.codes()
+    records = [
+        pack_bases(""),
+        PackedSequence.from_codes(ref[4000 : 4000 + 2 * k]),
+        PackedSequence.from_codes(ref[4000 + 2 * k : 4000 + 4 * k]),
+        reverse_complement_sequence(PackedSequence.from_codes(ref[4200 : 4200 + 2 * k])),
+        reverse_complement_sequence(PackedSequence.from_codes(ref[4200 - 2 * k : 4200])),
+    ]
+    for n in (1, 3, k - 1, k, k + 1, k + 2, k + 3, k + 4, 2 * k + 5, 200, 203):
+        start = int(rng.integers(0, reference.length - n))
+        piece = PackedSequence.from_codes(ref[start : start + n])
+        records.append(piece if n % 2 else reverse_complement_sequence(piece))
+    records += [
+        pack_bases(""),
+        oracle_target(reference, rng),
+        random_sequence(97, rng),
+        mutate(PackedSequence.from_codes(ref[3000:9000]), MutationProfile(snp=0.02), rng),
+        pack_bases(""),
+    ]
+    return records + edge_targets(reference, k)
+
+
+@pytest.mark.parametrize("s", [4, 16, 32])
+@pytest.mark.parametrize("break_every_groups", [None, 1])
+@pytest.mark.parametrize("use_prefilter", [True, False])
+def test_compress_records_matches_per_record(reference, index32, s, break_every_groups,
+                                             use_prefilter, monkeypatch):
+    """One probe over all records gives each record's own tokens and charges
+    the same probes, also when a probe chunk ends inside a record."""
+    monkeypatch.setattr(index_mod, "_PROBE_CHUNK", 7)
+    params = CompressParams(k=32, s=s)
+    records = mixed_records(reference, 32, np.random.default_rng(s))
+    options = dict(use_prefilter=use_prefilter, break_every_groups=break_every_groups)
+    stats = QueryStats()
+    batched = compress_records(records, index32, reference, params, stats=stats, **options)
+    assert len(batched) == len(records)
+    expected_stats, oracle_stats = QueryStats(), QueryStats()
+    for target, res in zip(records, batched):
+        one = compress(target, index32, reference, params, stats=expected_stats, **options)
+        assert res.kinds.tolist() == one.kinds.tolist()
+        assert res.words.tolist() == one.words.tolist()
+        assert res.n_bases == one.n_bases == target.length
+        assert (res.kinds.tolist(), res.words.tolist()) == compress_by_position(
+            target, index32, reference, params, stats=oracle_stats, **options
+        )
+    assert stats == expected_stats == oracle_stats
+    assert compress_records([], index32, reference, params) == []
+
+
+def test_encode_records_matches_encode_groups(reference, index32):
+    params = CompressParams(k=32, s=16)
+    results = compress_records(
+        mixed_records(reference, 32, np.random.default_rng(5)), index32, reference, params
+    )
+    encoded = encode_records(results, params)
+    assert encoded == [encode_groups(r.kinds, r.words, params) for r in results]
+    sizes = encoded_sizes([r.kinds for r in results], params).tolist()
+    assert sizes == [len(data) for data in encoded]
+    assert encode_records([], params) == []
+    bad = [results[1], CompressResult(results[2].kinds, results[2].words[:-1], 0)]
+    with pytest.raises(ValueError, match="record 1: token kinds require"):
+        encode_records(bad, params)

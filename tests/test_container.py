@@ -185,13 +185,13 @@ def test_write_rejects_inconsistent_base_count(reference):
 
 def test_chunk_index_empty_tokens_has_origin():
     params = CompressParams(k=64, s=16)
-    ci = build_chunk_index(kinds_of(), 4, params)
+    ci = build_chunk_index([kinds_of()], 4, params)[0]
     assert ci.entries == [(0, 0, 0)]
 
 
 def test_chunk_index_all_verbatim_arithmetic():
     params = CompressParams(k=64, s=16)
-    ci = build_chunk_index(kinds_of(*[V] * 64), 2, params)
+    ci = build_chunk_index([kinds_of(*[V] * 64)], 2, params)[0]
     # Boundary every 32 tokens; 32 verbatims = 512 bases, 2 headers + 32
     # payload words = 136 bytes.
     assert ci.entries == [(0, 0, 0), (512, 2, 136)]
@@ -202,7 +202,7 @@ def test_chunk_index_dense_under_break_mode(reference, index64):
     rng = np.random.default_rng(7)
     target = mutate(reference, MutationProfile(snp=0.02), rng)
     result = compress(target, index64, reference, params, break_every_groups=3)
-    ci = build_chunk_index(result.kinds, 3, params)
+    ci = build_chunk_index([result.kinds], 3, params)[0]
     boundaries = -(-result.kinds.size // (16 * 3))
     assert len(ci.entries) == boundaries
     assert ci.base_offsets == tuple(sorted(ci.base_offsets))
@@ -210,17 +210,17 @@ def test_chunk_index_dense_under_break_mode(reference, index64):
 
 def test_chunk_index_skips_chained_boundaries():
     params = CompressParams(k=64, s=16)
-    ci = build_chunk_index(kinds_of(FM, *[C] * 31), 1, params)
+    ci = build_chunk_index([kinds_of(FM, *[C] * 31)], 1, params)[0]
     assert ci.entries == [(0, 0, 0)]
     # A full match at the boundary makes it usable again.
-    ci = build_chunk_index(kinds_of(*[FM] * 17, *[C] * 15), 1, params)
+    ci = build_chunk_index([kinds_of(*[FM] * 17, *[C] * 15)], 1, params)[0]
     assert ci.entries == [(0, 0, 0), (1024, 1, 68)]
 
 
 def test_chunk_index_verbatim_does_not_clear_chain():
     params = CompressParams(k=64, s=16)
     # Group 1 opens with a verbatim but still owes state to group 0's match.
-    ci = build_chunk_index(kinds_of(FM, *[C] * 15, V, *[C] * 15), 1, params)
+    ci = build_chunk_index([kinds_of(FM, *[C] * 15, V, *[C] * 15)], 1, params)[0]
     assert ci.entries == [(0, 0, 0)]
 
 
@@ -250,14 +250,52 @@ def test_chunk_index_matches_reference(n, granularity, s, seed):
     params = CompressParams(k=64, s=s)
     rng = np.random.default_rng(seed)
     kinds = rng.choice(4, n, p=rng.dirichlet(np.ones(4))).astype(np.uint8)
-    ci = build_chunk_index(kinds, granularity, params)
+    ci = build_chunk_index([kinds], granularity, params)[0]
     assert ci.entries == chunk_index_reference(kinds, granularity, params)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 120), max_size=6), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_chunk_index_of_many_records_matches_reference(sizes, granularity, seed):
+    """Records indexed together each get their own index: a record's origin
+    does not depend on the tokens of the record before it."""
+    params = CompressParams(k=64, s=16)
+    rng = np.random.default_rng(seed)
+    kinds = [rng.choice(4, n, p=rng.dirichlet(np.ones(4))).astype(np.uint8) for n in sizes]
+    got = [ci.entries for ci in build_chunk_index(kinds, granularity, params)]
+    assert got == [chunk_index_reference(k, granularity, params) for k in kinds]
+
+
+def test_write_container_batch_matches_record_by_record(reference, index64):
+    """Every record's group bytes, CRC and chunk index section are those of a
+    container holding that record alone, and its offsets follow the records
+    before it."""
+    params = CompressParams(k=64, s=16)
+    rng = np.random.default_rng(0xBA7)
+    ref = reference.codes()
+    targets = [
+        pack_bases(""), random_sequence(5, rng), random_sequence(64, rng),
+        PackedSequence.from_codes(ref[100:165]), PackedSequence.from_codes(ref[900:1100]),
+        PackedSequence.from_codes(ref[2000:2203]),
+        mutate(reference, MutationProfile(snp=0.01), rng),
+    ]
+    records = [(f"r{i}", compress(t, index64, reference, params, break_every_groups=2))
+               for i, t in enumerate(targets)]
+    batch = read_container(container_bytes(records, params, reference, granularity=2))
+    for record, one in zip(batch.records, records):
+        single = read_container(container_bytes([one], params, reference, granularity=2))
+        (alone,) = single.records
+        assert batch.group_bytes(record) == single.group_bytes(alone)
+        assert (record.id, record.n_bases, record.n_groups, record.region_size) == (
+            alone.id, alone.n_bases, alone.n_groups, alone.region_size
+        )
+        assert record.chunk_index == alone.chunk_index
 
 
 def test_chunk_index_validation():
     params = CompressParams(k=64, s=16)
     with pytest.raises(ValueError, match="granularity"):
-        build_chunk_index(kinds_of(), 0, params)
+        build_chunk_index([kinds_of()], 0, params)
     with pytest.raises(ValueError, match="granularity"):
         ChunkIndex(0, (0,), (0,), (0,))
 

@@ -66,6 +66,33 @@ def test_codes_match_ascii(text):
     assert bytes(CODE_TO_ASCII[c] for c in seq.codes()) == text.encode()
 
 
+def pack_code_array_reference(codes):
+    """The strided packer: pad to a multiple of 4, then OR the four code
+    columns into place. The reference for ``_pack_code_array``."""
+    pad = (-codes.size) % 4
+    if pad:
+        codes = np.concatenate([codes, np.zeros(pad, dtype=np.uint8)])
+    quad = codes.reshape(-1, 4)
+    packed = quad[:, 0] | (quad[:, 1] << 2) | (quad[:, 2] << 4) | (quad[:, 3] << 6)
+    return packed.astype(np.uint8).tobytes()
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 64), st.sampled_from([0, 1, 2, 3]), st.integers(0, 2**32 - 1),
+       st.booleans())
+def test_pack_code_array_matches_reference(quads, extra, seed, strided):
+    """Every length 0-3 mod 4, the empty input and non-contiguous input."""
+    codes = np.random.default_rng(seed).integers(0, 4, 2 * (4 * quads + extra), dtype=np.uint8)
+    codes = codes[::2] if strided else codes[: 4 * quads + extra]
+    assert sequence_mod._pack_code_array(codes) == pack_code_array_reference(codes)
+
+
+@given(st.lists(dna, max_size=8))
+def test_pack_code_runs_match_from_codes(texts):
+    runs = [pack_bases(text).codes() for text in texts]
+    assert sequence_mod.pack_code_runs(runs) == [PackedSequence.from_codes(r) for r in runs]
+
+
 def test_packed_sequence_validation():
     with pytest.raises(ValueError):
         PackedSequence(b"\xe4", 9)  # too few packed bytes
