@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
-import numpy as np
-
 from .compress import CompressParams, TokenKind, compress_records, compression_ratio, encoded_sizes
 from .index import ReferenceIndex, build_index
 from .sequence import PackedSequence, load_sequences
@@ -242,11 +240,9 @@ def _run_one(
             dataset.targets_for_trial(trial), index, dataset.reference, params,
             use_prefilter=use_prefilter,
         )
-        kinds = [result.kinds for result in results]
         total_bases = sum(result.n_bases for result in results)
-        total_bytes = int(encoded_sizes(kinds, params).sum())
-        joined = np.concatenate([np.zeros(0, np.uint8), *kinds])
-        counts = np.bincount(joined, minlength=len(TokenKind)).tolist()
+        total_bytes = int(encoded_sizes([result.kinds for result in results], params).sum())
+        counts = results.kind_counts()
         elapsed = time.perf_counter() - started
         return SweepRow(
             dataset=dataset.name,

@@ -26,13 +26,7 @@ import numpy as np
 
 from . import __version__
 from .bench import DEFAULT_K_VALUES, DEFAULT_S_VALUES, SweepDataset, SweepSpec, run_sweep
-from .compress import (
-    CompressParams,
-    CompressResult,
-    compress_records,
-    compression_ratio,
-    encoded_sizes,
-)
+from .compress import CompressParams, CompressResult, compress, compression_ratio, encoded_sizes
 from .container import (
     DEFAULT_GRANULARITY,
     decompress_records,
@@ -156,8 +150,9 @@ def _compress_records(
     granularity: int,
 ) -> tuple[list[tuple[str, CompressResult]], int, int]:
     # Breaking chains at the chunk spacing keeps every chunk-index entry
-    # decodable with fresh state.
-    results = compress_records(
+    # decodable with fresh state. All records go to one ``compress`` call,
+    # which is where perfbench's trace counts tokens and probes.
+    results = compress(
         [rec.seq for rec in targets],
         index,
         reference,

@@ -7,10 +7,10 @@ verbatim and the scan advances by S. Since S divides k, every position the
 scan can visit is stride-aligned: all of them are hashed and probed at once
 with ``ReferenceIndex.probe`` before the scan, and the scan itself is a
 Python walk over the precomputed orientations and offsets, one integer step
-per token. ``compress_records`` does this for many records with one probe,
-so that the cost follows bases rather than records; ``compress`` is its
-one-record case. Sixteen tokens share one 32-bit header holding a 2-bit kind
-code per token:
+per token. ``compress_records`` does this for many records with one probe
+per batch of records, so that the cost follows bases rather than records;
+``compress`` is its one-record case. Sixteen tokens share one 32-bit header
+holding a 2-bit kind code per token:
 
     00 verbatim      payload: S bases packed 2-bit (one u32 word when S=16)
     01 forward match payload: u32 reference offset
@@ -40,6 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ChecksumMismatch
+from . import index as index_module
 from .index import Orientation, QueryStats, ReferenceIndex
 from .sequence import PackedSequence, packed_kmers, sequence_checksum
 
@@ -105,8 +106,18 @@ class CompressResult:
         return Counter({TokenKind(kind): int(n) for kind, n in enumerate(counts) if n})
 
 
+class RecordResults(list):
+    """The ``CompressResult`` of each record of one ``compress_records`` call."""
+
+    def kind_counts(self) -> Counter:
+        counts = Counter()
+        for result in self:
+            counts.update(result.kind_counts())
+        return counts
+
+
 def compress(
-    target: PackedSequence,
+    target: PackedSequence | Sequence[PackedSequence],
     index: ReferenceIndex,
     reference: PackedSequence,
     params: CompressParams | None = None,
@@ -114,13 +125,14 @@ def compress(
     use_prefilter: bool = True,
     break_every_groups: int | None = None,
     stats: QueryStats | None = None,
-) -> CompressResult:
+) -> CompressResult | RecordResults:
     """Tokenize ``target`` against ``reference`` via ``index``: the one-record
-    case of ``compress_records``."""
-    return compress_records(
-        [target], index, reference, params,
-        use_prefilter=use_prefilter, break_every_groups=break_every_groups, stats=stats,
-    )[0]
+    case of ``compress_records``. A sequence of targets is passed on to
+    ``compress_records`` whole, and its ``RecordResults`` returned."""
+    options = dict(use_prefilter=use_prefilter, break_every_groups=break_every_groups, stats=stats)
+    if isinstance(target, PackedSequence):
+        return compress_records([target], index, reference, params, **options)[0]
+    return compress_records(target, index, reference, params, **options)
 
 
 def compress_records(
@@ -132,20 +144,19 @@ def compress_records(
     use_prefilter: bool = True,
     break_every_groups: int | None = None,
     stats: QueryStats | None = None,
-) -> list[CompressResult]:
+) -> RecordResults:
     """Tokenize each of ``targets`` against ``reference`` via ``index``.
 
     ``break_every_groups`` = G suppresses continuation chains across every
     G-group boundary so a chunk index can later enter the stream there with
     fresh decoder state.
 
-    All records share one probe and one verbatim gather. Their packed bytes
-    are joined with a zero gap of ceil(s / 4) bytes after each, so a record
-    starts on a byte and its window i starts i * s bases later. A probed
-    k-mer ends inside its record, and a verbatim window, which may run past
-    the record's end, reads only the record's zero padding bits and the gap.
-    The walk then runs over each record's slice of the outcome, with fresh
-    match state and group count at each record start.
+    Records go through in batches of about one probe chunk of stride
+    windows (``index._PROBE_CHUNK``); a record longer than that is a batch of
+    its own. The records of a batch share one probe and one verbatim gather,
+    and the batch's per-window arrays are freed before the next batch, so the
+    memory a call holds besides its results follows its longest record, not
+    its whole input.
     """
     if params is None:
         params = CompressParams(k=index.k)
@@ -156,10 +167,44 @@ def compress_records(
     if break_every_groups is not None and break_every_groups < 1:
         raise ValueError("break_every_groups must be positive")
     if not targets:
-        return []
+        return RecordResults()
 
-    k, s = params.k, params.s
+    s = params.s
     lengths = np.array([target.length for target in targets], dtype=np.int64)
+    n_windows = (lengths + s - 1) // s
+    # A record joins the batch of the probe chunk its first window falls in.
+    batch = (np.cumsum(n_windows) - n_windows) // index_module._PROBE_CHUNK
+    cuts = [0, *(np.flatnonzero(np.diff(batch)) + 1).tolist(), len(targets)]
+    results = RecordResults()
+    for a, b in zip(cuts, cuts[1:]):
+        results += _compress_batch(
+            targets[a:b], lengths[a:b], index, reference, params,
+            use_prefilter, break_every_groups, stats,
+        )
+    return results
+
+
+def _compress_batch(
+    targets: Sequence[PackedSequence],
+    lengths: np.ndarray,
+    index: ReferenceIndex,
+    reference: PackedSequence,
+    params: CompressParams,
+    use_prefilter: bool,
+    break_every_groups: int | None,
+    stats: QueryStats | None,
+) -> list[CompressResult]:
+    """``compress_records`` of one batch, with one probe and one gather.
+
+    The records' packed bytes are joined with a zero gap of ceil(s / 4) bytes
+    after each, so a record starts on a byte and its window i starts i * s
+    bases later. A probed k-mer ends inside its record, and a verbatim
+    window, which may run past the record's end, reads only the record's
+    zero padding bits and the gap. The walk then runs over each record's
+    slice of the outcome, with fresh match state and group count at each
+    record start.
+    """
+    k, s = params.k, params.s
     gap = bytes((s + 3) // 4)
     joined = gap.join([target.data for target in targets]) + gap
     record_bytes = (lengths + 3) // 4 + len(gap)
@@ -173,8 +218,6 @@ def compress_records(
     record, window = ragged_arange(n_windows)
     starts = origins[record] + window * s
     probed = window < n_probed[record]
-    # No per-window int64 array outlives its use: with the probe's chunks,
-    # they set the peak memory of a command's compress.
     del record, window
 
     # Verbatim payload words of every window: window i's words are

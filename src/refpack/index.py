@@ -64,8 +64,9 @@ _HEADER = struct.Struct("<4sHHIQQQ32s")
 # slot and low word the key, so that sorting the u64 orders slot, then key.
 _CLAIM = np.dtype([("key", "<u4"), ("slot", "<u4")])
 # Positions per step of the array probe, which bounds its packed rows and
-# hashes of target and reference k-mers. A probe covers every record of a
-# command, so this bounds the transient memory of compress on any input.
+# hashes of target and reference k-mers. ``compress_records`` batches records
+# by this many stride windows, so its per-window arrays hold about this many
+# windows, or one record's windows when that record is longer.
 _PROBE_CHUNK = 1 << 13
 # Indexed by the first verified probe (4 = none): its orientation code and
 # the number of probes made up to and including it.

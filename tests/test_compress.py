@@ -1,4 +1,5 @@
 import io
+from importlib import import_module
 
 import numpy as np
 import pytest
@@ -20,7 +21,13 @@ from refpack import (
     random_sequence,
 )
 import refpack.index as index_mod
-from refpack.compress import GROUP_SLOTS, encode_records, encoded_sizes, group_count
+from refpack.compress import (
+    GROUP_SLOTS,
+    RecordResults,
+    encode_records,
+    encoded_sizes,
+    group_count,
+)
 from refpack.container import build_chunk_index
 from refpack.decompress import decompress
 from refpack.errors import ChecksumMismatch
@@ -495,11 +502,13 @@ def mixed_records(reference, k, rng):
 @pytest.mark.parametrize("s", [4, 16, 32])
 @pytest.mark.parametrize("break_every_groups", [None, 1])
 @pytest.mark.parametrize("use_prefilter", [True, False])
+@pytest.mark.parametrize("chunk", [7, index_mod._PROBE_CHUNK])
 def test_compress_records_matches_per_record(reference, index32, s, break_every_groups,
-                                             use_prefilter, monkeypatch):
-    """One probe over all records gives each record's own tokens and charges
-    the same probes, also when a probe chunk ends inside a record."""
-    monkeypatch.setattr(index_mod, "_PROBE_CHUNK", 7)
+                                             use_prefilter, chunk, monkeypatch):
+    """One probe over a batch of records gives each record's own tokens and
+    charges the same probes, also when a probe chunk ends inside a record
+    and when the records go through in many batches."""
+    monkeypatch.setattr(index_mod, "_PROBE_CHUNK", chunk)
     params = CompressParams(k=32, s=s)
     records = mixed_records(reference, 32, np.random.default_rng(s))
     options = dict(use_prefilter=use_prefilter, break_every_groups=break_every_groups)
@@ -517,6 +526,55 @@ def test_compress_records_matches_per_record(reference, index32, s, break_every_
         )
     assert stats == expected_stats == oracle_stats
     assert compress_records([], index32, reference, params) == []
+
+
+# The package's ``compress`` function hides the module of that name.
+compress_mod = import_module("refpack.compress")
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_compress_records_batches_by_probe_chunk(reference, index32, chunk, monkeypatch):
+    """The records of a batch start within one probe chunk of windows, so a
+    batch's per-window arrays cover at most a chunk plus its last record."""
+    monkeypatch.setattr(index_mod, "_PROBE_CHUNK", chunk)
+    batches = []
+    real = compress_mod._compress_batch
+
+    def spy(targets, *args):
+        batches.append([target.length for target in targets])
+        return real(targets, *args)
+
+    monkeypatch.setattr(compress_mod, "_compress_batch", spy)
+    params = CompressParams(k=32, s=16)
+    records = mixed_records(reference, 32, np.random.default_rng(11))
+    results = compress_records(records, index32, reference, params)
+    assert [n for batch in batches for n in batch] == [t.length for t in records]
+    assert len(results) == len(records) and len(batches) > 1
+    for lengths in batches:
+        windows = [(n + params.s - 1) // params.s for n in lengths]
+        assert sum(windows[:-1]) < chunk
+
+
+def test_compress_takes_a_sequence_of_targets(reference, index32):
+    """``compress`` of several targets is ``compress_records`` of them, and the
+    ``RecordResults`` count the kinds of every record."""
+    params = CompressParams(k=32, s=16)
+    records = mixed_records(reference, 32, np.random.default_rng(9))
+    stats, expected_stats = QueryStats(), QueryStats()
+    many = compress(records, index32, reference, params, break_every_groups=1, stats=stats)
+    one_by_one = [
+        compress(t, index32, reference, params, break_every_groups=1, stats=expected_stats)
+        for t in records
+    ]
+    assert isinstance(many, RecordResults) and stats == expected_stats
+    assert [r.kinds.tolist() for r in many] == [r.kinds.tolist() for r in one_by_one]
+    assert [r.words.tolist() for r in many] == [r.words.tolist() for r in one_by_one]
+    totals = {kind: 0 for kind in TokenKind}
+    for result in one_by_one:
+        for kind, n in result.kind_counts().items():
+            totals[kind] += n
+    assert many.kind_counts() == {kind: n for kind, n in totals.items() if n}
+    assert compress([], index32, reference, params).kind_counts() == {}
 
 
 def test_encode_records_matches_encode_groups(reference, index32):
