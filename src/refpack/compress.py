@@ -39,8 +39,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ChecksumMismatch
 from . import index as index_module
+from .errors import ChecksumMismatch
 from .index import Orientation, QueryStats, ReferenceIndex
 from .sequence import PackedSequence, packed_kmers, sequence_checksum
 
