@@ -291,11 +291,11 @@ def cmd_shd_filter(args: argparse.Namespace, config: dict[str, str]) -> int:
     verdicts, summary = filter_stream(
         (a for a, _ in pairs), (b for _, b in pairs), cfg
     )
-    for (read, seg), verdict in zip(zip(reads, segments), verdicts):
-        print(
-            f"{read.id}\t{seg.id}\t{verdict.ones_count}\t"
-            f"{'accept' if verdict.accepted else 'reject'}"
-        )
+    sys.stdout.write("".join(
+        f"{read.id}\t{seg.id}\t{verdict.ones_count}\t"
+        f"{'accept' if verdict.accepted else 'reject'}\n"
+        for read, seg, verdict in zip(reads, segments, verdicts)
+    ))
     rate = 100.0 * summary.accept_rate
     _diag(
         f"{summary.pairs} pairs, {summary.accepted} accepted ({rate:.1f}%), "

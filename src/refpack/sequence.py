@@ -213,24 +213,35 @@ class PackedSequence:
         return f"PackedSequence({head!r}, length={self.length})"
 
 
+def _split_packed(codes: np.ndarray, lengths: Sequence[int]) -> list[PackedSequence]:
+    """Pack a buffer of runs of base codes in one pass and cut it per run.
+
+    Run i holds ``lengths[i]`` codes followed by zero codes up to a multiple
+    of 4, so that every run starts on a byte of the packed buffer. The codes
+    are not checked to be 0-3.
+    """
+    data = _pack_code_array(codes)
+    seqs = []
+    start = 0
+    for n in lengths:
+        stop = start + (n + 3) // 4
+        seqs.append(PackedSequence(data[start:stop], n))
+        start = stop
+    return seqs
+
+
 def pack_code_runs(runs: Sequence[np.ndarray]) -> list[PackedSequence]:
     """A ``PackedSequence`` of each run of base codes, packed in one pass.
 
-    Each run is padded with zero codes to a multiple of 4 bases, so that it
-    starts on a byte of the one packed buffer. Unlike ``from_codes``, this
-    does not check that the codes are 0-3: it is for codes that refpack
-    itself produced, such as a decoder's output.
+    Unlike ``from_codes``, this does not check that the codes are 0-3: it is
+    for codes that refpack itself produced, such as a decoder's output.
     """
     padded = [(run.size + 3) // 4 * 4 for run in runs]
     starts = np.cumsum([0, *padded]).tolist()
     joined = np.zeros(starts[-1], dtype=np.uint8)
     for run, start in zip(runs, starts):
         joined[start : start + run.size] = run
-    data = _pack_code_array(joined)
-    return [
-        PackedSequence(data[start // 4 : (start + size) // 4], run.size)
-        for run, start, size in zip(runs, starts, padded)
-    ]
+    return _split_packed(joined, [run.size for run in runs])
 
 
 def pack_bases(text: str | bytes) -> PackedSequence:
@@ -326,6 +337,11 @@ class FastaRecord:
     replaced: int = 0  # ambiguity codes rewritten to 'A' during ingestion
 
 
+# Sequence bytes at which ``parse_fasta`` maps, checks and packs the records
+# read so far; it bounds the batch's temporaries for files of many records.
+_FASTA_BATCH_BYTES = 1 << 18
+
+
 def parse_fasta(data: Union[str, bytes], *, strict: bool = False) -> list[FastaRecord]:
     """Parse FASTA text into packed records.
 
@@ -333,63 +349,97 @@ def parse_fasta(data: Union[str, bytes], *, strict: bool = False) -> list[FastaR
     IUPAC ambiguity letters (N, R, Y, ...) are rewritten to 'A' and counted
     per record, unless ``strict`` is set, in which case they are an error.
     Characters that are not IUPAC nucleotide letters are always an error.
+    The first faulty line of the file is the one reported.
 
-    One pass over the lines collects each record's stripped sequence lines;
-    each record's bases are then mapped and checked with one table lookup.
+    One pass over the lines collects each record's stripped sequence lines,
+    the last one padded with 'A' to a whole packed byte. Once a batch of
+    whole records holds ``_FASTA_BATCH_BYTES`` such bytes, it is joined,
+    mapped and checked with one table lookup, and packed in one pass.
     """
     if isinstance(data, str):
         data = data.encode("ascii", errors="replace")
 
     records: list[FastaRecord] = []
+    # the pending batch: whole records and their sequence lines
+    ids: list[str] = []
+    lengths: list[int] = []
+    lines: list[bytes] = []
+    line_nos: list[int] = []
+    pending = 0
+
+    def end_record(
+        record_id: str | None, length: int, header_line: int
+    ) -> FastaParseError | None:
+        nonlocal pending
+        if record_id is None:
+            return None
+        if not length:
+            return FastaParseError(f"record {record_id!r} has no sequence data", header_line)
+        ids.append(record_id)
+        lengths.append(length)
+        if length % 4:
+            lines[-1] += b"A" * (-length % 4)
+        pending += length
+        if pending >= _FASTA_BATCH_BYTES:
+            records.extend(_pack_fasta_batch(ids, lengths, lines, line_nos, strict))
+            del ids[:], lengths[:], lines[:], line_nos[:]
+            pending = 0
+        return None
+
     cur_id: str | None = None
-    cur_lines: list[bytes] = []
-    cur_line_nos: list[int] = []
-    cur_header_line = 0
-
-    def finish():
-        if cur_id is None:
-            return
-        if not cur_lines:
-            raise FastaParseError(f"record {cur_id!r} has no sequence data", cur_header_line)
-        records.append(_fasta_record(cur_id, cur_lines, cur_line_nos, strict))
-
+    cur_length = cur_header_line = 0
+    error: FastaParseError | None = None
     for line_no, raw_line in enumerate(data.split(b"\n"), start=1):
         line = raw_line.strip()
-        if not line:
+        if not line or line[0] == 59:  # blank, or an old-style ';' comment
             continue
-        if line.startswith(b">"):
-            finish()
+        if line[0] == 62:  # '>' header
+            error = end_record(cur_id, cur_length, cur_header_line)
+            if error is not None:
+                break
             cur_id = line[1:].strip().decode("utf-8", errors="replace")
-            cur_lines, cur_line_nos, cur_header_line = [], [], line_no
+            cur_length, cur_header_line = 0, line_no
             if not cur_id:
-                raise FastaParseError("empty record id", line_no)
-            continue
-        if line.startswith(b";"):  # old-style comment line
-            continue
-        if cur_id is None:
-            raise FastaParseError("sequence data before any '>' header", line_no)
-        cur_lines.append(line)
-        cur_line_nos.append(line_no)
+                error = FastaParseError("empty record id", line_no)
+                break
+        elif cur_id is None:
+            error = FastaParseError("sequence data before any '>' header", line_no)
+            break
+        else:
+            lines.append(line)
+            line_nos.append(line_no)
+            cur_length += len(line)
+    else:
+        error = end_record(cur_id, cur_length, cur_header_line)
 
-    finish()
+    # A bad byte on a line before a structural error is reported first.
+    if lines:
+        records.extend(_pack_fasta_batch(ids, lengths, lines, line_nos, strict))
+    if error is not None:
+        raise error
     return records
 
 
-def _fasta_record(
-    record_id: str, lines: list[bytes], line_nos: list[int], strict: bool
-) -> FastaRecord:
-    """Map one record's sequence lines to codes; the first bad line raises."""
+def _pack_fasta_batch(
+    ids: list[str], lengths: list[int], lines: list[bytes], line_nos: list[int], strict: bool
+) -> list[FastaRecord]:
+    """Map, check and pack a batch of whole records; the first bad line raises.
+
+    ``lines`` are the records' sequence lines in file order, each record's
+    last line padded with 'A' (code 0) to a multiple of 4 bases.
+    """
     arr = np.frombuffer(b"".join(lines), dtype=np.uint8)
     codes = _ASCII_TO_CODE[arr]
     invalid = codes == 0xFF
-    replaced = 0
+    replaced = [0] * len(ids)
     if invalid.any():
         ambiguous = invalid & _IS_AMBIGUOUS[arr]
         junk = invalid & ~ambiguous
         bad = invalid if strict else junk
         if bad.any():
             # Locate the line of the first bad byte; within that line, junk
-            # is reported before an ambiguity letter.
+            # is reported before an ambiguity letter. The padding 'A's are
+            # valid, so they never raise.
             ends = np.cumsum([len(line) for line in lines])
             i = int(np.searchsorted(ends, int(np.argmax(bad)), side="right"))
             span = slice(ends[i] - len(lines[i]), ends[i])
@@ -400,9 +450,10 @@ def _fasta_record(
             raise FastaParseError(
                 f"ambiguous base {chr(arr[pos])!r} rejected in strict mode", line_nos[i]
             )
-        replaced = int(ambiguous.sum())
+        record_ends = np.cumsum([(n + 3) // 4 * 4 for n in lengths])
+        replaced = np.diff(np.cumsum(ambiguous)[record_ends - 1], prepend=0).tolist()
         codes[ambiguous] = 0
-    return FastaRecord(record_id, PackedSequence.from_codes(codes), replaced)
+    return [FastaRecord(*fields) for fields in zip(ids, _split_packed(codes, lengths), replaced)]
 
 
 def read_fasta(path: Union[str, Path], *, strict: bool = False) -> list[FastaRecord]:

@@ -3,7 +3,9 @@ import io
 
 import numpy as np
 import pytest
+from test_sequence import parse_fasta_by_line
 
+import refpack.sequence as sequence_mod
 from refpack import (
     CompressParams,
     MutationProfile,
@@ -284,6 +286,7 @@ def test_shd_filter_tsv(work, capsys, tmp_path):
     captured = capsys.readouterr()
     lines = captured.out.splitlines()
     assert len(lines) == 3
+    assert captured.out == "".join(line + "\n" for line in lines)
     assert lines[0] == "r0\ts0\t0\taccept"
     assert lines[1].endswith("reject")
     assert "3 pairs" in captured.err
@@ -312,6 +315,53 @@ def test_shd_filter_pair_count_mismatch(work, capsys, tmp_path):
         "shd-filter", "--reads", str(tmp_path / "two.fa"),
         "--segments", str(tmp_path / "one.fa"),
     ]) == 2
+
+
+def test_many_records_match_line_by_line_parser(work, capsys, tmp_path, monkeypatch):
+    """``shd-filter --clip`` and ``compress`` of many folded, mixed-case
+    records with IUPAC letters and unequal-length pairs write the same TSV
+    and ``.bnc`` bytes as with the line-by-line parser."""
+    root, ref, _ = work
+    rng = np.random.default_rng(0xFA5)
+    profile = MutationProfile(snp=0.02, insertion=0.01, deletion=0.01)
+    reads = random_reads(ref, 120, 150, profile, rng, rc_fraction=0.5)
+    segments = [mutate(read, profile, rng) for read in reads]
+
+    def fasta_text(prefix, seqs):
+        lines = []
+        for i, seq in enumerate(seqs):
+            text = np.frombuffer(seq.to_ascii().encode(), dtype=np.uint8).copy()
+            spots = rng.integers(0, text.size, int(rng.integers(0, 3)))
+            text[spots] = np.frombuffer(b"NRyk", dtype=np.uint8)[rng.integers(0, 4, spots.size)]
+            text[rng.random(text.size) < 0.1] |= 0x20  # lowercase
+            width = int(rng.integers(20, 90))
+            lines.append(f">{prefix}{i}")
+            lines += [text[j : j + width].tobytes().decode() for j in range(0, text.size, width)]
+        return "\n".join(lines) + "\n"
+
+    (tmp_path / "reads.fa").write_text(fasta_text("r", reads))
+    (tmp_path / "segs.fa").write_text(fasta_text("s", segments))
+    assert sum(rec.replaced for rec in load_sequences(tmp_path / "reads.fa")) > 0
+
+    def run(tag):
+        assert main([
+            "shd-filter", "--reads", str(tmp_path / "reads.fa"),
+            "--segments", str(tmp_path / "segs.fa"), "--clip",
+        ]) == 0
+        tsv = capsys.readouterr().out
+        out = tmp_path / f"{tag}.bnc"
+        assert main([
+            "compress", "--reference", str(root / "ref.fa"), "--index", str(root / "ref.bidx"),
+            "--target", str(tmp_path / "reads.fa"), "--out", str(out),
+        ]) == 0
+        capsys.readouterr()
+        return tsv, out.read_bytes()
+
+    tsv, bnc = run("one_pass")
+    assert len(tsv.splitlines()) == len(reads)
+    assert any(len(r) != len(s) for r, s in zip(reads, segments))
+    monkeypatch.setattr(sequence_mod, "parse_fasta", parse_fasta_by_line)
+    assert run("by_line") == (tsv, bnc)
 
 
 def test_sweep_table_and_csv(work, capsys, tmp_path):

@@ -1,5 +1,6 @@
 import hashlib
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -436,33 +437,74 @@ _fasta_lines = st.one_of(
 )
 
 
+@st.composite
+def _many_record_files(draw):
+    """Well-formed files of 40 or more records: lengths at every residue mod
+    4, random fold widths, LF and CRLF, lowercase, and IUPAC letters in
+    several records."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_records = draw(st.integers(40, 60))
+    out = []
+    for i in range(n_records):
+        length = 4 * int(rng.integers(1, 20)) + i % 4
+        letters = np.frombuffer(b"ACGTacgt", dtype=np.uint8)[rng.integers(0, 8, length)]
+        if i % 3 == 1:
+            spots = rng.integers(0, length, int(rng.integers(1, 4)))
+            letters[spots] = np.frombuffer(b"NRYnryUWk", dtype=np.uint8)[rng.integers(0, 9, spots.size)]
+        text = letters.tobytes()
+        width = int(rng.integers(1, 30))
+        out.append(b">r%d\n" % i)
+        for start in range(0, length, width):
+            out.append(text[start : start + width] + (b"\r\n" if rng.random() < 0.5 else b"\n"))
+    return b"".join(out)
+
+
+_fasta_files = st.one_of(
+    st.lists(st.tuples(_fasta_lines, st.sampled_from([b"\n", b"\r\n"])), max_size=14).map(
+        lambda lines: b"".join(b"".join(parts) + end for parts, end in lines)
+    ),
+    _many_record_files(),
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
-    st.lists(st.tuples(_fasta_lines, st.sampled_from([b"\n", b"\r\n"])), max_size=14),
+    _fasta_files,
     st.booleans(),
     st.booleans(),
+    st.sampled_from([1, 3, 64, sequence_mod._FASTA_BATCH_BYTES]),
 )
-def test_parse_fasta_matches_line_by_line(lines, strict, as_text):
+def test_parse_fasta_matches_line_by_line(data, strict, as_text, batch_bytes):
     """Records, replacement counts, error messages and line numbers all equal
     those of the line-by-line parser, on headers, blank and ';' lines, CRLF,
     lowercase, IUPAC letters, junk bytes, data before the first header and
-    empty records."""
-    data = b"".join(b"".join(parts) + end for parts, end in lines)
+    empty records, and on many-record files whose batches split between
+    records when the batch size is a few bytes."""
     if as_text:
         data = data.decode("latin-1")
-    assert _parse_outcome(parse_fasta, data, strict) == _parse_outcome(
-        parse_fasta_by_line, data, strict
-    )
+    with mock.patch.object(sequence_mod, "_FASTA_BATCH_BYTES", batch_bytes):
+        got = _parse_outcome(parse_fasta, data, strict)
+    assert got == _parse_outcome(parse_fasta_by_line, data, strict)
 
 
 def test_parse_fasta_reports_first_bad_line():
-    # junk after an ambiguity letter on one line is reported first; a line
-    # with only ambiguity letters is an error in strict mode alone
-    text = ">r\nACGN\nAN!T\n"
-    with pytest.raises(FastaParseError, match="line 3: invalid sequence character '!'"):
-        parse_fasta(text)
-    with pytest.raises(FastaParseError, match="line 2: ambiguous base 'N'"):
-        parse_fasta(text, strict=True)
+    """The first faulty line wins: junk after an ambiguity letter on one line
+    is reported first, a line with only ambiguity letters is an error in
+    strict mode alone, and a bad byte on an earlier line beats a later empty
+    record or empty id, within a batch or across batches."""
+    cases = [
+        (">r\nACGN\nAN!T\n", False, "line 3: invalid sequence character '!'"),
+        (">r\nACGN\nAN!T\n", True, "line 2: ambiguous base 'N' rejected in strict mode"),
+        (">a\nAC!T\n>b\n>c\nACGT\n", False, "line 2: invalid sequence character '!'"),
+        (">a\nAC!T\n>b\nACGT\n>\nACGT\n", False, "line 2: invalid sequence character '!'"),
+        (">a\nACGT\n>b\nACNT\n>c\n>d\nA\n", True, "line 4: ambiguous base 'N' rejected in strict mode"),
+        (">a\nACNT\n>b\n>c\nACGT\n", False, "line 3: record 'b' has no sequence data"),
+    ]
+    for text, strict, message in cases:
+        assert _parse_outcome(parse_fasta_by_line, text, strict)[1] == message
+        for batch_bytes in (1, sequence_mod._FASTA_BATCH_BYTES):
+            with mock.patch.object(sequence_mod, "_FASTA_BATCH_BYTES", batch_bytes):
+                assert _parse_outcome(parse_fasta, text, strict)[1] == message
 
 
 def test_fasta_file_round_trip(tmp_path):
