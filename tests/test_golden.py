@@ -21,7 +21,15 @@ the cases with k not a multiple of 4 were added later, from the batched build.
 saved ``.bidx`` bytes and the skipped keys of random 64 kbp references at
 ``LAYOUT_SEEDS`` (k=32), each of which leaves one key unplaced. It was written
 by the build that still ran a scalar cuckoo loop over the keys the rounds
-left pending, so it checks that dropping that loop changed no byte.
+left pending, so it checks that dropping that loop changed no byte. Its
+``k=...,stride=...`` entries were added later, written by the build that
+gathered every reference k-mer with ``packed_kmers`` and sorted every claim
+round: for each ``(k, stride)`` in ``LAYOUT_KS`` x ``LAYOUT_STRIDES``, one
+SHA-256 over the saved bytes of prefixes of one random reference, at every
+length residue mod 4 on both sides of a capacity power of two
+(``LAYOUT_KEYS`` keys, where the load factor is exactly 0.5, and one more),
+with each prefix's skipped keys; and a tandem-repeat and an all-``A``
+reference at every ``k``.
 
 Regenerate, only for an intended format change, with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -47,7 +55,9 @@ from refpack import (
     write_container,
 )
 from refpack.bench import DEFAULT_S_VALUES
-from refpack.sequence import concat_sequences, kmer_at, reverse_complement_sequence
+from refpack.sequence import (
+    PackedSequence, concat_sequences, kmer_at, reverse_complement_sequence
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GRANULARITY = 4
@@ -55,6 +65,9 @@ INDEX_CASES = ((16, 1), (32, 4), (15, 1), (30, 3))
 ODD_K = 30
 ODD_K_S_VALUES = (3, 5, 15)
 LAYOUT_SEEDS = (1003, 1016)
+LAYOUT_KS = (15, 16, 30, 32, 64)
+LAYOUT_STRIDES = (1, 2, 3, 5)
+LAYOUT_KEYS = (16, 2048)
 
 
 def golden_inputs():
@@ -133,6 +146,28 @@ def golden_index_meaning(reference) -> dict[str, dict]:
     return out
 
 
+def layout_lengths(k: int, stride: int) -> list[int]:
+    """Reference lengths at each residue mod 4, just below and just above
+    each capacity threshold of ``LAYOUT_KEYS``."""
+    lengths = []
+    for keys in LAYOUT_KEYS:
+        full = k + (keys - 1) * stride  # ``keys`` keys: load factor 0.5
+        lengths += [full - j for j in range(4)] + [full + stride + j for j in range(4)]
+    return lengths
+
+
+def _layout_entry(builds) -> dict:
+    digest = hashlib.sha256()
+    skipped = []
+    for reference, k, stride in builds:
+        index = build_index(reference, k, sampling_stride=stride)
+        buf = io.BytesIO()
+        index.save(buf)
+        digest.update(buf.getvalue())
+        skipped.append(index.skipped_keys)
+    return {"bidx_sha256": digest.hexdigest(), "skipped_keys": skipped}
+
+
 def golden_index_layout() -> dict[str, dict]:
     out = {}
     for seed in LAYOUT_SEEDS:
@@ -143,6 +178,20 @@ def golden_index_layout() -> dict[str, dict]:
             "bidx_sha256": hashlib.sha256(buf.getvalue()).hexdigest(),
             "skipped_keys": index.skipped_keys,
         }
+    rng = np.random.default_rng(0x1A70)
+    codes = random_sequence(max(LAYOUT_KS) + LAYOUT_KEYS[-1] * max(LAYOUT_STRIDES) + 8, rng).codes()
+    tandem = concat_sequences(
+        [random_sequence(300, rng)] + [random_sequence(7, rng)] * 400 + [random_sequence(300, rng)]
+    )
+    all_a = PackedSequence.from_codes(np.zeros(3_001, dtype=np.uint8))
+    for k in LAYOUT_KS:
+        for stride in LAYOUT_STRIDES:
+            out[f"k={k},stride={stride}"] = _layout_entry(
+                (PackedSequence.from_codes(codes[:n]), k, stride) for n in layout_lengths(k, stride)
+            )
+        out[f"k={k},tandem,all_a"] = _layout_entry(
+            [(tandem, k, 1), (tandem, k, 3), (all_a, k, 1), (all_a, k, 2)]
+        )
     return out
 
 
