@@ -132,9 +132,10 @@ def cmd_build_index(args: argparse.Namespace, config: dict[str, str]) -> int:
     reference = _load_reference(args.reference)
     index = build_index(reference, k, sampling_stride=stride)
     index.save(args.out)
+    occupied = index.occupied
     print(
-        f"indexed {index.occupied} k-mers (k={k}, stride={stride}, "
-        f"skipped {index.skipped_keys}); load factor {index.load_factor:.3f}; "
+        f"indexed {occupied} k-mers (k={k}, stride={stride}, "
+        f"skipped {index.skipped_keys}); load factor {occupied / index.capacity:.3f}; "
         f"wrote {args.out}"
     )
     return 0

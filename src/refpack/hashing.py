@@ -94,24 +94,38 @@ def murmur3_low64(data: bytes, seed: int = 0) -> int:
     return murmur3_x64_128(data, seed) & _MASK64
 
 
-def _rotl64_arr(x: np.ndarray, r: int) -> np.ndarray:
-    return (x << np.uint64(r)) | (x >> np.uint64(64 - r))
+def _rotl64_into(x: np.ndarray, r: int, spare: np.ndarray) -> None:
+    """Rotate ``x`` left by ``r`` bits in place; ``spare`` is scratch of x's shape."""
+    np.right_shift(x, np.uint64(64 - r), out=spare)
+    x <<= np.uint64(r)
+    x |= spare
 
 
-def _fmix64_arr(k: np.ndarray) -> np.ndarray:
-    k = k ^ (k >> np.uint64(33))
-    k = k * np.uint64(0xFF51AFD7ED558CCD)
-    k = k ^ (k >> np.uint64(33))
-    k = k * np.uint64(0xC4CEB9FE1A85EC53)
-    k = k ^ (k >> np.uint64(33))
-    return k
+def _fmix64_into(k: np.ndarray, spare: np.ndarray) -> None:
+    for multiplier in (0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53):
+        np.right_shift(k, np.uint64(33), out=spare)
+        k ^= spare
+        k *= np.uint64(multiplier)
+    np.right_shift(k, np.uint64(33), out=spare)
+    k ^= spare
+
+
+def _mixed_lane(lane: np.ndarray, first: int, r: int, second: int, out: np.ndarray,
+                spare: np.ndarray) -> np.ndarray:
+    """``rotl(lane * first, r) * second`` into ``out``; ``lane`` is only read."""
+    np.multiply(lane, np.uint64(first), out=out)
+    _rotl64_into(out, r, spare)
+    out *= np.uint64(second)
+    return out
 
 
 def murmur3_low64_batch(messages: np.ndarray, seed: int | np.ndarray = 0) -> np.ndarray:
     """h1 for each row of a (n, width) uint8 array of equal-width messages.
 
     ``seed`` is one seed for every row, or a uint64 array of n seeds, one per
-    row, so that several seeds can share one call.
+    row, so that several seeds can share one call. Neither argument is
+    modified: the state lives in two fresh arrays and two reused scratch
+    arrays, which every step updates in place.
     """
     if messages.ndim != 2:
         raise ValueError("expected a 2-d array of messages")
@@ -125,45 +139,40 @@ def murmur3_low64_batch(messages: np.ndarray, seed: int | np.ndarray = 0) -> np.
         if not 0 <= seed <= _MASK64:
             raise ValueError("seed must be an unsigned 64-bit integer")
         h1 = np.full(n, np.uint64(seed), dtype=np.uint64)
-    c1 = np.uint64(_C1)
-    c2 = np.uint64(_C2)
     h2 = h1.copy()
+    k, spare = np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.uint64)
 
+    if width % 8:
+        # The tail, zero-padded to whole u64 lanes (one or two). Rows copy
+        # as single void values, much faster than byte columns.
+        padded = np.zeros((n, -(-width // 8) * 8), dtype=np.uint8)
+        padded[:, :width].view(f"V{width}")[:, 0] = messages.view(f"V{width}")[:, 0]
+        messages = padded
+    lanes = messages.view("<u8")
     nblocks = width // 16
-    if nblocks:
-        body = np.ascontiguousarray(messages[:, : nblocks * 16]).view("<u8")
-        for i in range(nblocks):
-            k1 = body[:, 2 * i] * c1
-            k1 = _rotl64_arr(k1, 31) * c2
-            h1 ^= k1
-            h1 = _rotl64_arr(h1, 27) + h2
-            h1 = h1 * np.uint64(5) + np.uint64(0x52DCE729)
-            k2 = body[:, 2 * i + 1] * c2
-            k2 = _rotl64_arr(k2, 33) * c1
-            h2 ^= k2
-            h2 = _rotl64_arr(h2, 31) + h1
-            h2 = h2 * np.uint64(5) + np.uint64(0x38495AB5)
+    tail_len = width - nblocks * 16
+    for i in range(nblocks):
+        h1 ^= _mixed_lane(lanes[:, 2 * i], _C1, 31, _C2, k, spare)
+        _rotl64_into(h1, 27, spare)
+        h1 += h2
+        h1 *= np.uint64(5)
+        h1 += np.uint64(0x52DCE729)
+        h2 ^= _mixed_lane(lanes[:, 2 * i + 1], _C2, 33, _C1, k, spare)
+        _rotl64_into(h2, 31, spare)
+        h2 += h1
+        h2 *= np.uint64(5)
+        h2 += np.uint64(0x38495AB5)
 
-    tail_start = nblocks * 16
-    tail_len = width - tail_start
+    if tail_len > 8:
+        h2 ^= _mixed_lane(lanes[:, 2 * nblocks + 1], _C2, 33, _C1, k, spare)
     if tail_len:
-        # The tail, zero-padded to whole u64 lanes (one or two).
-        tail = np.zeros((n, 8 if tail_len <= 8 else 16), dtype=np.uint8)
-        tail[:, :tail_len] = messages[:, tail_start:]
-        lanes = tail.view("<u8")
-        if tail_len > 8:
-            k2 = lanes[:, 1] * c2
-            k2 = _rotl64_arr(k2, 33) * c1
-            h2 ^= k2
-        k1 = lanes[:, 0] * c1
-        k1 = _rotl64_arr(k1, 31) * c2
-        h1 ^= k1
+        h1 ^= _mixed_lane(lanes[:, 2 * nblocks], _C1, 31, _C2, k, spare)
 
     h1 ^= np.uint64(width)
     h2 ^= np.uint64(width)
-    h1 = h1 + h2
-    h2 = h2 + h1
-    h1 = _fmix64_arr(h1)
-    h2 = _fmix64_arr(h2)
-    h1 = h1 + h2
+    h1 += h2
+    h2 += h1
+    _fmix64_into(h1, spare)
+    _fmix64_into(h2, spare)
+    h1 += h2
     return h1

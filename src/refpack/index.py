@@ -6,10 +6,15 @@ A slot's filter nibble holds the low 4 bits of the packed reference k-mer
 stored there (bases 0 and 1), so a nibble mismatch proves the full
 verification would fail; a nibble match proves nothing.
 
-The build is batched (``build_index``): exact-duplicate k-mers are dropped up
-front, keeping each k-mer's first offset; numpy rounds then place all pending
-keys at once, one winner per slot, for at most EVICTION_LIMIT rounds. A key
-still pending after the last round is skipped and counted.
+The build is batched (``build_index``). ``window_probe_tables`` reads the
+k-mer rows as strided views of four shifted copies of the packed bytes, not
+window by window, and hashes them straight into uint32 slot pairs. Exact
+duplicate k-mers are dropped up front, keeping each k-mer's first offset;
+only keys that share their slot pair with another are compared byte by byte.
+Numpy rounds then place all pending keys at once, one winner per slot, for at
+most EVICTION_LIMIT rounds: the first, into an empty table, by a minimum per
+slot, and the later ones by sorting their claims. A key still pending after
+the last round is skipped and counted.
 Lookups try both slots of the forward k-mer before either slot of its reverse
 complement, so with no skipped key every lookup result is independent of
 which of its two slots a key landed in.
@@ -39,6 +44,7 @@ On-disk ".bidx" layout, all little-endian:
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -138,25 +144,57 @@ def _hashed_rows(data, k: int, starts: np.ndarray, seeds: tuple[int, int], inclu
 
 
 def window_probe_tables(
-    data, k: int, offsets: np.ndarray, seeds: tuple[int, int], *, chunk: int = 1 << 16
+    data, k: int, stride: int, count: int, seeds: tuple[int, int], mask: int,
+    *, chunk: int = 1 << 15,
 ):
-    """Hashes (h1, h2) and filter nibbles (low4) of the k-mers starting at ``offsets``.
+    """Slots (slot_a, slot_b) and filter nibbles (low4) of ``count`` k-mers.
 
-    ``data`` is the packed bytes of the sequence. Each chunk of windows is
-    hashed in one ``murmur3_low64_batch`` call (``_hashed_rows``) of at most
-    ``chunk`` rows, which bounds the transient rows and hashes.
+    Key ``i`` is the k-mer at offset ``i * stride`` of the packed bytes
+    ``data``; its slots are its hashes under the two seeds, ANDed with
+    ``mask``, as uint32. The rows are not gathered one window at a time:
+    keys whose offsets share a residue mod 4 (every ``4 / gcd(stride, 4)``-th
+    key) are a strided view of the packed bytes shifted down by that residue.
+    Each chunk of keys is hashed in one ``murmur3_low64_batch`` call of at
+    most ``chunk`` rows, which bounds the transient rows and hashes.
     """
+    raw = np.frombuffer(data, dtype=np.uint8)
+    width = (k + 3) // 4
+    period = 4 // math.gcd(stride, 4)
+    step = period * stride // 4  # bytes between a residue class's rows
+    # shifted[r] byte j holds bases 4j + r to 4j + r + 3; bases past the end
+    # read as zero.
+    wide = np.zeros(raw.size + 1, dtype=np.uint16)
+    wide[:-1] = raw
+    wide[:-1] |= wide[1:] << 8
+    shifted = {r: (wide >> 2 * r).astype(np.uint8) for r in {i * stride & 3 for i in range(period)}}
+    del wide
+    row = f"V{width}"  # rows copy as single void values
     per_call = max(1, chunk // 2)
-    n = offsets.size
-    h1, h2 = np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.uint64)
-    low4 = np.empty(n, dtype=np.uint8)
-    for start in range(0, n, per_call):
-        part = offsets[start : start + per_call]
-        messages, hashed = _hashed_rows(data, k, part, seeds, False)
-        stop = start + part.size
-        h1[start:stop], h2[start:stop] = hashed
-        low4[start:stop] = messages[: part.size, 0] & 0xF
-    return h1, h2, low4
+    seed_rows = np.repeat(np.array(seeds, dtype=np.uint64), per_call)
+    slot_a, slot_b = np.empty(count, dtype=np.uint32), np.empty(count, dtype=np.uint32)
+    low4 = np.empty(count, dtype=np.uint8)
+    for start in range(0, count, per_call):
+        n = min(per_call, count - start)
+        # Rows 0..n-1 hash under seeds[0] and their copies n..2n-1 under seeds[1].
+        messages = np.empty((2 * n, width), dtype=np.uint8)
+        rows = messages.view(row)[:, 0]
+        for first in range(start, start + min(period, n)):
+            offset = first * stride
+            rows[first - start : n : period] = np.ndarray(
+                len(range(first, start + n, period)), row, shifted[offset & 3], offset >> 2, step
+            )
+        if k % 4:
+            messages[:n, -1] &= (1 << 2 * (k % 4)) - 1
+        rows[n:] = rows[:n]
+        if n < per_call:
+            seed_rows = np.repeat(np.array(seeds, dtype=np.uint64), n)
+        hashes = murmur3_low64_batch(messages, seed_rows)
+        hashes &= np.uint64(mask)
+        slot_a[start : start + n] = hashes[:n]
+        slot_b[start : start + n] = hashes[n:]
+        low4[start : start + n] = messages[:n, 0] & 0xF
+        del messages, rows, hashes
+    return slot_a, slot_b, low4
 
 
 class ReferenceIndex:
@@ -186,7 +224,7 @@ class ReferenceIndex:
 
     @property
     def occupied(self) -> int:
-        return int((self.slots != EMPTY_SLOT).sum())
+        return int(np.count_nonzero(self.slots != EMPTY_SLOT))
 
     @property
     def load_factor(self) -> float:
@@ -315,11 +353,15 @@ class ReferenceIndex:
         if nib.size % 2:
             nib = np.concatenate([nib, np.zeros(1, dtype=np.uint8)])
         packed_nibbles = (nib[0::2] | (nib[1::2] << 4)).astype(np.uint8)
-        payload = header + self.slots.astype("<u4").tobytes() + packed_nibbles.tobytes()
+        # Three writes of the arrays' own buffers: no joined copy of the file.
+        parts = (header, self.slots.astype("<u4", copy=False), packed_nibbles)
         if isinstance(dest, (str, Path)):
-            Path(dest).write_bytes(payload)
+            with open(dest, "wb") as out:
+                for part in parts:
+                    out.write(part)
         else:
-            dest.write(payload)
+            for part in parts:
+                dest.write(part)
 
     @classmethod
     def load(cls, src: Union[str, Path, bytes, BinaryIO]) -> "ReferenceIndex":
@@ -367,32 +409,44 @@ def _next_power_of_two(n: int) -> int:
     return 1 << max(1, (n - 1).bit_length())
 
 
-def _first_occurrences(data, k: int, stride: int, h1s: np.ndarray) -> np.ndarray:
-    """Ascending uint32 key indices of the first occurrence of each distinct k-mer.
+def _first_occurrences(
+    data, k: int, stride: int, capacity: int, slot_a: np.ndarray, slot_b: np.ndarray
+):
+    """Ascending uint32 key indices of the first occurrence of each distinct k-mer,
+    or None when every key is one.
 
-    Key ``i`` is the k-mer at offset ``i * stride``. Sorting by ``h1`` finds
-    the keys that share an ``h1`` with another key; only their packed k-mers
-    are compared, and of equal k-mers the smallest key index stays.
+    Key ``i`` is the k-mer at offset ``i * stride``. Equal k-mers share both
+    slots, so only keys whose ``(slot_a, slot_b)`` pair another key shares
+    can repeat; sorting the pairs finds them. Only their packed k-mers are
+    compared, and of equal k-mers the smallest key index stays.
     """
-    n = h1s.size
-    order = np.argsort(h1s)
-    sorted_h1 = h1s[order]
-    tied = np.flatnonzero(sorted_h1[1:] == sorted_h1[:-1])
-    del sorted_h1
-    keep = np.ones(n, dtype=bool)
-    if tied.size:
-        in_run = np.zeros(n, dtype=bool)
-        in_run[tied] = True
-        in_run[tied + 1] = True
-        candidates = np.sort(order[in_run])
-        rows = packed_kmers(data, candidates * stride, k)
-        kmers = rows.view(f"V{rows.shape[1]}").ravel()
-        # A stable sort keeps equal k-mers in key order: the first one stays.
-        by_kmer = np.argsort(kmers, kind="stable")
-        repeat = kmers[by_kmer[1:]] == kmers[by_kmer[:-1]]
-        keep[candidates[by_kmer[1:][repeat]]] = False
-    del order
-    return np.arange(n, dtype=np.uint32)[keep]
+    pairs = slot_a.astype(np.uint64)
+    pairs <<= 32
+    pairs |= slot_b
+    pairs.sort()
+    tied = pairs[1:] == pairs[:-1]
+    if not tied.any():
+        return None
+    shared = np.unique(pairs[1:][tied])
+    del pairs, tied
+    # A key can share its pair only if its slot_a is a shared pair's high
+    # word: a table of those narrows the keys to test against whole pairs.
+    marked = np.zeros(capacity, dtype=bool)
+    marked[shared >> 32] = True
+    maybe = np.flatnonzero(marked[slot_a])
+    del marked
+    pairs = slot_a[maybe].astype(np.uint64)
+    pairs <<= 32
+    pairs |= slot_b[maybe]
+    candidates = maybe[np.isin(pairs, shared)]
+    rows = packed_kmers(data, candidates * stride, k)
+    kmers = rows.view(f"V{rows.shape[1]}").ravel()
+    # A stable sort keeps equal k-mers in key order: the first one stays.
+    by_kmer = np.argsort(kmers, kind="stable")
+    repeat = kmers[by_kmer[1:]] == kmers[by_kmer[:-1]]
+    keep = np.ones(slot_a.size, dtype=bool)
+    keep[candidates[by_kmer[1:][repeat]]] = False
+    return np.compress(keep, np.arange(slot_a.size, dtype=np.uint32))
 
 
 def build_index(
@@ -406,16 +460,22 @@ def build_index(
     Capacity is the smallest power of two at least twice the number of
     insertion attempts, so the load factor never exceeds 0.5. Key ``i`` is
     the k-mer at offset ``i * stride``; slots hold offsets, so a slot's key
-    is its offset divided by the stride. The build has two steps:
+    is its offset divided by the stride. The build has three steps:
 
-    1. Exact duplicates are dropped up front: each k-mer keeps its first
-       (smallest) offset. Distinct k-mers with equal hashes all stay.
-    2. Round-based insertion places the remaining keys together, for at most
+    1. ``window_probe_tables`` hashes every key, reading its rows as strided
+       views of the packed bytes, into uint32 slot pairs and filter nibbles.
+    2. Exact duplicates are dropped: each k-mer keeps its first (smallest)
+       offset. Only keys that share their slot pair with another key are
+       compared byte by byte; distinct k-mers with equal slots all stay.
+    3. Round-based insertion places the remaining keys together, for at most
        EVICTION_LIMIT rounds. In a round every pending key claims one of its
        two slots; the lowest key index claiming a slot wins it and displaces
        the key held there. Losers and displaced keys claim their other slot
        in the next round. A key still pending after the last round, having
-       lost its claim or been displaced in it, is skipped and counted.
+       lost its claim or been displaced in it, is skipped and counted. The
+       table is empty before the first round, so that round needs no sort:
+       a minimum per slot picks its winners, and it displaces nothing.
+       Later rounds sort their claims by (slot, key).
 
     Placement is deterministic. With no skipped key, every distinct k-mer is
     stored with its first offset, whatever the slot layout.
@@ -431,28 +491,29 @@ def build_index(
     if reference.length >= EMPTY_SLOT:
         raise ValueError("reference too long for 32-bit offsets")
     stride = sampling_stride
-    capacity = _next_power_of_two(2 * ((reference.length - k) // stride + 1))
+    count = (reference.length - k) // stride + 1
+    capacity = _next_power_of_two(2 * count)
     if capacity > 1 << 32:
         raise ValueError("too many k-mers for 32-bit slot indices; raise sampling_stride")
-    mask = capacity - 1
 
-    offsets = np.arange(0, reference.length - k + 1, stride, dtype=np.int64)
-    h1s, h2s, low4s = window_probe_tables(reference.data, k, offsets, seeds)
-    # Each 64-bit array is freed once spent, so the build's peak memory stays
-    # near the hashing step's: the rounds work on uint32 slots and keys.
-    del offsets
-    h2s &= mask
-    slot_b = h2s.astype(np.uint32)
-    del h2s
-    pending = _first_occurrences(reference.data, k, stride, h1s)
-    h1s &= mask
-    slot_a = h1s.astype(np.uint32)
-    del h1s
+    slot_a, slot_b, low4s = window_probe_tables(
+        reference.data, k, stride, count, seeds, capacity - 1
+    )
+    pending = _first_occurrences(reference.data, k, stride, capacity, slot_a, slot_b)
+    if pending is None:
+        pending, target = np.arange(count, dtype=np.uint32), slot_a
+    else:
+        target = slot_a[pending]
 
+    # Slots hold key indices until the rounds end. Round 1: each claimed
+    # slot keeps its lowest claimant; every other claimant moves to slot_b.
     slots = np.full(capacity, EMPTY_SLOT, dtype=np.uint32)
-    nibbles = np.zeros(capacity, dtype=np.uint8)
-    target = slot_a[pending]
-    for _ in range(EVICTION_LIMIT):
+    np.minimum.at(slots, target, pending)
+    lost = slots[target] != pending
+    pending = np.compress(lost, pending)
+    del target, lost
+    target = slot_b[pending]
+    for _ in range(EVICTION_LIMIT - 1):
         if not pending.size:
             break
         # One sort of (slot, key) words orders the claims by slot, then by
@@ -461,25 +522,33 @@ def build_index(
         del target
         claims <<= 32
         claims |= pending
-        del pending
         claims.sort()
         pairs = claims.view(_CLAIM)
         won = np.ones(pairs.size, dtype=bool)
         won[1:] = pairs["slot"][1:] != pairs["slot"][:-1]
-        won_slots, won_keys = pairs["slot"][won], pairs["key"][won]
+        won_slots, won_keys = np.compress(won, pairs["slot"]), np.compress(won, pairs["key"])
         lost = np.logical_not(won, out=won)
         # ``left`` is the slot each next-round key lost or was evicted from.
-        left, pending = pairs["slot"][lost], pairs["key"][lost]
+        left, pending = np.compress(lost, pairs["slot"]), np.compress(lost, pairs["key"])
         del claims, pairs, won, lost
         holders = slots[won_slots]
-        nibbles[won_slots] = low4s[won_keys]
-        won_keys *= stride  # now offsets
         slots[won_slots] = won_keys
         evicted = holders != EMPTY_SLOT
-        left = np.concatenate([left, won_slots[evicted]])
-        pending = np.concatenate([pending, holders[evicted] // stride])
+        left = np.concatenate([left, np.compress(evicted, won_slots)])
+        pending = np.concatenate([pending, np.compress(evicted, holders)])
+        del won_slots, won_keys, holders, evicted
         first = slot_a[pending]
         target = np.where(left == first, slot_b[pending], first)
+        del first
+    del slot_a, slot_b
+
+    # Each held key brings its filter nibble, and keys become offsets.
+    held = slots != EMPTY_SLOT
+    nibbles = low4s[np.minimum(slots, count - 1)]
+    nibbles *= held
+    del low4s
+    if stride > 1:
+        slots = np.where(held, slots * stride, EMPTY_SLOT)
 
     return ReferenceIndex(
         k=k,

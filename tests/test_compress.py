@@ -31,7 +31,8 @@ from refpack.compress import (
 from refpack.container import build_chunk_index
 from refpack.decompress import decompress
 from refpack.errors import ChecksumMismatch
-from refpack.index import EMPTY_SLOT, Orientation, QueryStats, ReferenceIndex, window_probe_tables
+from refpack.hashing import murmur3_low64
+from refpack.index import EMPTY_SLOT, Orientation, QueryStats, ReferenceIndex
 from refpack.sequence import (
     PackedSequence,
     concat_sequences,
@@ -415,21 +416,17 @@ def test_crafted_offsets_near_reference_end(reference, index32):
     k = 32
     params = CompressParams(k=k, s=16)
     target = oracle_target(reference, np.random.default_rng(3))
-    positions = np.arange(0, target.length - k + 1, params.s, dtype=np.int64)
-    h1f, _, low4f = window_probe_tables(target.data, k, positions, index32.seeds)
-    # The reverse complement of the k-mer at ``p`` starts at n - k - p of the
-    # reverse-complemented target.
-    _, h2r, low4r = window_probe_tables(
-        reverse_complement_sequence(target).data, k, target.length - k - positions, index32.seeds
-    )
     last = reference.length - k
     bad = np.array([last, last + 1, reference.length - 1, reference.length, EMPTY_SLOT - 1])
     slots, nibbles = index32.slots.copy(), index32.nibbles.copy()
-    for i, (hf, hr) in enumerate(zip(h1f.tolist(), h2r.tolist())):
-        slots[hf & index32._mask] = bad[i % bad.size]
-        nibbles[hf & index32._mask] = low4f[i]
-        slots[hr & index32._mask] = bad[(i + 2) % bad.size]
-        nibbles[hr & index32._mask] = low4r[i]
+    # Each window's first forward slot and second reverse slot get a bad offset.
+    for i, p in enumerate(range(0, target.length - k + 1, params.s)):
+        forward = kmer_at(target, p, k)
+        reverse = forward.reverse_complement()
+        hf = murmur3_low64(forward.bytes_le(), index32.seeds[0]) & index32._mask
+        hr = murmur3_low64(reverse.bytes_le(), index32.seeds[1]) & index32._mask
+        slots[hf], nibbles[hf] = bad[i % bad.size], forward.low4
+        slots[hr], nibbles[hr] = bad[(i + 2) % bad.size], reverse.low4
     crafted = ReferenceIndex(
         k=k, sampling_stride=1, capacity=index32.capacity, seeds=index32.seeds,
         ref_checksum=index32.ref_checksum, slots=slots, nibbles=nibbles,

@@ -152,8 +152,15 @@ def test_batch_per_row_seeds():
     rng = np.random.default_rng(6)
     mats = rng.integers(0, 256, (12, 20), dtype=np.uint8)
     seeds = rng.integers(0, 2**63, 12, dtype=np.uint64) * np.uint64(2)
+    mats_before, seeds_before = mats.copy(), seeds.copy()
     batch = murmur3_low64_batch(mats, seeds)
     assert batch.tolist() == [murmur3_low64(row.tobytes(), int(s)) for row, s in zip(mats, seeds)]
+    # The hash works in place on its own arrays, never on the caller's, with
+    # or without a padded tail.
+    whole_lanes = np.ascontiguousarray(mats[:, :16])
+    murmur3_low64_batch(whole_lanes, seeds)
+    assert (mats == mats_before).all() and (seeds == seeds_before).all()
+    assert (whole_lanes == mats_before[:, :16]).all()
     with pytest.raises(ValueError, match="one seed per message"):
         murmur3_low64_batch(mats, seeds[:-1])
     with pytest.raises(ValueError, match="one seed per message"):

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
 
@@ -159,25 +160,22 @@ def test_query_stats_counters():
 
 
 def test_window_probe_tables_match_scalar():
+    """Every key's slots and nibble are the scalar hash of its k-mer, at
+    strides 1-5, at every k % 4 and on both strands of the reference."""
     rng = np.random.default_rng(10)
-    ref = random_sequence(500, rng)
-    k = 21
-    offsets = np.array([0, 3, 17, 100, 479], dtype=np.int64)
-    h1, h2, low4 = window_probe_tables(ref.data, k, offsets, (7, 9))
-    # The reverse complement of the k-mer at ``off`` starts at n - k - off of
-    # the reverse-complemented reference.
-    h1r, h2r, low4r = window_probe_tables(
-        reverse_complement_sequence(ref).data, k, ref.length - k - offsets, (7, 9)
-    )
-    for i, off in enumerate(offsets):
-        km = kmer_at(ref, int(off), k)
-        rc = km.reverse_complement()
-        assert h1[i] == index_mod.murmur3_low64(km.bytes_le(), 7)
-        assert h2[i] == index_mod.murmur3_low64(km.bytes_le(), 9)
-        assert low4[i] == km.low4
-        assert h1r[i] == index_mod.murmur3_low64(rc.bytes_le(), 7)
-        assert h2r[i] == index_mod.murmur3_low64(rc.bytes_le(), 9)
-        assert low4r[i] == rc.low4
+    forward = random_sequence(203, rng)
+    mask = (1 << 32) - 1
+    cases = [(ref, k, stride) for ref in (forward, reverse_complement_sequence(forward))
+             for k in (20, 21, 22, 23) for stride in (1, 2, 3, 4, 5)]
+    for ref, k, stride in cases:
+        count = (ref.length - k) // stride + 1
+        slot_a, slot_b, low4 = window_probe_tables(ref.data, k, stride, count, (7, 9), mask)
+        assert slot_a.dtype == slot_b.dtype == np.uint32 and slot_a.size == count
+        for i in range(count):
+            km = kmer_at(ref, i * stride, k)
+            assert slot_a[i] == index_mod.murmur3_low64(km.bytes_le(), 7) & mask
+            assert slot_b[i] == index_mod.murmur3_low64(km.bytes_le(), 9) & mask
+            assert low4[i] == km.low4
 
 
 @pytest.mark.parametrize("reverse", [False, True])
@@ -185,10 +183,10 @@ def test_window_probe_tables_one_hash_call_per_chunk(monkeypatch, reverse):
     """Both seeds share one hash call of at most ``chunk`` rows; chunking
     does not change the tables, on either strand of the reference."""
     ref = random_sequence(300, np.random.default_rng(18))
-    offsets = np.arange(0, 280, 3, dtype=np.int64)
     if reverse:
-        ref, offsets = reverse_complement_sequence(ref), ref.length - 13 - offsets
-    whole = window_probe_tables(ref.data, 13, offsets, (7, 9))
+        ref = reverse_complement_sequence(ref)
+    count = 94  # offsets 0, 3, ..., 279
+    whole = window_probe_tables(ref.data, 13, 3, count, (7, 9), 1023)
     rows = []
     real_batch = index_mod.murmur3_low64_batch
 
@@ -197,9 +195,9 @@ def test_window_probe_tables_one_hash_call_per_chunk(monkeypatch, reverse):
         return real_batch(messages, seed)
 
     monkeypatch.setattr(index_mod, "murmur3_low64_batch", counting_batch)
-    chunked = window_probe_tables(ref.data, 13, offsets, (7, 9), chunk=16)
-    assert len(rows) == -(-offsets.size // 8)
-    assert max(rows) <= 16 and sum(rows) == offsets.size * 2
+    chunked = window_probe_tables(ref.data, 13, 3, count, (7, 9), 1023, chunk=16)
+    assert len(rows) == -(-count // 8)
+    assert max(rows) <= 16 and sum(rows) == count * 2
     for a, b in zip(whole, chunked):
         assert a.tolist() == b.tolist()
 
@@ -361,14 +359,14 @@ def test_stores_first_offset_of_every_distinct_kmer(k, stride):
 
 
 def test_equal_hashes_never_merge_distinct_kmers(monkeypatch):
-    """Every key gets the same (h1, h2): only k-mer bytes tell keys apart."""
+    """Every key gets the same two slots: only k-mer bytes tell keys apart."""
     real_tables = index_mod.window_probe_tables
 
-    def colliding_tables(codes, k, offsets, seeds, **kwargs):
-        _, _, low4 = real_tables(codes, k, offsets, seeds)
+    def colliding_tables(data, k, stride, count, seeds, mask, **kwargs):
+        _, _, low4 = real_tables(data, k, stride, count, seeds, mask)
         return (
-            np.full(offsets.size, 5, dtype=np.uint64),
-            np.full(offsets.size, 11, dtype=np.uint64),
+            np.full(count, 5, dtype=np.uint32),
+            np.full(count, 11, dtype=np.uint32),
             low4,
         )
 
@@ -389,6 +387,22 @@ def test_equal_hashes_never_merge_distinct_kmers(monkeypatch):
     assert duplicates > 0
     # a distinct k-mer dropped as a duplicate would leave this sum short
     assert idx.occupied + idx.skipped_keys + duplicates == attempts
+
+
+def test_build_peak_memory_per_key():
+    """A 1 Mbp build at k=32 peaks at no more than 36.5 bytes a key, what
+    the build that sorted every claim round needed. The finished table
+    holds about 10.5."""
+    ref = random_sequence(1_000_000, np.random.default_rng(1))
+    k = 32
+    tracemalloc.start()
+    try:
+        index = build_index(ref, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert index.skipped_keys == 0
+    assert peak / (ref.length - k + 1) <= 36.5
 
 
 def test_build_is_deterministic(tmp_path):
