@@ -128,15 +128,16 @@ class ProbeResult(NamedTuple):
         stats.hits += hits
 
 
-def _hashed_rows(data, k: int, starts: np.ndarray, seeds: tuple[int, int], include_rc: bool):
-    """The packed k-mers at ``starts`` as hash messages, and their hashes.
+def _hashed_rows(data, k: int, starts: np.ndarray, seeds: tuple[int, int]):
+    """The packed k-mers at ``starts`` on both strands as hash messages, and
+    their hashes.
 
     Block j of the messages (n rows each) and row j of the hashes are strand
-    j // 2 under seed j % 2, the strands being the k-mers and, with
-    ``include_rc``, their reverse complements. One hash call covers all.
+    j // 2 under seed j % 2, the strands being the k-mers and their reverse
+    complements. One hash call covers all.
     """
     forward = packed_kmers(data, starts, k)
-    strands = (forward, reverse_complement_rows(forward, k)) if include_rc else (forward,)
+    strands = (forward, reverse_complement_rows(forward, k))
     messages = np.concatenate([strand for strand in strands for _ in seeds])
     seed_pattern = np.array(seeds * len(strands), dtype=np.uint64)
     hashes = murmur3_low64_batch(messages, np.repeat(seed_pattern, starts.size))
@@ -266,7 +267,7 @@ class ReferenceIndex:
             part = slice(start, start + _PROBE_CHUNK)
             # Row j of ``slot`` holds every position's j-th probe, and block j
             # of ``messages`` the packed k-mers it hashed.
-            messages, slot = _hashed_rows(data, k, positions[part], self.seeds, True)
+            messages, slot = _hashed_rows(data, k, positions[part], self.seeds)
             slot &= mask
             offsets = self.slots[slot]
             live = offsets <= last
