@@ -13,8 +13,9 @@ duplicate k-mers are dropped up front, keeping each k-mer's first offset;
 only keys that share their slot pair with another are compared byte by byte.
 Numpy rounds then place all pending keys at once, one winner per slot, for at
 most EVICTION_LIMIT rounds: the first, into an empty table, by a minimum per
-slot, and the later ones by sorting their claims. A key still pending after
-the last round is skipped and counted.
+slot, and the later ones by sorting their claims; the last few pending keys,
+typically one eviction chain, run the same rounds on Python ints. A key still
+pending after the last round is skipped and counted.
 Lookups try both slots of the forward k-mer before either slot of its reverse
 complement, so with no skipped key every lookup result is independent of
 which of its two slots a key landed in.
@@ -62,6 +63,9 @@ from .sequence import (
 EMPTY_SLOT = 0xFFFFFFFF
 # Rounds of the batched build; a key still pending after the last is skipped.
 EVICTION_LIMIT = 500
+# Pending keys at or below which a round runs on Python ints (``_settle_few``):
+# there a numpy round costs its per-call overhead, whatever its size.
+_FEW_CLAIMS = 32
 
 _MAGIC = b"BIDX"
 _VERSION = 1
@@ -450,6 +454,38 @@ def _first_occurrences(
     return np.compress(keep, np.arange(slot_a.size, dtype=np.uint32))
 
 
+def _settle_few(slots, slot_a, slot_b, pending: list, target: list, rounds: int) -> int:
+    """The build's remaining rounds, once at most _FEW_CLAIMS keys are pending,
+    on Python ints; returns how many keys are still pending after them.
+
+    Each round is the batched one: claims in (slot, key) order, the first
+    claim on a slot wins it and displaces its holder, and a loser or a
+    displaced key next claims its slot other than the one it left. Pending
+    keys never grow in number, and a long eviction chain is typically one
+    key.
+    """
+    for _ in range(rounds):
+        if not pending:
+            break
+        claims = sorted(zip(target, pending))
+        left, pending, claimed = [], [], None
+        for slot, key in claims:
+            if slot != claimed:  # the lowest key claiming a slot wins it
+                claimed = slot
+                holder = slots.item(slot)
+                slots[slot] = key
+                if holder == EMPTY_SLOT:
+                    continue
+                key = holder
+            left.append(slot)
+            pending.append(key)
+        target = [
+            slot_b.item(key) if slot == slot_a.item(key) else slot_a.item(key)
+            for slot, key in zip(left, pending)
+        ]
+    return len(pending)
+
+
 def build_index(
     reference: PackedSequence,
     k: int,
@@ -476,7 +512,9 @@ def build_index(
        lost its claim or been displaced in it, is skipped and counted. The
        table is empty before the first round, so that round needs no sort:
        a minimum per slot picks its winners, and it displaces nothing.
-       Later rounds sort their claims by (slot, key).
+       Later rounds sort their claims by (slot, key); once at most
+       _FEW_CLAIMS keys are pending, the rest run the same rounds on Python
+       ints (``_settle_few``).
 
     Placement is deterministic. With no skipped key, every distinct k-mer is
     stored with its first offset, whatever the slot layout.
@@ -514,9 +552,9 @@ def build_index(
     pending = np.compress(lost, pending)
     del target, lost
     target = slot_b[pending]
-    for _ in range(EVICTION_LIMIT - 1):
-        if not pending.size:
-            break
+    rounds_left = EVICTION_LIMIT - 1
+    while pending.size > _FEW_CLAIMS and rounds_left:
+        rounds_left -= 1
         # One sort of (slot, key) words orders the claims by slot, then by
         # key: the first claim on each slot is its winner.
         claims = target.astype("<u8")
@@ -541,7 +579,8 @@ def build_index(
         first = slot_a[pending]
         target = np.where(left == first, slot_b[pending], first)
         del first
-    del slot_a, slot_b
+    skipped = _settle_few(slots, slot_a, slot_b, pending.tolist(), target.tolist(), rounds_left)
+    del slot_a, slot_b, pending, target
 
     # Each held key brings its filter nibble, and keys become offsets.
     held = slots != EMPTY_SLOT
@@ -559,5 +598,5 @@ def build_index(
         ref_checksum=sequence_checksum(reference),
         slots=slots,
         nibbles=nibbles,
-        skipped_keys=int(pending.size),
+        skipped_keys=skipped,
     )

@@ -334,6 +334,29 @@ def test_eviction_limit_skip_is_clean(monkeypatch):
     assert idx.occupied + idx.skipped_keys + duplicates == ref.length - k + 1
 
 
+@pytest.mark.parametrize("limit", [1, 2, 5, 500])
+def test_few_claim_rounds_place_as_numpy_rounds(monkeypatch, limit):
+    """Rounds on Python ints for the last pending keys leave the table, nibbles
+    and skip count exactly as numpy rounds to the end would, whichever round
+    the switch falls in and whether or not the eviction limit is reached."""
+    rng = np.random.default_rng(17)
+    cases = [(random_sequence(n, rng), 10) for n in (300, 3000, 20000)]
+    # 1,024 keys in 2,048 slots, one of which is still pending after 500 rounds
+    cases.append((random_sequence(1039, np.random.default_rng(10)), 16))
+    layouts = {}
+    for few in (0, index_mod._FEW_CLAIMS, 1 << 32):
+        monkeypatch.setattr(index_mod, "_FEW_CLAIMS", few)
+        monkeypatch.setattr(index_mod, "EVICTION_LIMIT", limit)
+        layouts[few] = []
+        for ref, k in cases:
+            buf = io.BytesIO()
+            idx = build_index(ref, k)
+            idx.save(buf)
+            layouts[few].append((idx.skipped_keys, buf.getvalue()))
+    assert layouts[0] == layouts[index_mod._FEW_CLAIMS] == layouts[1 << 32]
+    assert any(skipped for skipped, _ in layouts[0])
+
+
 def repeat_rich_reference(seed):
     rng = np.random.default_rng(seed)
     half = random_sequence(700, rng)
