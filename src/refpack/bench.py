@@ -6,19 +6,18 @@ Ratios use the width-generalized group encoder, so s values other than 16 are
 measured even though only s=16 is admissible in version-1 containers; rows
 produced with s != 16 are not container-compatible.
 
-Rows run in a thread pool (size from the REFPACK_THREADS environment
-variable); the report is assembled order-stable by (dataset, k, s, trial),
-and ratios are deterministic regardless of pool size.  Timing and throughput
-columns are informational only.
+Cells run one after another in (dataset, k, s, trial) order, and only one
+index is alive at a time: each k's index is built, serves that k's cells, and
+is dropped before the next build.  Ratios are deterministic; timing and
+throughput columns are informational only.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import os
+import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -29,27 +28,6 @@ from .sequence import PackedSequence, load_sequences
 
 DEFAULT_K_VALUES = (16, 32, 64, 128, 256)
 DEFAULT_S_VALUES = (4, 8, 16, 32, 64)
-
-THREADS_ENV_VAR = "REFPACK_THREADS"
-
-
-def worker_count(explicit: Optional[int] = None) -> int:
-    """Pool size: explicit argument, else REFPACK_THREADS, else CPU-bounded."""
-    if explicit is not None:
-        if explicit < 1:
-            raise ValueError("thread count must be positive")
-        return explicit
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}")
-        if n < 1:
-            raise ValueError(f"{THREADS_ENV_VAR} must be positive, got {n}")
-        return n
-    return min(4, os.cpu_count() or 1)
-
 
 @dataclass(frozen=True)
 class SweepDataset:
@@ -262,48 +240,25 @@ def _run_one(
         return SweepRow(dataset=dataset.name, k=k, s=s, trial=trial, error=f"{type(exc).__name__}: {exc}")
 
 
-def run_sweep(spec: SweepSpec, *, threads: Optional[int] = None) -> BenchReport:
-    """Evaluate every admissible (dataset, k, s, trial) cell.
+def run_sweep(spec: SweepSpec) -> BenchReport:
+    """Evaluate every admissible (dataset, k, s, trial) cell, in that order.
 
-    Indexes are built once per (dataset, k) and shared read-only across the
-    pool.  A failing cell is recorded in its row's ``error`` column and the
-    sweep continues.
+    Each (dataset, k) index is built once, serves its k's cells, and is
+    dropped before the next build.  A failing cell is recorded in its row's
+    ``error`` column and the sweep continues.
     """
-    if not spec.datasets:
-        return BenchReport(())
-
-    pairs = spec.pairs()
-    indexes: dict[tuple[str, int], Union[ReferenceIndex, Exception]] = {}
+    rows = []
     for dataset in spec.datasets:
-        for k in {k for k, _ in pairs}:
+        for k, run in itertools.groupby(spec.pairs(), key=lambda pair: pair[0]):
             try:
-                indexes[(dataset.name, k)] = build_index(
-                    dataset.reference, k, sampling_stride=spec.index_stride
-                )
+                index = build_index(dataset.reference, k, sampling_stride=spec.index_stride)
             except Exception as exc:  # noqa: BLE001 - recorded per-row below
-                indexes[(dataset.name, k)] = exc
-
-    cells = [
-        (dataset, k, s, trial)
-        for dataset in spec.datasets
-        for k, s in pairs
-        for trial in range(spec.trials)
-    ]
-
-    def evaluate(cell):
-        dataset, k, s, trial = cell
-        index = indexes[(dataset.name, k)]
-        if isinstance(index, Exception):
-            return SweepRow(
-                dataset=dataset.name, k=k, s=s, trial=trial,
-                error=f"index build failed: {type(index).__name__}: {index}",
-            )
-        return _run_one(dataset, index, k, s, trial, spec.use_prefilter)
-
-    n_workers = worker_count(threads)
-    if n_workers == 1 or len(cells) == 1:
-        rows = [evaluate(cell) for cell in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            rows = list(pool.map(evaluate, cells))
+                index, failure = None, f"index build failed: {type(exc).__name__}: {exc}"
+            for _, s in run:
+                for trial in range(spec.trials):
+                    if index is None:
+                        rows.append(SweepRow(dataset=dataset.name, k=k, s=s, trial=trial, error=failure))
+                    else:
+                        rows.append(_run_one(dataset, index, k, s, trial, spec.use_prefilter))
+            del index
     return BenchReport(tuple(rows))

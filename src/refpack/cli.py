@@ -10,8 +10,9 @@ Exit codes:
   4  corrupt compressed stream or container
 
 A config file (``--config PATH``) holds ``key = value`` lines ('#' starts a
-comment) supplying defaults for: k, stride, granularity, threads, prefilter,
-seed.  Explicit flags always win over the config file.
+comment) supplying defaults for: k, stride, granularity, prefilter, seed.
+Explicit flags always win over the config file.  ``sweep`` still accepts
+``--threads`` and ignores it: the sweep runs its cells in order.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .sequence import (
 from .shd import ShdConfig, filter_stream
 from .synth import MutationProfile, mutate, random_reads, random_sequence, spliced_rearrangement
 
-_CONFIG_KEYS = ("k", "stride", "granularity", "threads", "prefilter", "seed")
+_CONFIG_KEYS = ("k", "stride", "granularity", "prefilter", "seed")
 
 _TRUE_WORDS = {"1", "true", "yes", "on"}
 _FALSE_WORDS = {"0", "false", "no", "off"}
@@ -339,10 +340,9 @@ def cmd_sweep(args: argparse.Namespace, config: dict[str, str]) -> int:
         else _cfg_int(config, "stride", 1),
         use_prefilter=False if args.no_prefilter else _cfg_bool(config, "prefilter", True),
     )
-    threads = args.threads
-    if threads is None and "threads" in config:
-        threads = _cfg_int(config, "threads", 1)
-    report = run_sweep(spec, threads=threads)
+    if args.threads is not None:
+        _diag("note: --threads is ignored; the sweep runs its cells in order")
+    report = run_sweep(spec)
     if args.csv == "-":
         sys.stdout.write(report.to_csv())
     else:
@@ -481,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-values", help="comma-separated s grid (default 4,8,16,32,64)")
     p.add_argument("--trials", type=int, default=1, help="trials per cell (default 1)")
     p.add_argument("--index-stride", type=int, help="reference indexing stride (default 1)")
-    p.add_argument("--threads", type=int, help="worker pool size (default: REFPACK_THREADS)")
+    p.add_argument("--threads", type=int, help="ignored; the sweep runs its cells in order")
     p.add_argument("--no-prefilter", action="store_true", help="disable the probe prefilter")
     p.add_argument("--csv", metavar="PATH", help="write CSV here ('-' for stdout)")
     p.set_defaults(func=cmd_sweep)

@@ -189,10 +189,6 @@ class PackedSequence:
         """One uint8 code per base, unpacked anew on every call."""
         return unpack_rows(np.frombuffer(self.data, dtype=np.uint8))[: self.length]
 
-    def codes_bytes(self) -> bytes:
-        """One byte per base, values 0..3."""
-        return self.codes().tobytes()
-
     def to_ascii(self) -> str:
         return _unpack_ascii(self.data, self.length)
 
@@ -330,7 +326,7 @@ def sequence_checksum(seq: PackedSequence) -> bytes:
     return seq._checksum
 
 
-@dataclass
+@dataclass(slots=True)
 class FastaRecord:
     id: str
     seq: PackedSequence

@@ -237,7 +237,7 @@ def test_criterion_07_cuckoo_integrity(tmp_path):
     started = time.perf_counter()
     index = build_index(ref, 64, sampling_stride=1)
     attempts = ref.length - 64 + 1
-    codes_bytes = ref.codes_bytes()
+    codes_bytes = ref.codes().tobytes()
     retrievable = 0
     for off in range(attempts):
         cand = index.query(ref, kmer_at(ref, off, 64))

@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,13 +15,7 @@ from refpack import (
     run_sweep,
     write_fasta,
 )
-from refpack.bench import (
-    _CSV_COLUMNS,
-    DEFAULT_K_VALUES,
-    DEFAULT_S_VALUES,
-    THREADS_ENV_VAR,
-    worker_count,
-)
+from refpack.bench import _CSV_COLUMNS, DEFAULT_K_VALUES, DEFAULT_S_VALUES
 from refpack.compress import CompressParams, group_count
 from refpack.synth import random_sequence
 
@@ -32,32 +27,6 @@ def dataset(reference):
         (mutate(reference, MutationProfile(snp=0.01), rng),) for _ in range(2)
     )
     return SweepDataset("mut1pct", reference, targets)
-
-
-class TestWorkerCount:
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "7")
-        assert worker_count(3) == 3
-
-    def test_explicit_validated(self):
-        with pytest.raises(ValueError, match="positive"):
-            worker_count(0)
-
-    def test_env_var(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "5")
-        assert worker_count() == 5
-
-    def test_env_var_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "many")
-        with pytest.raises(ValueError, match="integer"):
-            worker_count()
-        monkeypatch.setenv(THREADS_ENV_VAR, "-2")
-        with pytest.raises(ValueError, match="positive"):
-            worker_count()
-
-    def test_default_bounded(self, monkeypatch):
-        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
-        assert 1 <= worker_count() <= 4
 
 
 class TestSweepDataset:
@@ -121,7 +90,7 @@ def row_key(row):
 
 def test_sweep_rows_ordered_and_consistent(dataset):
     spec = SweepSpec((dataset,), k_values=(32, 64), s_values=(8, 16), trials=2)
-    report = run_sweep(spec, threads=1)
+    report = run_sweep(spec)
     expected = [
         ("mut1pct", k, s, t) for (k, s) in spec.pairs() for t in range(2)
     ]
@@ -140,26 +109,10 @@ def test_sweep_rows_ordered_and_consistent(dataset):
         assert row.bases_per_sec is None or row.bases_per_sec > 0
 
 
-def test_sweep_deterministic_across_pool_sizes(dataset, monkeypatch):
-    spec = SweepSpec((dataset,), k_values=(64,), s_values=(8, 16), trials=2)
-    serial = run_sweep(spec, threads=1)
-    monkeypatch.setenv(THREADS_ENV_VAR, "4")
-    pooled = run_sweep(spec)
-
-    def stable(report):
-        return [
-            (row_key(r), r.n_bases, r.compressed_bytes, r.ratio, r.verbatim,
-             r.forward, r.reverse, r.continuation, r.error)
-            for r in report.rows
-        ]
-
-    assert stable(serial) == stable(pooled)
-
-
 def test_sweep_records_cell_errors(dataset):
     # k=10 is not a multiple of s=4, so that cell fails while (16, 4) runs.
     spec = SweepSpec((dataset,), k_values=(10, 16), s_values=(4,))
-    report = run_sweep(spec, threads=1)
+    report = run_sweep(spec)
     bad, good = report.rows
     assert bad.error and "ValueError" in bad.error
     assert bad.ratio is None and bad.bases_per_sec is None
@@ -170,9 +123,59 @@ def test_sweep_records_cell_errors(dataset):
 
 def test_sweep_records_index_build_failure(dataset):
     spec = SweepSpec((dataset,), k_values=(64,), s_values=(16,), index_stride=0)
-    report = run_sweep(spec, threads=1)
+    report = run_sweep(spec)
     (row,) = report.rows
     assert row.error and row.error.startswith("index build failed")
+
+
+def test_sweep_index_build_failure_stays_in_its_k(dataset, reference):
+    # k one past the reference length cannot be indexed; the k values on
+    # either side of it still run, and the rows keep the grid's order.
+    too_long = reference.length + 1
+    spec = SweepSpec((dataset,), k_values=(16, too_long, 32), s_values=(8, 16), trials=2)
+    report = run_sweep(spec)
+    assert [row_key(r) for r in report.rows] == [
+        ("mut1pct", k, s, t) for (k, s) in spec.pairs() for t in range(2)
+    ]
+    for row in report.rows:
+        if row.k == too_long:
+            assert row.error.startswith("index build failed: ValueError")
+            assert row.ratio is None
+        else:
+            assert row.error is None and row.ratio > 1
+
+
+def test_sweep_repeated_k_repeats_its_rows(dataset):
+    spec = SweepSpec((dataset,), k_values=(16, 32, 16), s_values=(16,))
+    report = run_sweep(spec)
+    assert [row_key(r) for r in report.rows] == [
+        ("mut1pct", 16, 16, 0), ("mut1pct", 32, 16, 0), ("mut1pct", 16, 16, 0),
+    ]
+    first, _, again = report.rows
+    assert (again.compressed_bytes, again.verbatim, again.continuation) == (
+        first.compressed_bytes, first.verbatim, first.continuation,
+    )
+
+
+def _sweep_peak(spec):
+    tracemalloc.start()
+    try:
+        run_sweep(spec)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweep_holds_one_index_at_a_time():
+    """A sweep over five k values peaks near a sweep over the first alone:
+    each k's index is dropped before the next one is built."""
+    rng = np.random.default_rng(0x5EE9)
+    reference = random_sequence(1 << 18, rng)
+    target = mutate(reference, MutationProfile(snp=0.01), rng)
+    data = SweepDataset("ref256k", reference, ((target,),))
+    one = _sweep_peak(SweepSpec((data,), k_values=(16,), s_values=(16,)))
+    grid = _sweep_peak(SweepSpec((data,), k_values=(16, 32, 64, 128, 256), s_values=(16,)))
+    assert grid <= 1.1 * one
 
 
 def test_sweep_empty_spec():
@@ -184,7 +187,7 @@ def test_sweep_empty_spec():
 def test_multiple_datasets_grouped(dataset, reference):
     other = SweepDataset("self", reference, ((reference,),))
     spec = SweepSpec((dataset, other), k_values=(64,), s_values=(16,))
-    report = run_sweep(spec, threads=2)
+    report = run_sweep(spec)
     assert [r.dataset for r in report.rows] == ["mut1pct", "self"]
     ratios = report.mean_ratios()
     # Self-compression collapses to near-pure continuations: far better ratio.

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import io
 
@@ -371,7 +372,7 @@ def test_sweep_table_and_csv(work, capsys, tmp_path):
         "sweep", "--target", str(root / "target.fa"),
         "--reference", str(root / "ref.fa"),
         "--k-values", "16,32", "--s-values", "8,16",
-        "--threads", "1", "--csv", str(csv_path),
+        "--csv", str(csv_path),
     ]) == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("dataset")
@@ -386,11 +387,37 @@ def test_sweep_csv_to_stdout(work, capsys):
     assert main([
         "sweep", "--target", str(root / "target.fa"),
         "--reference", str(root / "ref.fa"),
-        "--k-values", "16", "--s-values", "16", "--threads", "1", "--csv", "-",
+        "--k-values", "16", "--s-values", "16", "--csv", "-",
     ]) == 0
     out = capsys.readouterr().out
     assert out.startswith("dataset,k,s,trial")
     assert len(out.splitlines()) == 2
+
+
+def test_sweep_threads_flag_is_ignored(work, capsys):
+    """The benchmark's sweep command line still passes ``--threads``: it
+    parses, says it is ignored, and changes no row."""
+    root, _, _ = work
+
+    def sweep_csv(*extra):
+        assert main([
+            "sweep", "--target", str(root / "target.fa"),
+            "--reference", str(root / "ref.fa"),
+            "--k-values", "16,32", "--s-values", "8,16", "--trials", "2",
+            *extra, "--csv", "-",
+        ]) == 0
+        out, err = capsys.readouterr()
+        rows = list(csv.DictReader(io.StringIO(out)))
+        for row in rows:
+            del row["seconds"], row["bases_per_sec"]
+        return rows, err
+
+    threaded, note = sweep_csv("--threads", "2")
+    plain, quiet = sweep_csv()
+    assert "note: --threads is ignored" in note
+    assert "--threads" not in quiet
+    assert len(threaded) == 8 and not any(row["error"] for row in threaded)
+    assert threaded == plain
 
 
 def test_sweep_needs_paired_flags(work, capsys):
@@ -412,7 +439,6 @@ def test_sweep_dataset_flag(work, capsys):
     pair = f"{root / 'target.fa'},{root / 'ref.fa'}"
     assert main([
         "sweep", "--dataset", pair, "--k-values", "16", "--s-values", "16",
-        "--threads", "1",
     ]) == 0
     assert "target" in capsys.readouterr().out
     assert main(["sweep", "--dataset", "missing-comma"]) == 2
@@ -492,6 +518,16 @@ class TestConfig:
             "gen-synthetic", "--config", str(cfg), "--out", "-", "--length", "5",
         ]) == 2
         assert "unknown config key 's'" in capsys.readouterr().err
+
+    def test_threads_is_not_a_config_key(self, tmp_path, capsys):
+        """The sweep has no thread pool to size, so a config file that sets
+        ``threads`` is an error, not a silent no-op."""
+        cfg = tmp_path / "r.conf"
+        cfg.write_text("threads = 2\n")
+        assert main([
+            "gen-synthetic", "--config", str(cfg), "--out", "-", "--length", "5",
+        ]) == 2
+        assert "unknown config key 'threads'" in capsys.readouterr().err
 
     def test_malformed_line(self, tmp_path):
         cfg = tmp_path / "r.conf"

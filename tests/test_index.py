@@ -51,12 +51,13 @@ def test_query_every_forward_kmer():
     rng = np.random.default_rng(2)
     ref = random_sequence(3000, rng)
     idx = build_index(ref, 24)
+    ref_cb = ref.codes().tobytes()
     for off in range(0, ref.length - 24 + 1, 97):
         hit = idx.query(ref, kmer_at(ref, off, 24))
         assert hit is not None
         assert hit.orientation is Orientation.FORWARD
         # any offset holding identical bases is a correct answer
-        assert ref.codes_bytes()[hit.offset : hit.offset + 24] == ref.codes_bytes()[off : off + 24]
+        assert ref_cb[hit.offset : hit.offset + 24] == ref_cb[off : off + 24]
 
 
 def test_query_reverse_complement():
@@ -315,7 +316,7 @@ def test_eviction_limit_skip_is_clean(monkeypatch):
     idx = build_index(ref, k)
     assert idx.skipped_keys > 0  # collisions are certain at this density
 
-    ref_cb = ref.codes_bytes()
+    ref_cb = ref.codes().tobytes()
     seen: dict[bytes, int] = {}
     misses = 0
     duplicates = 0
@@ -371,7 +372,7 @@ def test_stores_first_offset_of_every_distinct_kmer(k, stride):
     ref = repeat_rich_reference(14)
     idx = build_index(ref, k, sampling_stride=stride)
     assert idx.skipped_keys == 0
-    ref_cb = ref.codes_bytes()
+    ref_cb = ref.codes().tobytes()
     first: dict[bytes, int] = {}
     for off in range(0, ref.length - k + 1, stride):
         first.setdefault(ref_cb[off : off + k], off)
@@ -400,7 +401,7 @@ def test_equal_hashes_never_merge_distinct_kmers(monkeypatch):
     k = 8
     idx = build_index(ref, k)
 
-    ref_cb = ref.codes_bytes()
+    ref_cb = ref.codes().tobytes()
     attempts = ref.length - k + 1
     distinct = {ref_cb[off : off + k] for off in range(attempts)}
     stored = [ref_cb[off : off + k] for off in idx.slots[idx.slots != EMPTY_SLOT].tolist()]

@@ -189,7 +189,7 @@ def test_two_bit_forms_match_oracle(residue, data):
     text = oracle_ascii(seq)
     assert seq.to_ascii() == text
     assert seq.codes().tolist() == oracle_codes(seq).tolist()
-    assert seq.codes_bytes() == oracle_codes(seq).tobytes()
+    assert seq.codes().tobytes() == oracle_codes(seq).tobytes()
     if n == 0:
         return
     kmer = Kmer(int.from_bytes(seq.data, "little"), n)
