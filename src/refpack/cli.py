@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .bench import DEFAULT_K_VALUES, DEFAULT_S_VALUES, SweepDataset, SweepSpec, run_sweep
-from .compress import CompressParams, CompressResult, compress, compression_ratio, encoded_sizes
+from .compress import CompressParams, compress, compression_ratio, encoded_sizes
 from .container import (
     DEFAULT_GRANULARITY,
     decompress_records,
@@ -44,7 +44,6 @@ from .errors import (
 )
 from .index import ReferenceIndex, build_index
 from .sequence import (
-    FastaRecord,
     PackedSequence,
     concat_sequences,
     load_sequences,
@@ -142,31 +141,6 @@ def cmd_build_index(args: argparse.Namespace, config: dict[str, str]) -> int:
     return 0
 
 
-def _compress_records(
-    targets: list[FastaRecord],
-    index: ReferenceIndex,
-    reference: PackedSequence,
-    params: CompressParams,
-    *,
-    use_prefilter: bool,
-    granularity: int,
-) -> tuple[list[tuple[str, CompressResult]], int, int]:
-    # Breaking chains at the chunk spacing keeps every chunk-index entry
-    # decodable with fresh state. All records go to one ``compress`` call,
-    # which is where perfbench's trace counts tokens and probes.
-    results = compress(
-        [rec.seq for rec in targets],
-        index,
-        reference,
-        params,
-        use_prefilter=use_prefilter,
-        break_every_groups=granularity,
-    )
-    total_bases = sum(result.n_bases for result in results)
-    group_bytes = int(encoded_sizes([result.kinds for result in results], params).sum())
-    return [(rec.id, result) for rec, result in zip(targets, results)], total_bases, group_bytes
-
-
 def cmd_compress(args: argparse.Namespace, config: dict[str, str]) -> int:
     reference = _load_reference(args.reference)
     if args.index:
@@ -187,10 +161,16 @@ def cmd_compress(args: argparse.Namespace, config: dict[str, str]) -> int:
     params = CompressParams(k=index.k, s=16)
     targets = load_sequences(args.target)
     started = time.perf_counter()
-    records, total_bases, group_bytes = _compress_records(
-        targets, index, reference, params,
-        use_prefilter=use_prefilter, granularity=granularity,
+    # Breaking chains at the chunk spacing keeps every chunk-index entry
+    # decodable with fresh state. All records go to one ``compress`` call,
+    # which is where perfbench's trace counts tokens and probes.
+    results = compress(
+        [rec.seq for rec in targets], index, reference, params,
+        use_prefilter=use_prefilter, break_every_groups=granularity,
     )
+    total_bases = sum(result.n_bases for result in results)
+    group_bytes = int(encoded_sizes([result.kinds for result in results], params).sum())
+    records = [(rec.id, result) for rec, result in zip(targets, results)]
     elapsed = time.perf_counter() - started
     container_bytes = write_container(
         records, params, index.ref_checksum, args.out, granularity=granularity
@@ -238,16 +218,10 @@ def cmd_decompress(args: argparse.Namespace, config: dict[str, str]) -> int:
 def cmd_extract(args: argparse.Namespace, config: dict[str, str]) -> int:
     container = read_container(args.container)
     reference = _load_reference(args.reference)
-    if args.record is not None:
-        try:
-            record = container.find_record(args.record)
-        except KeyError:
-            raise UsageError(f"record {args.record!r} not found in container")
-    elif container.records:
-        record = container.records[0]
-    else:
+    chosen = _pick_record(container, args.record)
+    if not chosen:
         raise UsageError("container holds no records")
-    piece = extract_range(container, record, reference, args.offset, args.length)
+    piece = extract_range(container, chosen[0], reference, args.offset, args.length)
     out, owned = _open_out(args.out, binary=False)
     try:
         out.write(piece.to_ascii())

@@ -43,16 +43,15 @@ from .compress import (
     WORD_BYTES,
     CompressParams,
     CompressResult,
-    CompressedStream,
     TokenKind,
     encode_records,
     group_count,
     ragged_arange,
     record_sums,
 )
-from .decompress import decode_group, decompress_streams
+from .decompress import decode_group, decode_records
 from .errors import ChecksumMismatch, CorruptContainer, CorruptStream
-from .sequence import PackedSequence, sequence_checksum
+from .sequence import PackedSequence, read_bytes, sequence_checksum, write_bytes
 
 MAGIC = b"BNCC"
 VERSION = 1
@@ -241,14 +240,10 @@ def write_container(
     fixed = _FIXED.pack(
         MAGIC, VERSION, params.k, params.s, ref_checksum, len(rids), index_blob_offset
     )
-    meta_crc = zlib.crc32(fixed + bytes(table))
-    payload = fixed + _CRC.pack(meta_crc) + bytes(table) + bytes(regions) + bytes(blob)
-
-    if isinstance(dest, (str, Path)):
-        Path(dest).write_bytes(payload)
-    else:
-        dest.write(payload)
-    return len(payload)
+    meta_crc = zlib.crc32(fixed + table)
+    parts = (fixed, _CRC.pack(meta_crc), table, regions, blob)
+    write_bytes(dest, *parts)
+    return sum(map(len, parts))
 
 
 def _need(data: bytes, pos: int, fields: tuple[tuple[int, str], ...]) -> None:
@@ -273,13 +268,7 @@ _ENTRY_FIELDS = (
 
 
 def read_container(src: Union[str, Path, bytes, BinaryIO]) -> Container:
-    if isinstance(src, (str, Path)):
-        data = Path(src).read_bytes()
-    elif isinstance(src, bytes):
-        data = src
-    else:
-        data = src.read()
-
+    data = read_bytes(src)
     if len(data) < HEADER_LEN:
         raise CorruptContainer(f"file too short for header: {len(data)} bytes")
     magic, version, k, s, checksum, n_records, blob_offset = _FIXED.unpack_from(data)
@@ -375,22 +364,16 @@ def read_container(src: Union[str, Path, bytes, BinaryIO]) -> Container:
     )
 
 
-def record_stream(container: Container, record: ContainerRecord) -> CompressedStream:
-    return CompressedStream(
-        data=container.group_bytes(record),
-        n_groups=record.n_groups,
-        n_bases=record.n_bases,
-        k=container.params.k,
-        s=container.params.s,
-        ref_checksum=container.ref_checksum,
-    )
-
-
 def decompress_records(
     container: Container, records: Iterable[ContainerRecord], reference: PackedSequence
 ) -> list[PackedSequence]:
-    """Decode the given records in one decoder call."""
-    return decompress_streams([record_stream(container, rec) for rec in records], reference)
+    """Decode the given records in one decoder call.
+
+    Every record's CRC is checked before the reference checksum, so a corrupt
+    record reads as a corrupt container even against the wrong reference.
+    """
+    triples = [(container.group_bytes(rec), rec.n_groups, rec.n_bases) for rec in records]
+    return decode_records(triples, reference, container.params, container.ref_checksum)
 
 
 def decompress_record(

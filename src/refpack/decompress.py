@@ -6,9 +6,10 @@ bits, followed by its payload words. A verbatim slot holds its S bases packed
 its payload offset; a continuation slot has no payload and advances the last
 match's offset by +K (forward) or -K (reverse).
 
-``decode_group`` is the one decoder: ``decompress``, the container's
-``extract_range`` and the CLI's ``decompress`` of many records all call it
-once. It works in three steps:
+``decode_group`` is the one decoder. ``decode_records`` calls it once for
+the whole records of ``decompress`` and the container's ``decompress_records``;
+the container's ``extract_range`` calls it from a chunk-index entry. It works
+in three steps:
 
 * frame walk: each group is sized from popcounts of its header's kind bits
   and must fit in the bytes left; decoding stops once a caller that asked for
@@ -40,6 +41,8 @@ from .sequence import PackedSequence, pack_code_runs, packed_kmers, sequence_che
 # (group bytes, group count, ordinal of the first group); the first group is
 # a chain-free entry point: a stream start or a chunk-index entry.
 Stream = tuple[bytes | memoryview, int, int]
+# (group bytes, group count, footer base count) of a whole record.
+Record = tuple[bytes | memoryview, int, int]
 
 # Header byte -> the kind codes of its four slots, slot 0 first.
 _BYTE_KINDS = [tuple((b >> shift) & 3 for shift in (0, 2, 4, 6)) for b in range(256)]
@@ -192,38 +195,37 @@ def _gather_verbatim(out, buf, verbatim, rows, params) -> None:
         placed[rows[i : i + chunk]] = unpack_rows(payload[first].reshape(len(first), -1))[:, :s]
 
 
-def decompress_streams(
-    streams: Sequence[CompressedStream], reference: PackedSequence
+def decode_records(
+    records: Sequence[Record],
+    reference: PackedSequence,
+    params: CompressParams,
+    ref_checksum: bytes,
 ) -> list[PackedSequence]:
-    """Decode streams that share K and S in one decoder call.
+    """Decode whole records in one decoder call.
 
-    Each stream's base count must be what its footer declares, up to the
-    padding of its final group.
+    The records must have been compressed against ``reference``, whose
+    checksum is compared once when there is a record to decode. Each record's
+    base count must be what its footer declares, up to the padding of its
+    final group.
     """
-    if not streams:
+    if not records:
         return []
-    params = streams[0].params
-    for stream in streams:
-        if stream.ref_checksum != sequence_checksum(reference):
-            raise ChecksumMismatch("stream was compressed against a different reference")
-        if stream.params != params:
-            raise ValueError("streams decoded together must share k and s")
-    parts, _ = decode_group(
-        [(stream.data, stream.n_groups, 0) for stream in streams], reference, params
-    )
-    for stream, codes in zip(streams, parts):
-        if codes.size < stream.n_bases:
-            raise CorruptStream(
-                f"stream yields {codes.size} bases but footer declares {stream.n_bases}"
-            )
-        if codes.size - stream.n_bases >= GROUP_SLOTS * params.s:
+    if ref_checksum != sequence_checksum(reference):
+        raise ChecksumMismatch("stream was compressed against a different reference")
+    streams = [(data, n_groups, 0) for data, n_groups, _ in records]
+    parts, _ = decode_group(streams, reference, params)
+    for (_, _, n_bases), codes in zip(records, parts):
+        if codes.size < n_bases:
+            raise CorruptStream(f"stream yields {codes.size} bases but footer declares {n_bases}")
+        if codes.size - n_bases >= GROUP_SLOTS * params.s:
             raise CorruptStream(
                 f"stream yields {codes.size} bases, more than padding allows for "
-                f"footer count {stream.n_bases}"
+                f"footer count {n_bases}"
             )
-    return pack_code_runs([codes[: stream.n_bases] for stream, codes in zip(streams, parts)])
+    return pack_code_runs([codes[:n_bases] for (_, _, n_bases), codes in zip(records, parts)])
 
 
 def decompress(stream: CompressedStream, reference: PackedSequence) -> PackedSequence:
     """Decode a full stream and truncate padding to the footer base count."""
-    return decompress_streams([stream], reference)[0]
+    record = (stream.data, stream.n_groups, stream.n_bases)
+    return decode_records([record], reference, stream.params, stream.ref_checksum)[0]

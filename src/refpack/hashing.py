@@ -119,26 +119,21 @@ def _mixed_lane(lane: np.ndarray, first: int, r: int, second: int, out: np.ndarr
     return out
 
 
-def murmur3_low64_batch(messages: np.ndarray, seed: int | np.ndarray = 0) -> np.ndarray:
+def murmur3_low64_batch(messages: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     """h1 for each row of a (n, width) uint8 array of equal-width messages.
 
-    ``seed`` is one seed for every row, or a uint64 array of n seeds, one per
-    row, so that several seeds can share one call. Neither argument is
-    modified: the state lives in two fresh arrays and two reused scratch
-    arrays, which every step updates in place.
+    ``seeds`` is a uint64 array of n seeds, one per row, so that several seeds
+    can share one call. Neither argument is modified: the state lives in two
+    fresh arrays and two reused scratch arrays, which every step updates in
+    place.
     """
     if messages.ndim != 2:
         raise ValueError("expected a 2-d array of messages")
     messages = np.ascontiguousarray(messages, dtype=np.uint8)
     n, width = messages.shape
-    if isinstance(seed, np.ndarray):
-        if seed.dtype != np.uint64 or seed.shape != (n,):
-            raise ValueError("per-row seeds must be a uint64 array with one seed per message")
-        h1 = seed.copy()
-    else:
-        if not 0 <= seed <= _MASK64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
-        h1 = np.full(n, np.uint64(seed), dtype=np.uint64)
+    if seeds.dtype != np.uint64 or seeds.shape != (n,):
+        raise ValueError("per-row seeds must be a uint64 array with one seed per message")
+    h1 = seeds.copy()
     h2 = h1.copy()
     k, spare = np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.uint64)
 

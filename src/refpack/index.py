@@ -57,7 +57,8 @@ import numpy as np
 from .errors import RefpackError
 from .hashing import DEFAULT_SEED_1, DEFAULT_SEED_2, murmur3_low64, murmur3_low64_batch
 from .sequence import (
-    Kmer, PackedSequence, kmer_at, packed_kmers, reverse_complement_rows, sequence_checksum
+    Kmer, PackedSequence, kmer_at, packed_kmers, read_bytes, reverse_complement_rows,
+    sequence_checksum, write_bytes,
 )
 
 EMPTY_SLOT = 0xFFFFFFFF
@@ -359,23 +360,11 @@ class ReferenceIndex:
             nib = np.concatenate([nib, np.zeros(1, dtype=np.uint8)])
         packed_nibbles = (nib[0::2] | (nib[1::2] << 4)).astype(np.uint8)
         # Three writes of the arrays' own buffers: no joined copy of the file.
-        parts = (header, self.slots.astype("<u4", copy=False), packed_nibbles)
-        if isinstance(dest, (str, Path)):
-            with open(dest, "wb") as out:
-                for part in parts:
-                    out.write(part)
-        else:
-            for part in parts:
-                dest.write(part)
+        write_bytes(dest, header, self.slots.astype("<u4", copy=False), packed_nibbles)
 
     @classmethod
     def load(cls, src: Union[str, Path, bytes, BinaryIO]) -> "ReferenceIndex":
-        if isinstance(src, (str, Path)):
-            blob = Path(src).read_bytes()
-        elif isinstance(src, bytes):
-            blob = src
-        else:
-            blob = src.read()
+        blob = read_bytes(src)
         if len(blob) < _HEADER.size:
             raise RefpackError("index file too short")
         magic, version, k, stride, capacity, s1, s2, checksum = _HEADER.unpack_from(blob)

@@ -482,22 +482,31 @@ def write_fasta(
 TWOBIT_RAW_PREFIX_LEN = 8
 
 
+def read_bytes(src: Union[str, Path, bytes, BinaryIO]) -> bytes:
+    """The bytes of a path, of ``bytes`` as given, or what a file object reads."""
+    if isinstance(src, (str, Path)):
+        return Path(src).read_bytes()
+    if isinstance(src, bytes):
+        return src
+    return src.read()
+
+
+def write_bytes(dest: Union[str, Path, BinaryIO], *parts) -> None:
+    """Write ``parts`` in order to a path or a binary file object, unjoined."""
+    if isinstance(dest, (str, Path)):
+        with open(dest, "wb") as out:
+            out.writelines(parts)
+    else:
+        dest.writelines(parts)
+
+
 def write_2bit_raw(seq: PackedSequence, dest: Union[str, Path, BinaryIO]) -> None:
     """Write the 8-byte little-endian base count followed by packed bytes."""
-    payload = seq.length.to_bytes(TWOBIT_RAW_PREFIX_LEN, "little") + seq.data
-    if isinstance(dest, (str, Path)):
-        Path(dest).write_bytes(payload)
-    else:
-        dest.write(payload)
+    write_bytes(dest, seq.length.to_bytes(TWOBIT_RAW_PREFIX_LEN, "little"), seq.data)
 
 
 def read_2bit_raw(src: Union[str, Path, bytes, BinaryIO]) -> PackedSequence:
-    if isinstance(src, (str, Path)):
-        blob = Path(src).read_bytes()
-    elif isinstance(src, bytes):
-        blob = src
-    else:
-        blob = src.read()
+    blob = read_bytes(src)
     if len(blob) < TWOBIT_RAW_PREFIX_LEN:
         raise ValueError("truncated 2bit-raw input: missing base count prefix")
     length = int.from_bytes(blob[:TWOBIT_RAW_PREFIX_LEN], "little")

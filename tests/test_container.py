@@ -13,7 +13,6 @@ from refpack import (
     MutationProfile,
     TokenKind,
     compress,
-    decompress,
     mutate,
     pack_bases,
     random_sequence,
@@ -32,11 +31,12 @@ from refpack.container import (
     ContainerRecord,
     build_chunk_index,
     decompress_record,
+    decompress_records,
     extract_range,
-    record_stream,
 )
 from refpack.errors import ChecksumMismatch, CorruptContainer, CorruptStream, RefpackError
-from refpack.sequence import PackedSequence, sequence_checksum
+from refpack.index import ReferenceIndex
+from refpack.sequence import PackedSequence, read_2bit_raw, sequence_checksum, write_2bit_raw
 
 V = TokenKind.VERBATIM
 FM = TokenKind.FORWARD_MATCH
@@ -130,6 +130,39 @@ def test_path_and_stream_writes_identical(reference, tmp_path):
     assert n == len(data)
 
 
+@pytest.mark.parametrize("fmt", [".bnc", ".bidx", ".2bit-raw"])
+def test_every_format_reads_and_writes_every_source(fmt, reference, index64, tmp_path):
+    params = CompressParams(k=64, s=16)
+    records = [("x", result_of([V] * 3, [0xE4] * 3, 48))]
+
+    def index_fields(index):
+        return (index.k, index.seeds, index.ref_checksum, index.slots.tobytes(),
+                index.nibbles.tobytes())
+
+    write, read, fields, expected = {
+        ".bnc": (
+            lambda dest: write_container(records, params, checksum_of(reference), dest),
+            read_container,
+            lambda box: decompress_record(box, box.records[0], reference).to_ascii(),
+            ("ACGT" + "A" * 12) * 3,
+        ),
+        ".bidx": (index64.save, ReferenceIndex.load, index_fields, index_fields(index64)),
+        ".2bit-raw": (
+            lambda dest: write_2bit_raw(reference, dest), read_2bit_raw, lambda seq: seq, reference
+        ),
+    }[fmt]
+    stream = io.BytesIO()
+    write(stream)
+    data = stream.getvalue()
+    path = tmp_path / f"a{fmt}"
+    for dest in (str(path), path):
+        path.unlink(missing_ok=True)
+        write(dest)
+        assert path.read_bytes() == data
+    for src in (data, str(path), path, io.BytesIO(data)):
+        assert fields(read(src)) == expected
+
+
 def test_find_record(packed):
     data, _, _ = packed
     box = read_container(data)
@@ -138,14 +171,20 @@ def test_find_record(packed):
         box.find_record("nope")
 
 
-def test_record_stream_fields(packed, reference):
-    data, targets, params = packed
-    box = read_container(data)
-    stream = record_stream(box, box.records[0])
-    assert stream.n_bases == targets["whole"].length
-    assert (stream.k, stream.s) == (params.k, params.s)
-    assert stream.ref_checksum == checksum_of(reference)
-    assert decompress(stream, reference) == targets["whole"]
+def test_decompress_records_keeps_fault_order(packed, reference):
+    data, _, _ = packed
+    rec = read_container(data).records[1]
+    corrupt = bytearray(data)
+    corrupt[rec.byte_offset] ^= 0x01
+    box = read_container(bytes(corrupt))
+    wrong = PackedSequence.from_codes(reference.codes()[1:])
+    # Record CRCs are checked before the reference checksum.
+    with pytest.raises(CorruptContainer, match="'slice': group data CRC mismatch"):
+        decompress_records(box, box.records, wrong)
+    with pytest.raises(ChecksumMismatch):
+        decompress_records(box, box.records[:1], wrong)
+    # An empty selection decodes nothing, so it checks nothing.
+    assert decompress_records(box, [], wrong) == []
 
 
 def test_empty_record_inside_container(reference):

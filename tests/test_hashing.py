@@ -118,7 +118,7 @@ def test_matches_oracle(data, seed):
 def test_batch_matches_scalar(width):
     rng = np.random.default_rng(width)
     mats = rng.integers(0, 256, (64, width), dtype=np.uint8)
-    batch = murmur3_low64_batch(mats, 0xABCDEF)
+    batch = murmur3_low64_batch(mats, np.full(len(mats), 0xABCDEF, np.uint64))
     scalar = np.array(
         [murmur3_low64(row.tobytes(), 0xABCDEF) for row in mats], dtype=np.uint64
     )
@@ -126,7 +126,7 @@ def test_batch_matches_scalar(width):
 
 
 def test_batch_empty():
-    out = murmur3_low64_batch(np.empty((0, 8), dtype=np.uint8), 1)
+    out = murmur3_low64_batch(np.empty((0, 8), dtype=np.uint8), np.full(0, 1, np.uint64))
     assert out.shape == (0,) and out.dtype == np.uint64
 
 
@@ -134,7 +134,7 @@ def test_batch_noncontiguous_input():
     rng = np.random.default_rng(5)
     big = rng.integers(0, 256, (10, 32), dtype=np.uint8)
     view = big[::2, ::2]  # strided on both axes
-    batch = murmur3_low64_batch(view, 7)
+    batch = murmur3_low64_batch(view, np.full(len(view), 7, np.uint64))
     scalar = [murmur3_low64(row.tobytes(), 7) for row in view]
     assert batch.tolist() == scalar
 
