@@ -5,11 +5,13 @@ in the reference index (both orientations); a verified match advances by k
 bases and emits a match or continuation token, otherwise S bases are emitted
 verbatim and the scan advances by S. Since S divides k, every position the
 scan can visit is stride-aligned: all of them are hashed and probed at once
-with ``ReferenceIndex.probe`` before the scan, and the scan itself is a
-Python walk over the precomputed orientations and offsets, one integer step
-per token. ``compress_records`` does this for many records with one probe
-per batch of records, so that the cost follows bases rather than records;
-``compress`` is its one-record case. Sixteen tokens share one 32-bit header
+with ``ReferenceIndex.probe`` before the scan, and the scan itself is a few
+array passes over the precomputed orientations and offsets: the path of
+windows it visits is listed by pointer jumping, and the tokens' kinds and
+payload words follow from that path with no per-token Python step.
+``compress_records`` does this for many records with one probe per batch of
+records, so that the cost follows bases rather than records; ``compress`` is
+its one-record case. Sixteen tokens share one 32-bit header
 holding a 2-bit kind code per token:
 
     00 verbatim      payload: S bases packed 2-bit (one u32 word when S=16)
@@ -31,7 +33,6 @@ only statement of how many payload words and bases each kind stands for.
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
@@ -110,7 +111,8 @@ class RecordResults(list):
 
     def kind_counts(self) -> Counter:
         """Token kinds counted over every record with one bincount, not one a
-        record, whose fixed cost outweighs a short record's walk."""
+        record, whose fixed cost outweighs the counting of a short record's
+        tokens."""
         return _kind_counts(np.concatenate([np.zeros(0, np.uint8), *(r.kinds for r in self)]))
 
 
@@ -156,10 +158,11 @@ def compress_records(
 
     Records go through in batches of about one probe chunk of stride
     windows (``index._PROBE_CHUNK``); a record longer than that is a batch of
-    its own. The records of a batch share one probe and one verbatim gather,
-    and the batch's per-window arrays are freed before the next batch, so the
-    memory a call holds besides its results follows its longest record, not
-    its whole input.
+    its own. The records of a batch share one probe, and the batch's
+    per-window arrays are freed before the next batch, so the memory a call
+    holds besides its results follows its longest record, not its whole
+    input. The tokens of a batch are made a span of about one probe chunk of
+    windows at a time, so their temporaries are bounded by the span.
     """
     if params is None:
         params = CompressParams(k=index.k)
@@ -197,15 +200,20 @@ def _compress_batch(
     break_every_groups: int | None,
     stats: QueryStats | None,
 ) -> list[CompressResult]:
-    """``compress_records`` of one batch, with one probe and one gather.
+    """``compress_records`` of one batch, with one probe.
 
     The records' packed bytes are joined with a zero gap of ceil(s / 4) bytes
     after each, so a record starts on a byte and its window i starts i * s
     bases later. A probed k-mer ends inside its record, and a verbatim
     window, which may run past the record's end, reads only the record's
-    zero padding bits and the gap. The walk then runs over each record's
-    slice of the outcome, with fresh match state and group count at each
-    record start.
+    zero padding bits and the gap.
+
+    The scan goes from window i to i + 1 after a verbatim window and to
+    i + k / s after a match, which never runs past its record, so the tokens
+    lie on one path of windows from window 0 through each record's first.
+    Pointer jumping lists it a span of ``index._PROBE_CHUNK`` windows at a
+    time, each entered where the last left off; array passes over the span
+    then give its tokens' kinds and words.
     """
     k, s = params.k, params.s
     gap = bytes((s + 3) // 4)
@@ -213,90 +221,100 @@ def _compress_batch(
     record_bytes = (lengths + 3) // 4 + len(gap)
     origins = 4 * (np.cumsum(record_bytes) - record_bytes)
 
-    # Window i of a record starts at base i * s. Windows too close to its end
-    # for a k-mer are not probed and stay unmatched (orientation 0).
+    # Window i of a record starts at base i * s and is the batch's window
+    # first_window + i. Windows too close to its end for a k-mer are not
+    # probed and stay unmatched (orientation 0).
     n_windows = (lengths + s - 1) // s
     n_probed = np.where(lengths >= k, (lengths - k) // s + 1, 0)
+    first_window = np.cumsum(n_windows) - n_windows
     first_probed = np.cumsum(n_probed) - n_probed
-    record, window = ragged_arange(n_windows)
-    starts = origins[record] + window * s
-    probed = window < n_probed[record]
-    del record, window
-
-    # Verbatim payload words of every window: window i's words are
-    # vb_words[i * wv : (i + 1) * wv]. Bases past a record's end read as zero.
-    wv = params.words_per_verbatim
-    vb_bytes = np.zeros((starts.size, WORD_BYTES * wv), dtype=np.uint8)
-    vb_bytes[:, : (s + 3) // 4] = packed_kmers(joined, starts, s)
-    vb_words = array("I", vb_bytes.view("<u4").astype(np.uint32, copy=False).tobytes())
-
-    positions = starts[probed]
-    del starts
+    record, window = ragged_arange(n_probed)
+    positions = origins[record] + window * s
+    window += first_window[record]
+    del record
     found = index.probe(reference, joined, positions, use_prefilter=use_prefilter)
-    # The walk indexes bytes and memoryviews, which hand out Python ints
-    # without holding one object per window, and collects words in an array
-    # of u32, which holds no object per word.
-    orientation = np.zeros(probed.size, dtype=np.uint8)
-    orientation[probed] = found.orientation
-    orientations = orientation.tobytes()
-    offset = np.zeros(probed.size, dtype=np.uint32)
-    offset[probed] = found.offset
-    offsets = memoryview(offset)
+    del positions
+    orientation = np.zeros(int(n_windows.sum()), dtype=np.uint8)
+    orientation[window] = found.orientation
+    del window
 
-    verbatim = TokenKind.VERBATIM.value
-    continuation = TokenKind.CONTINUATION.value
-    forward = Orientation.FORWARD.value
-    kinds = bytearray()
-    words = array("I")
-    token_ends: list[int] = []
-    word_ends: list[int] = []
-    break_tokens = GROUP_SLOTS * break_every_groups if break_every_groups else 0
-    match_step = k // s
+    n, wv = orientation.size, params.words_per_verbatim
+    # A token's block: the tokens from the last multiple of break_tokens
+    # counted from its record's first token. With no breaks a block is the
+    # whole record, since no record has n tokens.
+    break_tokens = GROUP_SLOTS * break_every_groups if break_every_groups else n
+    # Each record's first token and first word; the last column ends the batch.
+    firsts = np.full((2, lengths.size + 1), np.iinfo(np.int64).max)
+    # The last match token's block start, orientation and continuation offset.
+    # A reverse chain that reaches offset 0 expects a negative offset, which no
+    # match has: the next match starts fresh.
+    last = (-1, 0, 0)
+    kind_parts, word_parts = [], []
+    n_tokens = n_words = entry = 0
+    while entry < n:
+        steps = np.where(orientation[entry : entry + index_module._PROBE_CHUNK], k // s, 1)
+        size = steps.size
+        # After r rounds, ``path`` lists the span's first 2**r tokens and
+        # ``jump`` leads 2**r tokens on; the sentinel ``size`` ends the span.
+        jump = np.append(np.minimum(np.arange(size) + steps, size), size)
+        path = np.zeros(1, dtype=np.int64)
+        while path[-1] < size:
+            path = np.concatenate([path, jump[path]])
+            jump = jump[jump]
+        path = path[: np.searchsorted(path, size)]
+        at = entry + path  # the batch window of each token of the span
+        entry = int(at[-1] + steps[path[-1]])
 
-    window_ends = np.cumsum(n_windows).tolist()
-    for i, end in zip([0, *window_ends], window_ends):
-        # The last match's orientation and the offset a continuation would
-        # have; kept across verbatim runs. A reverse chain that reaches offset
-        # 0 expects a negative offset, which no match has: the next match
-        # starts fresh.
-        last = expected = None
-        next_break = len(kinds) + break_tokens
-        while i < end:
-            if break_tokens and len(kinds) == next_break:
-                last = expected = None
-                next_break += break_tokens
-            o = orientations[i]
-            if not o:
-                kinds.append(verbatim)
-                words += vb_words[i * wv : i * wv + wv]
-                i += 1
-                continue
-            off = offsets[i]
-            if o == last and off == expected:
-                kinds.append(continuation)
-            else:
-                kinds.append(o)  # Orientation values are the match kind codes
-                words.append(off)
-            last, expected = o, (off + k if o == forward else off - k)
-            i += match_step
-        token_ends.append(len(kinds))
-        word_ends.append(len(words))
+        record = np.searchsorted(first_window, at, side="right") - 1
+        window = at - first_window[record]
+        kinds = orientation[at]  # Orientation values are the match kind codes
+        token = n_tokens + np.arange(at.size)
+        starts = np.flatnonzero(window == 0)
+        firsts[0, record[starts]] = token[starts]
 
-    kinds = np.frombuffer(kinds, dtype=np.uint8)
-    words = np.frombuffer(words, dtype=np.uint32).astype("<u4")
-    n_tokens = np.diff(token_ends, prepend=0)
-    if stats is not None:
-        # Charge only the windows the walk probed: those a token starts at.
-        before = np.append(0, np.cumsum(params.kind_bases[kinds]))  # bases before each token
-        record, _ = ragged_arange(n_tokens)
-        at = before[:-1] - before[np.array(token_ends) - n_tokens][record]  # in its record
-        used = at <= lengths[record] - k
-        found.count(first_probed[record[used]] + at[used] // s, stats)
+        match = np.flatnonzero(kinds)
+        match_record = record[match]
+        offset = found.offset[first_probed[match_record] + window[match]].astype(np.int64)
+        block = token[match] - (token[match] - firsts[0, match_record]) % break_tokens
+        orient = kinds[match]
+        expected = np.where(orient == Orientation.FORWARD.value, offset + k, offset - k)
+        # A match continues the match token before it in the same block when
+        # that one has its orientation and expects its offset.
+        before = [np.append(state, now[:-1]) for state, now in zip(last, (block, orient, expected))]
+        chained = (before[0] == block) & (before[1] == orient) & (before[2] == offset)
+        if match.size:
+            last = (block[-1], orient[-1], expected[-1])
+        kinds[match[chained]] = TokenKind.CONTINUATION.value
 
-    bounds = zip([0, *token_ends], token_ends, [0, *word_ends], word_ends, lengths.tolist())
+        counts = params.kind_words[kinds]
+        word_at = np.cumsum(counts) - counts
+        words = np.empty(int(word_at[-1] + counts[-1]), dtype="<u4")
+        words[word_at[match[~chained]]] = offset[~chained]
+        # Verbatim payload words; bases past a record's end read as zero.
+        verbatim = np.flatnonzero(kinds == TokenKind.VERBATIM.value)
+        vb = packed_kmers(joined, origins[record[verbatim]] + window[verbatim] * s, s)
+        vb = np.pad(vb, ((0, 0), (0, WORD_BYTES * wv - vb.shape[1])))
+        words[word_at[verbatim, None] + np.arange(wv)] = vb.view("<u4")
+        firsts[1, record[starts]] = n_words + word_at[starts]
+        if stats is not None:
+            # Charge only the windows the scan probed: those a token starts at.
+            used = window < n_probed[record]
+            found.count(first_probed[record[used]] + window[used], stats)
+        kind_parts.append(kinds)
+        word_parts.append(words)
+        n_tokens += kinds.size
+        n_words += words.size
+
+    # An empty record has no token: its tokens and words start where the next
+    # record's do.
+    firsts[:, -1] = n_tokens, n_words
+    token_bounds, word_bounds = np.minimum.accumulate(firsts[:, ::-1], axis=1)[:, ::-1].tolist()
+    kinds = np.concatenate([np.zeros(0, np.uint8), *kind_parts])
+    words = np.concatenate([np.zeros(0, "<u4"), *word_parts])
+    bounds = zip(token_bounds, token_bounds[1:], word_bounds, word_bounds[1:], lengths.tolist())
     return [
-        CompressResult(kinds=kinds[a:b], words=words[c:d], n_bases=n)
-        for a, b, c, d, n in bounds
+        CompressResult(kinds=kinds[a:b], words=words[c:d], n_bases=n_bases)
+        for a, b, c, d, n_bases in bounds
     ]
 
 

@@ -347,10 +347,10 @@ def parse_fasta(data: Union[str, bytes], *, strict: bool = False) -> list[FastaR
     Characters that are not IUPAC nucleotide letters are always an error.
     The first faulty line of the file is the one reported.
 
-    One pass over the lines collects each record's stripped sequence lines,
-    the last one padded with 'A' to a whole packed byte. Once a batch of
-    whole records holds ``_FASTA_BATCH_BYTES`` such bytes, it is joined,
-    mapped and checked with one table lookup, and packed in one pass.
+    One pass over the lines, read one at a time, keeps each record's
+    stripped sequence lines, the last padded with 'A' to a whole packed
+    byte. Once a batch of whole records holds ``_FASTA_BATCH_BYTES`` such
+    bytes, it is joined, mapped and checked with one lookup, and packed.
     """
     if isinstance(data, str):
         data = data.encode("ascii", errors="replace")
@@ -385,7 +385,7 @@ def parse_fasta(data: Union[str, bytes], *, strict: bool = False) -> list[FastaR
     cur_id: str | None = None
     cur_length = cur_header_line = 0
     error: FastaParseError | None = None
-    for line_no, raw_line in enumerate(data.split(b"\n"), start=1):
+    for line_no, raw_line in enumerate(io.BytesIO(data), start=1):
         line = raw_line.strip()
         if not line or line[0] == 59:  # blank, or an old-style ';' comment
             continue

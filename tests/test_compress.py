@@ -1,5 +1,7 @@
 import io
+import tracemalloc
 from importlib import import_module
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -523,6 +525,105 @@ def test_compress_records_matches_per_record(reference, index32, s, break_every_
         )
     assert stats == expected_stats == oracle_stats
     assert compress_records([], index32, reference, params) == []
+
+
+@pytest.fixture(scope="module")
+def oracle_indexes(reference, index32, index64):
+    return {16: build_index(reference, 16), 32: index32, 64: index64}
+
+
+_SHAPES = ("empty", "short", "exact", "forward", "reverse", "to_zero", "mutated",
+           "unrelated", "follow")
+
+
+def oracle_records(reference, k, s, shapes, rng):
+    """Records of the given shapes. Lengths run to a few blocks of match
+    tokens and land on and off multiples of s. ``to_zero`` is a reverse chain
+    that reaches reference offset 0 followed by a fresh reverse match at
+    offset k, and ``follow`` two records, forward or reverse, the second going
+    on where the first left off in the reference, so that match state leaked
+    across records would read a continuation."""
+    ref = reference.codes()
+    piece = lambda a, n: PackedSequence.from_codes(ref[a : a + n])
+    records = []
+    for shape, n, start in shapes:
+        length = n * k // 2 + (0, 1, s // 2, s - 1)[start % 4]
+        start %= reference.length - 2 * length - 4 * k
+        if shape == "empty":
+            records.append(pack_bases(""))
+        elif shape == "short":
+            records.append(piece(start, 1 + n % (k - 1)))
+        elif shape == "exact":
+            records.append(piece(start, k))
+        elif shape == "forward":
+            records.append(piece(start, length))
+        elif shape == "reverse":
+            records.append(reverse_complement_sequence(piece(start, length)))
+        elif shape == "to_zero":
+            records.append(concat_sequences([
+                reverse_complement_sequence(piece(0, (1 + n % 4) * k)),
+                reverse_complement_sequence(piece(k, k)),
+                piece(start, length),
+            ]))
+        elif shape == "mutated":
+            records.append(mutate(piece(start, length), MutationProfile(snp=0.02), rng))
+        elif shape == "unrelated":
+            records.append(random_sequence(length, rng))
+        elif n % 2:
+            records += [piece(start, 2 * k), piece(start + 2 * k, length)]
+        else:
+            records += [reverse_complement_sequence(piece(start + length, 2 * k)),
+                        reverse_complement_sequence(piece(start, length))]
+    return records
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(16, 16), (32, 8), (32, 16), (64, 4)]),
+    st.sampled_from([None, 1, 2, 16]),
+    st.lists(st.tuples(st.sampled_from(_SHAPES), st.integers(0, 40), st.integers(0, 2**20)),
+             min_size=1, max_size=8),
+    st.integers(0, 2**32 - 1),
+)
+def test_compress_records_matches_oracle(reference, oracle_indexes, ks, break_every_groups,
+                                         shapes, seed):
+    """The array walk gives the per-position oracle's tokens and probe counts
+    on records of every shape, with probe chunks, batches and walk spans of 7
+    windows, so that they split records and chains."""
+    k, s = ks
+    params = CompressParams(k=k, s=s)
+    index = oracle_indexes[k]
+    records = oracle_records(reference, k, s, shapes, np.random.default_rng(seed))
+    stats, oracle_stats = QueryStats(), QueryStats()
+    with mock.patch.object(index_mod, "_PROBE_CHUNK", 7):
+        results = compress_records(records, index, reference, params, stats=stats,
+                                   break_every_groups=break_every_groups)
+    assert len(results) == len(records)
+    for target, res in zip(records, results):
+        kinds, words = compress_by_position(target, index, reference, params,
+                                            break_every_groups=break_every_groups,
+                                            stats=oracle_stats)
+        assert res.kinds.tolist() == kinds
+        assert res.words.tolist() == words
+        assert res.n_bases == target.length
+    assert stats == oracle_stats
+
+
+def test_compress_long_record_memory_is_bounded(reference, index32):
+    """Compressing one 2 Mbp record of unrelated bases at k=32, s=16 peaks
+    below 48 bytes a stride window: the walk's temporaries are bounded by its
+    span, so the peak is the probe's and the results'."""
+    params = CompressParams(k=32, s=16)
+    target = random_sequence(2_000_000, np.random.default_rng(21))
+    tracemalloc.start()
+    try:
+        result = compress_records([target], index32, reference, params,
+                                  break_every_groups=16)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.n_bases == target.length
+    assert peak / (target.length // params.s) < 48
 
 
 # The package's ``compress`` function hides the module of that name.

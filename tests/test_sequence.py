@@ -1,5 +1,6 @@
 import hashlib
 import io
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -505,6 +506,31 @@ def test_parse_fasta_reports_first_bad_line():
         for batch_bytes in (1, sequence_mod._FASTA_BATCH_BYTES):
             with mock.patch.object(sequence_mod, "_FASTA_BATCH_BYTES", batch_bytes):
                 assert _parse_outcome(parse_fasta, text, strict)[1] == message
+
+
+def test_parse_fasta_peak_memory_is_bounded():
+    """Parsing 4 Mbp of reads (20,000 records of 200 bases in 60-base lines)
+    peaks below the file's size plus what the parse returns plus one batch of
+    sequence: the lines are read one at a time, not all split up front, which
+    alone held about the file's size again in line objects."""
+    rng = np.random.default_rng(12)
+    codes = rng.integers(0, 4, 20_000 * 200, dtype=np.uint8)
+    text = np.frombuffer(CODE_TO_ASCII, dtype=np.uint8)[codes].tobytes()
+    data = b"".join(
+        b">r%d\n" % i
+        + b"\n".join(text[j : j + 60] for j in range(200 * i, 200 * i + 200, 60))
+        + b"\n"
+        for i in range(20_000)
+    )
+    del codes, text
+    tracemalloc.start()
+    try:
+        records = parse_fasta(data)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == 20_000 and records[-1].seq.length == 200
+    assert peak < len(data) + kept + sequence_mod._FASTA_BATCH_BYTES
 
 
 def test_fasta_file_round_trip(tmp_path):
