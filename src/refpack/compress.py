@@ -43,7 +43,7 @@ import numpy as np
 from . import index as index_module
 from .errors import ChecksumMismatch
 from .index import Orientation, QueryStats, ReferenceIndex
-from .sequence import PackedSequence, packed_kmers, sequence_checksum
+from .sequence import PackedSequence, packed_kmers, ragged_arange, sequence_checksum
 
 GROUP_SLOTS = 16
 WORD_BYTES = 4
@@ -318,12 +318,6 @@ def _compress_batch(
     ]
 
 
-def ragged_arange(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For runs of ``counts[r]`` items: each item's run ``r`` and its index in the run."""
-    run = np.repeat(np.arange(counts.size), counts)
-    return run, np.arange(run.size) - (np.cumsum(counts) - counts)[run]
-
-
 def _padded(kinds: np.ndarray) -> np.ndarray:
     """``kinds`` with the final group filled up with verbatim tokens."""
     out = np.full(group_count(kinds.size) * GROUP_SLOTS, TokenKind.VERBATIM.value, dtype=np.uint8)
@@ -345,8 +339,11 @@ def encode_groups(kinds: np.ndarray, words: np.ndarray, params: CompressParams) 
     return np.insert(payload, np.cumsum(group_words) - group_words, headers).tobytes()
 
 
-def encode_records(results: Sequence[CompressResult], params: CompressParams) -> list[bytes]:
-    """Each result's ``encode_groups`` bytes, from one ``encode_groups`` call.
+def encode_records(
+    results: Sequence[CompressResult], params: CompressParams
+) -> tuple[bytes, np.ndarray]:
+    """The ``encode_groups`` bytes of all results, joined, from one
+    ``encode_groups`` call, and each result's byte size.
 
     Each record's kinds are padded to whole groups and its words followed by
     its padding's zero words, so the joined stream's groups are the records'
@@ -371,9 +368,7 @@ def encode_records(results: Sequence[CompressResult], params: CompressParams) ->
     words[(np.cumsum(record_words) - record_words)[record] + word] = np.concatenate(
         [np.zeros(0, np.uint32), *(result.words for result in results)]
     )
-    data = encode_groups(padded, words, params)
-    ends = np.cumsum(WORD_BYTES * (groups + record_words)).tolist()
-    return [data[a:b] for a, b in zip([0, *ends], ends)]
+    return encode_groups(padded, words, params), WORD_BYTES * (groups + record_words)
 
 
 def encoded_sizes(kinds: Sequence[np.ndarray], params: CompressParams) -> np.ndarray:

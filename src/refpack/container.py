@@ -25,6 +25,24 @@ relative to the record's group bytes. An empty container is exactly the
 58-byte header. Every byte of the file is covered by one of the three CRCs,
 so any single-byte corruption surfaces as a structured error instead of
 silently wrong output.
+
+Both directions work in array passes, so that a container of many short
+records costs little Python per record:
+
+* ``write_container`` encodes every record's groups in one call and takes the
+  chunk-index entries of all records as flat arrays (``ChunkEntries``). The
+  record table and the index blob are laid out by scattering rows of bytes
+  (id lengths, ids, fixed u64 fields, section heads, entries) at offsets
+  summed from the records' sizes. The CRCs are the only per-record calls.
+* ``read_container`` walks the record table reading only each row's id
+  length and id, and the index blob reading only each section's entry count
+  and checking its CRC. One gather then reads all fixed fields, and one more
+  all entries. The record origins and the entries' order and range are
+  checked with array passes, which raise the same first fault, with the same
+  message, that a reader checking field by field in file order would. A
+  count read from the file sizes no array until the walk has checked it
+  against the file's size. Each record gets its ``ChunkIndex`` of tuples,
+  which ``extract_range`` bisects.
 """
 
 from __future__ import annotations
@@ -34,7 +52,7 @@ import zlib
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Sequence, Union
+from typing import BinaryIO, Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -46,12 +64,11 @@ from .compress import (
     TokenKind,
     encode_records,
     group_count,
-    ragged_arange,
     record_sums,
 )
 from .decompress import decode_group, decode_records
 from .errors import ChecksumMismatch, CorruptContainer, CorruptStream
-from .sequence import PackedSequence, read_bytes, sequence_checksum, write_bytes
+from .sequence import PackedSequence, ragged_arange, read_bytes, sequence_checksum, write_bytes
 
 MAGIC = b"BNCC"
 VERSION = 1
@@ -66,7 +83,7 @@ _SECTION = struct.Struct("<IQ")  # granularity, entry count
 _ENTRY = struct.Struct("<QQQ")  # base offset, group ordinal, byte offset
 
 
-@dataclass
+@dataclass(slots=True)
 class ChunkIndex:
     """Sorted entry points: decompressed base offset -> (group, byte) position."""
 
@@ -93,11 +110,20 @@ class ChunkIndex:
         return (self.base_offsets[i], self.group_ordinals[i], self.byte_offsets[i])
 
 
+class ChunkEntries(NamedTuple):
+    """The chunk-index entries of records, record after record, as flat arrays."""
+
+    counts: np.ndarray  # entries of each record
+    base_offsets: np.ndarray
+    group_ordinals: np.ndarray
+    byte_offsets: np.ndarray
+
+
 def build_chunk_index(
     kinds: Sequence[np.ndarray], granularity: int, params: CompressParams
-) -> list[ChunkIndex]:
-    """Each record's chunk index: one entry per ``granularity`` groups of its
-    token ``kinds``, at chain-free positions only.
+) -> ChunkEntries:
+    """Each record's chunk-index entries: one per ``granularity`` groups of
+    its token ``kinds``, at chain-free positions only.
 
     A boundary is an entry point when decoding from it with fresh state never
     hits a continuation before the first full match token, which is exactly
@@ -125,19 +151,12 @@ def build_chunk_index(
     record, local, at = record[free], local[free], at[free]
     groups = local // GROUP_SLOTS
     words = _sums_before(params.kind_words[joined], at, firsts[record])
-    bases, groups, byte_offsets = (
-        tuple(column.tolist())
-        for column in (
-            _sums_before(params.kind_bases[joined], at, firsts[record]),
-            groups,
-            WORD_BYTES * (groups + words),
-        )
+    return ChunkEntries(
+        np.bincount(record, minlength=sizes.size),
+        _sums_before(params.kind_bases[joined], at, firsts[record]),
+        groups,
+        WORD_BYTES * (groups + words),
     )
-    cuts = np.cumsum(np.bincount(record, minlength=sizes.size)).tolist()
-    return [
-        ChunkIndex(granularity, bases[a:b], groups[a:b], byte_offsets[a:b])
-        for a, b in zip([0, *cuts], cuts)
-    ]
 
 
 def _sums_before(per_token: np.ndarray, at: np.ndarray, origin: np.ndarray) -> np.ndarray:
@@ -146,7 +165,21 @@ def _sums_before(per_token: np.ndarray, at: np.ndarray, origin: np.ndarray) -> n
     return sums[at] - sums[origin]
 
 
-@dataclass
+def chunk_indexes(granularities: Sequence[int], entries: ChunkEntries) -> list[ChunkIndex]:
+    """Each record's ``ChunkIndex`` of tuples, from its granularity and the
+    flat entries."""
+    ends = np.cumsum(entries.counts).tolist()
+    bases, groups, byte_offsets = (
+        tuple(column.tolist())
+        for column in (entries.base_offsets, entries.group_ordinals, entries.byte_offsets)
+    )
+    return [
+        ChunkIndex(g, bases[a:b], groups[a:b], byte_offsets[a:b])
+        for g, a, b in zip(granularities, [0, *ends], ends)
+    ]
+
+
+@dataclass(slots=True)
 class ContainerRecord:
     id: str
     n_bases: int
@@ -171,13 +204,29 @@ class Container:
 
     def group_bytes(self, record: ContainerRecord) -> bytes:
         """The record's group bytes, CRC-verified."""
-        start = record.byte_offset
-        end = start + record.region_size
-        region = self.data[start:end]
-        body, crc = region[:-4], _CRC.unpack(region[-4:])[0]
-        if zlib.crc32(body) != crc:
+        crc_at = record.byte_offset + record.region_size - _CRC.size
+        body = self.data[record.byte_offset : crc_at]
+        if zlib.crc32(body) != _CRC.unpack_from(self.data, crc_at)[0]:
             raise CorruptContainer(f"record {record.id!r}: group data CRC mismatch")
         return body
+
+
+def _le_rows(values, dtype: str) -> np.ndarray:
+    """The little-endian bytes of each of ``values`` (integers, or rows of
+    them) as one row of a uint8 array."""
+    values = np.ascontiguousarray(values, dtype=dtype)
+    return (values if values.ndim == 2 else values[:, None]).view(np.uint8)
+
+
+def _scatter_rows(out: np.ndarray, starts: np.ndarray, rows: np.ndarray) -> None:
+    """Write byte row i of ``rows`` into ``out`` at ``starts[i]``."""
+    out[starts[:, None] + np.arange(rows.shape[1])] = rows
+
+
+def _crc_rows(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The CRC32 of each ``data[start:end]``, as rows of 4 bytes."""
+    data = memoryview(data)
+    return _le_rows([zlib.crc32(data[a:b]) for a, b in zip(starts.tolist(), ends.tolist())], "<u4")
 
 
 def write_container(
@@ -201,47 +250,66 @@ def write_container(
     records = list(records)
     results = [result for _, result in records]
     kinds = [result.kinds for result in results]
+    n_bases = [result.n_bases for result in results]
     rids = []
-    for (rec_id, result), raw in zip(records, record_sums(params.kind_bases, kinds).tolist()):
-        n_bases = result.n_bases
-        if not (0 <= raw - n_bases < params.s) and not (raw == 0 and n_bases == 0):
+    for (rec_id, _), raw, n in zip(records, record_sums(params.kind_bases, kinds).tolist(), n_bases):
+        if not (0 <= raw - n < params.s and n >= 0):
             raise ValueError(
                 f"record {rec_id!r}: token stream yields {raw} bases, "
-                f"inconsistent with declared count {n_bases}"
+                f"inconsistent with declared count {n}"
             )
         rid = rec_id.encode("utf-8")
         if len(rid) > 0xFFFF:
             raise ValueError(f"record id too long: {len(rid)} bytes")
         rids.append(rid)
-    encoded = encode_records(results, params)
-    cindexes = build_chunk_index(kinds, granularity, params)
+    group_data, group_sizes = encode_records(results, params)
+    entries = build_chunk_index(kinds, granularity, params)
+    n = len(rids)
 
-    table = bytearray()
-    regions = bytearray()
-    blob = bytearray()
-    # Record table sized first so absolute offsets are known.
-    table_len = sum(2 + len(rid) + 24 for rid in rids)
-    cursor = HEADER_LEN + table_len
-    for rid, result, group_bytes, cindex in zip(rids, results, encoded, cindexes):
-        table += _ID_LEN.pack(len(rid)) + rid
-        table += _RECORD.pack(result.n_bases, group_count(result.kinds.size), cursor)
-        regions += group_bytes
-        regions += _CRC.pack(zlib.crc32(group_bytes))
-        cursor += len(group_bytes) + 4
-        section = _SECTION.pack(cindex.granularity, len(cindex.base_offsets))
-        for b, g, y in zip(
-            cindex.base_offsets, cindex.group_ordinals, cindex.byte_offsets
-        ):
-            section += _ENTRY.pack(b, g, y)
-        blob += section
-        blob += _CRC.pack(zlib.crc32(section))
+    # The record table: per record a u16 id length, the id, and u64 base
+    # count, group count and absolute byte offset.
+    id_lens = np.array([len(rid) for rid in rids], dtype=np.int64)
+    row_ends = np.cumsum(_ID_LEN.size + id_lens + _RECORD.size)
+    fixed_at = row_ends - _RECORD.size
+    id_at = fixed_at - id_lens
+    table = np.empty(int(row_ends[-1]) if n else 0, dtype=np.uint8)
+    _scatter_rows(table, id_at - _ID_LEN.size, _le_rows(id_lens, "<u2"))
+    record, i = ragged_arange(id_lens)
+    table[id_at[record] + i] = np.frombuffer(b"".join(rids), dtype=np.uint8)
+    region_sizes = group_sizes + _CRC.size
+    byte_offsets = HEADER_LEN + table.size + np.cumsum(region_sizes) - region_sizes
+    fixed = np.empty((n, 3), dtype="<u8")
+    fixed[:, 0] = n_bases
+    fixed[:, 1] = group_count(np.array([k.size for k in kinds], dtype=np.int64))
+    fixed[:, 2] = byte_offsets
+    _scatter_rows(table, fixed_at, _le_rows(fixed, "<u8"))
 
-    index_blob_offset = HEADER_LEN + table_len + len(regions)
-    fixed = _FIXED.pack(
-        MAGIC, VERSION, params.k, params.s, ref_checksum, len(rids), index_blob_offset
+    # The regions: each record's group bytes followed by their CRC.
+    groups = np.frombuffer(group_data, dtype=np.uint8)
+    group_ends = np.cumsum(group_sizes)
+    crcs = _crc_rows(groups, group_ends - group_sizes, group_ends)
+    regions = np.insert(groups, np.repeat(group_ends, _CRC.size), crcs.ravel())
+
+    # The index blob: per record a u32 granularity, a u64 entry count, the
+    # entries, and the CRC of the section so far.
+    crc_at = np.cumsum(_SECTION.size + _ENTRY.size * entries.counts + _CRC.size) - _CRC.size
+    section_at = crc_at - _ENTRY.size * entries.counts - _SECTION.size
+    blob = np.empty(int(crc_at[-1]) + _CRC.size if n else 0, dtype=np.uint8)
+    head = np.concatenate(
+        [_le_rows(np.full(n, granularity, dtype="<u4"), "<u4"), _le_rows(entries.counts, "<u8")],
+        axis=1,
     )
-    meta_crc = zlib.crc32(fixed + table)
-    parts = (fixed, _CRC.pack(meta_crc), table, regions, blob)
+    _scatter_rows(blob, section_at, head)
+    record, i = ragged_arange(entries.counts)
+    columns = np.transpose([entries.base_offsets, entries.group_ordinals, entries.byte_offsets])
+    _scatter_rows(blob, section_at[record] + _SECTION.size + _ENTRY.size * i,
+                  _le_rows(columns, "<u8"))
+    _scatter_rows(blob, crc_at, _crc_rows(blob, section_at, crc_at))
+
+    index_blob_offset = HEADER_LEN + table.size + regions.size
+    header = _FIXED.pack(MAGIC, VERSION, params.k, params.s, ref_checksum, n, index_blob_offset)
+    meta_crc = zlib.crc32(table, zlib.crc32(header))
+    parts = (header, _CRC.pack(meta_crc), table, regions, blob)
     write_bytes(dest, *parts)
     return sum(map(len, parts))
 
@@ -267,7 +335,18 @@ _ENTRY_FIELDS = (
 )
 
 
+def _gather(data: bytes, starts: np.ndarray, dtype: str, count: int = 1) -> np.ndarray:
+    """The ``count`` consecutive ``dtype`` integers at each of ``starts`` in
+    ``data``, one row each."""
+    size = np.dtype(dtype).itemsize
+    # Item i of this view is the integer that starts at byte i.
+    at_byte = np.ndarray((len(data) - size + 1,), dtype, data, strides=(1,))
+    return at_byte[starts[:, None] + size * np.arange(count)]
+
+
 def read_container(src: Union[str, Path, bytes, BinaryIO]) -> Container:
+    """Parse and check a container; its first fault in file order raises
+    ``CorruptContainer``."""
     data = read_bytes(src)
     if len(data) < HEADER_LEN:
         raise CorruptContainer(f"file too short for header: {len(data)} bytes")
@@ -284,84 +363,149 @@ def read_container(src: Union[str, Path, bytes, BinaryIO]) -> Container:
 
     size = len(data)
     pos = HEADER_LEN
-    raw_records = []
+    id_ends = []
     for _ in range(n_records):
         if pos + _ID_LEN.size > size:
             _need(data, pos, _ID_LEN_FIELD)
-        (id_len,) = _ID_LEN.unpack_from(data, pos)
-        pos += _ID_LEN.size
-        if pos + id_len + _RECORD.size > size:
-            _need(data, pos, ((id_len, "record id"), *_RECORD_FIELDS))
-        rid = data[pos : pos + id_len].decode("utf-8", errors="replace")
-        pos += id_len
-        raw_records.append((rid, *_RECORD.unpack_from(data, pos)))
-        pos += _RECORD.size
+        id_end = pos + _ID_LEN.size + (data[pos] | data[pos + 1] << 8)
+        if id_end + _RECORD.size > size:
+            _need(data, pos + _ID_LEN.size, ((id_end - pos - 2, "record id"), *_RECORD_FIELDS))
+        id_ends.append(id_end)
+        pos = id_end + _RECORD.size
     table_end = pos
 
-    if zlib.crc32(data[: _FIXED.size] + data[HEADER_LEN:table_end]) != meta_crc:
+    view = memoryview(data)
+    if zlib.crc32(view[HEADER_LEN:table_end], zlib.crc32(view[: _FIXED.size])) != meta_crc:
         raise CorruptContainer("header/record-table CRC mismatch")
-    if not table_end <= blob_offset <= len(data):
+    if not table_end <= blob_offset <= size:
         raise CorruptContainer(f"index blob offset {blob_offset} out of bounds")
 
-    records: list[ContainerRecord] = []
-    prev_end = table_end
-    for i, (rid, n_bases, n_groups, byte_offset) in enumerate(raw_records):
-        if byte_offset != prev_end:
-            raise CorruptContainer(
-                f"record {rid!r}: group data at {byte_offset}, expected {prev_end}"
-            )
-        next_start = (
-            raw_records[i + 1][3] if i + 1 < len(raw_records) else blob_offset
+    # Each id starts after the row before it and its own u16 length.
+    fixed_at = np.array(id_ends, dtype=np.int64)
+    id_starts = np.append(HEADER_LEN, fixed_at[:-1] + _RECORD.size) + _ID_LEN.size
+    ids = [data[a:b].decode("utf-8", "replace") for a, b in zip(id_starts.tolist(), id_ends)]
+    n_bases, n_groups, byte_offsets = _gather(data, fixed_at, "<u8", 3).T
+    if ids and byte_offsets[0] != table_end:
+        raise CorruptContainer(
+            f"record {ids[0]!r}: group data at {byte_offsets[0]}, expected {table_end}"
         )
-        region_size = next_start - byte_offset
-        if region_size < 4:
-            raise CorruptContainer(f"record {rid!r}: region too small")
-        records.append(
-            ContainerRecord(rid, n_bases, n_groups, byte_offset, region_size, None)
-        )
-        prev_end = next_start
+    # Each record's region runs to the next one's, the last one's to the blob.
+    # In u64 arithmetic a region that ends before it starts wraps, so it is
+    # tested for apart.
+    region_ends = np.append(byte_offsets[1:], np.uint64(blob_offset))
+    small = np.flatnonzero((region_ends < byte_offsets) | (region_ends - byte_offsets < 4))
+    if small.size:
+        raise CorruptContainer(f"record {ids[small[0]]!r}: region too small")
+    region_sizes = region_ends - byte_offsets
 
-    pos = blob_offset
-    for rec in records:
-        section_start = pos
-        if pos + _SECTION.size > size:
-            _need(data, pos, _SECTION_FIELDS)
-        granularity, n_entries = _SECTION.unpack_from(data, pos)
-        pos += _SECTION.size
-        if n_entries > (size - pos) // _ENTRY.size + 1:
-            raise CorruptContainer("chunk index entry count exceeds file size")
-        entries_end = pos + n_entries * _ENTRY.size
-        if entries_end + _CRC.size > size:
-            _need(data, pos, _ENTRY_FIELDS * n_entries + ((_CRC.size, "chunk index CRC"),))
-        entries = list(_ENTRY.iter_unpack(data[pos:entries_end]))
-        (crc,) = _CRC.unpack_from(data, entries_end)
-        pos = entries_end + _CRC.size
-        if zlib.crc32(data[section_start:entries_end]) != crc:
-            raise CorruptContainer(f"record {rec.id!r}: chunk index CRC mismatch")
-        if granularity < 1:
-            raise CorruptContainer(f"record {rec.id!r}: zero chunk index granularity")
-        if not entries or entries[0] != (0, 0, 0):
-            raise CorruptContainer(f"record {rec.id!r}: chunk index must start at origin")
-        for (prev_base, _, _), (base, group, byte) in zip(entries, entries[1:]):
-            if base <= prev_base:
-                raise CorruptContainer(
-                    f"record {rec.id!r}: chunk index keys not strictly increasing"
-                )
-            if group >= rec.n_groups or byte >= rec.region_size - 4:
-                raise CorruptContainer(
-                    f"record {rec.id!r}: chunk index entry out of range"
-                )
-        bases, groups, bytes_ = zip(*entries)
-        rec.chunk_index = ChunkIndex(granularity, bases, groups, bytes_)
-    if pos != size:
-        raise CorruptContainer(f"{size - pos} trailing bytes after index blob")
+    granularities, entries, blob_end, walk_fault = _read_sections(data, blob_offset, ids)
+    fault = _entry_fault(ids, granularities, entries, n_groups, region_sizes) or walk_fault
+    if fault is not None:
+        raise fault
+    if blob_end != size:
+        raise CorruptContainer(f"{size - blob_end} trailing bytes after index blob")
 
+    records = list(map(
+        ContainerRecord,
+        ids,
+        n_bases.tolist(),
+        n_groups.tolist(),
+        byte_offsets.tolist(),
+        region_sizes.tolist(),
+        chunk_indexes(granularities.tolist(), entries),
+    ))
     return Container(
         params=CompressParams(k=k, s=s),
         ref_checksum=checksum,
         records=records,
         data=data,
     )
+
+
+def _read_sections(
+    data: bytes, pos: int, ids: list[str]
+) -> tuple[np.ndarray, ChunkEntries, int, CorruptContainer | None]:
+    """Read the index blob from ``pos``, one section a record, up to its
+    first fault of size or CRC.
+
+    The walk reads each section's entry count, to find the next section, and
+    checks the section's size and CRC. Returns the granularities and entries
+    of the sections before the fault, the position after them, and the
+    fault, if there is one.
+    """
+    size = len(data)
+    view = memoryview(data)
+    starts: list[int] = []
+    counts: list[int] = []
+    fault = None
+    try:
+        for rid in ids:
+            if pos + _SECTION.size > size:
+                _need(data, pos, _SECTION_FIELDS)
+            _, n_entries = _SECTION.unpack_from(data, pos)
+            first_entry = pos + _SECTION.size
+            crc_at = first_entry + n_entries * _ENTRY.size
+            if crc_at + _CRC.size > size:
+                if n_entries > (size - first_entry) // _ENTRY.size + 1:
+                    raise CorruptContainer("chunk index entry count exceeds file size")
+                _need(data, first_entry, (*_ENTRY_FIELDS * n_entries, (4, "chunk index CRC")))
+            if zlib.crc32(view[pos:crc_at]) != _CRC.unpack_from(data, crc_at)[0]:
+                raise CorruptContainer(f"record {rid!r}: chunk index CRC mismatch")
+            starts.append(pos)
+            counts.append(n_entries)
+            pos = crc_at + _CRC.size
+    except CorruptContainer as err:
+        fault = err
+
+    starts, counts = np.array(starts, dtype=np.int64), np.array(counts, dtype=np.int64)
+    record, i = ragged_arange(counts)
+    columns = _gather(data, (starts + _SECTION.size)[record] + _ENTRY.size * i, "<u8", 3).T
+    return _gather(data, starts, "<u4")[:, 0], ChunkEntries(counts, *columns), pos, fault
+
+
+def _entry_fault(
+    ids: list[str],
+    granularities: np.ndarray,
+    entries: ChunkEntries,
+    n_groups: np.ndarray,
+    region_sizes: np.ndarray,
+) -> CorruptContainer | None:
+    """The first fault in the contents of the sections, or None.
+
+    Sections are checked in file order. Within one, a zero granularity comes
+    first, then an origin other than (0, 0, 0), then the entries after the
+    origin one by one, each for keys in order before its range.
+    """
+    counts = entries.counts
+    record, i = ragged_arange(counts)
+    firsts = np.flatnonzero(i == 0)
+    off_origin = np.ones(counts.size, dtype=bool)
+    off_origin[record[firsts]] = (
+        entries.base_offsets[firsts] | entries.group_ordinals[firsts] | entries.byte_offsets[firsts]
+    ) != 0
+    zero = granularities < 1
+    later = np.flatnonzero(i > 0)
+    of = record[later]
+    unordered = np.zeros(record.size, dtype=bool)
+    unordered[later] = entries.base_offsets[later] <= entries.base_offsets[later - 1]
+    bad = unordered.copy()
+    bad[later] |= (entries.group_ordinals[later] >= n_groups[of]) | (
+        entries.byte_offsets[later] >= region_sizes[of] - _CRC.size
+    )
+    bad_entry = np.flatnonzero(bad)[:1]
+    candidates = [*np.flatnonzero(zero | off_origin)[:1].tolist(), *record[bad_entry].tolist()]
+    if not candidates:
+        return None
+    r = min(candidates)
+    if zero[r]:
+        what = "zero chunk index granularity"
+    elif off_origin[r]:
+        what = "chunk index must start at origin"
+    elif unordered[bad_entry[0]]:
+        what = "chunk index keys not strictly increasing"
+    else:
+        what = "chunk index entry out of range"
+    return CorruptContainer(f"record {ids[r]!r}: {what}")
 
 
 def decompress_records(

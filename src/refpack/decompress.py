@@ -79,9 +79,10 @@ def decode_group(
         for data, _, _ in streams:
             pieces += (data, bytes(-len(data) % WORD_BYTES))
         buf = b"".join(pieces)
-    words = memoryview(
-        np.frombuffer(buf, "<u4", count=len(buf) // WORD_BYTES).astype(np.uint32, copy=False)
-    )
+    words = np.frombuffer(buf, "<u4", count=len(buf) // WORD_BYTES).astype(np.uint32, copy=False)
+    if not words.flags.aligned:  # a view of a container at an odd offset
+        words = words.copy()
+    words = memoryview(words)
 
     # Offset and output row of each match window, the rows of the reverse
     # ones, and word index and row of each verbatim payload.

@@ -11,6 +11,14 @@ the final byte are always zero.
 
 The ".2bit-raw" interchange format is an 8-byte little-endian base count
 followed by the packed bytes.
+
+FASTA goes both ways in batches of about 256 KiB of bases, so that a file of
+many short records costs little Python per record and one long record does
+not need its whole text in memory: ``parse_fasta`` maps, checks and packs a
+batch of records with one lookup each, and ``write_fasta`` unpacks a batch to
+ASCII with one ``take`` and puts in its headers and line ends with one
+``np.insert``. Sequences that refpack packs itself, from a parse or a decode,
+are made without the constructor's checks.
 """
 
 from __future__ import annotations
@@ -178,6 +186,14 @@ class PackedSequence:
         self._checksum: bytes | None = None
 
     @classmethod
+    def _unchecked(cls, data: bytes, length: int) -> "PackedSequence":
+        """A sequence of packed bytes that refpack itself made, without the
+        constructor's checks."""
+        seq = object.__new__(cls)
+        seq.data, seq.length, seq._checksum = data, length, None
+        return seq
+
+    @classmethod
     def from_codes(cls, codes: np.ndarray | Sequence[int]) -> "PackedSequence":
         arr = np.asarray(codes, dtype=np.uint8)
         if arr.size and arr.max() > 3:
@@ -209,35 +225,37 @@ class PackedSequence:
         return f"PackedSequence({head!r}, length={self.length})"
 
 
+def ragged_arange(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For runs of ``counts[r]`` items: each item's run ``r`` and its index in the run."""
+    run = np.repeat(np.arange(counts.size), counts)
+    return run, np.arange(run.size) - (np.cumsum(counts) - counts)[run]
+
+
 def _split_packed(codes: np.ndarray, lengths: Sequence[int]) -> list[PackedSequence]:
     """Pack a buffer of runs of base codes in one pass and cut it per run.
 
     Run i holds ``lengths[i]`` codes followed by zero codes up to a multiple
     of 4, so that every run starts on a byte of the packed buffer. The codes
-    are not checked to be 0-3.
+    are not checked to be 0-3, and the sequences are made unchecked.
     """
     data = _pack_code_array(codes)
-    seqs = []
-    start = 0
-    for n in lengths:
-        stop = start + (n + 3) // 4
-        seqs.append(PackedSequence(data[start:stop], n))
-        start = stop
-    return seqs
+    lengths = np.asarray(lengths, dtype=np.int64)
+    ends = np.cumsum((lengths + 3) // 4).tolist()
+    unchecked = PackedSequence._unchecked
+    return [unchecked(data[a:b], n) for a, b, n in zip([0, *ends], ends, lengths.tolist())]
 
 
 def pack_code_runs(runs: Sequence[np.ndarray]) -> list[PackedSequence]:
     """A ``PackedSequence`` of each run of base codes, packed in one pass.
 
     Unlike ``from_codes``, this does not check that the codes are 0-3: it is
-    for codes that refpack itself produced, such as a decoder's output.
+    for codes that refpack itself produced, such as a decoder's output. The
+    runs, each followed by zero codes up to a multiple of 4, are joined with
+    one copy.
     """
-    padded = [(run.size + 3) // 4 * 4 for run in runs]
-    starts = np.cumsum([0, *padded]).tolist()
-    joined = np.zeros(starts[-1], dtype=np.uint8)
-    for run, start in zip(runs, starts):
-        joined[start : start + run.size] = run
-    return _split_packed(joined, [run.size for run in runs])
+    zeros = np.zeros(3, dtype=np.uint8)
+    pieces = [piece for run in runs for piece in (run, zeros[: -run.size % 4])]
+    return _split_packed(np.concatenate([zeros[:0], *pieces]), [run.size for run in runs])
 
 
 def pack_bases(text: str | bytes) -> PackedSequence:
@@ -456,27 +474,89 @@ def read_fasta(path: Union[str, Path], *, strict: bool = False) -> list[FastaRec
     return parse_fasta(Path(path).read_bytes(), strict=strict)
 
 
+# Bases that ``write_fasta`` unpacks, folds and writes at a time; it bounds
+# the batch's temporaries for one long record as for many short ones.
+_WRITE_BATCH_BASES = 1 << 18
+
+
 def write_fasta(
     records: Iterable[tuple[str, PackedSequence]],
     dest: Union[str, Path, io.TextIOBase],
     *,
     width: int = 70,
 ) -> None:
-    """Write records as FASTA with fixed line folding."""
+    """Write records as FASTA with lines of ``width`` bases.
+
+    Records are written a batch of about ``_WRITE_BATCH_BASES`` bases at a
+    time; a longer record is cut into pieces of whole lines and whole packed
+    bytes. Each batch is unpacked to ASCII with one ``take`` and gets its
+    headers and line ends with one ``np.insert`` (``_fasta_text``).
+    """
+    if width < 1:
+        raise ValueError("line width must be positive")
+    step = max(1, _WRITE_BATCH_BASES // (4 * width)) * 4 * width
 
     def emit(out):
+        # The pending batch: each piece's header, packed bytes and bases.
+        headers: list[bytes] = []
+        data: list[bytes] = []
+        lengths: list[int] = []
+
+        def flush():
+            out.write(_fasta_text(headers, data, lengths, width))
+            del headers[:], data[:], lengths[:]
+
+        pending = 0
         for name, seq in records:
-            out.write(f">{name}\n")
-            text = seq.to_ascii()
-            for i in range(0, len(text), width):
-                out.write(text[i : i + width])
-                out.write("\n")
+            header = f">{name}\n".encode("utf-8", "surrogatepass")
+            n, at = seq.length, 0
+            while n - at > step:  # a long record's leading pieces, a batch each
+                headers.append(header)
+                data.append(seq.data[at // 4 : (at + step) // 4])
+                lengths.append(step)
+                flush()
+                header, at, pending = b"", at + step, 0
+            headers.append(header)
+            data.append(seq.data[at // 4 :])
+            lengths.append(n - at)
+            pending += n - at
+            if pending >= _WRITE_BATCH_BASES:
+                flush()
+                pending = 0
+        if lengths:
+            flush()
 
     if isinstance(dest, (str, Path)):
         with open(dest, "w") as out:
             emit(out)
     else:
         emit(dest)
+
+
+def _fasta_text(
+    headers: list[bytes], data: list[bytes], lengths: list[int], width: int
+) -> str:
+    """The FASTA text of pieces of records: each piece's header, if any, then
+    its bases, packed in ``data``, in lines of ``width``, each line ended."""
+    lengths = np.array(lengths, dtype=np.int64)
+    text = _BYTE_ASCII.take(np.frombuffer(b"".join(data), dtype=np.uint8)).view(np.uint8)
+    unpacked = (lengths + 3) // 4 * 4
+    if text.size > lengths.sum():  # drop the pad bases of partial last bytes
+        ends = np.cumsum(unpacked)
+        keep = np.ones(text.size, dtype=bool)
+        for j in range(1, 4):
+            keep[(ends - j)[unpacked - lengths >= j]] = False
+        text = text[keep]
+    starts = np.cumsum(lengths) - lengths
+    piece, line = ragged_arange((lengths + width - 1) // width)
+    line_ends = starts[piece] + np.minimum((line + 1) * width, lengths[piece])
+    # At a shared position the line end, listed first, goes before the header.
+    at = np.concatenate([line_ends, np.repeat(starts, np.fromiter(map(len, headers), np.int64))])
+    inserted = np.concatenate([
+        np.full(line_ends.size, ord("\n"), dtype=np.uint8),
+        np.frombuffer(b"".join(headers), dtype=np.uint8),
+    ])
+    return np.insert(text, at, inserted).tobytes().decode("utf-8", "surrogatepass")
 
 
 TWOBIT_RAW_PREFIX_LEN = 8

@@ -30,7 +30,7 @@ from refpack.compress import (
     encoded_sizes,
     group_count,
 )
-from refpack.container import build_chunk_index
+from refpack.container import build_chunk_index, chunk_indexes
 from refpack.decompress import decompress
 from refpack.errors import ChecksumMismatch
 from refpack.hashing import murmur3_low64
@@ -273,7 +273,7 @@ def test_break_every_groups_clears_state(reference, index64, params):
     # at every 16-token boundary the chain restarts: a match, not continuation
     assert (res.kinds[::GROUP_SLOTS] != TokenKind.CONTINUATION).all()
     # so every group boundary is a chunk-index entry point
-    ci = build_chunk_index([res.kinds], 1, params)[0]
+    (ci,) = chunk_indexes([1], build_chunk_index([res.kinds], 1, params))
     assert len(ci.entries) == group_count(res.kinds.size)
     assert ci.base_offsets[0] == 0
     assert ci.base_offsets == tuple(sorted(ci.base_offsets))
@@ -680,11 +680,13 @@ def test_encode_records_matches_encode_groups(reference, index32):
     results = compress_records(
         mixed_records(reference, 32, np.random.default_rng(5)), index32, reference, params
     )
-    encoded = encode_records(results, params)
-    assert encoded == [encode_groups(r.kinds, r.words, params) for r in results]
-    sizes = encoded_sizes([r.kinds for r in results], params).tolist()
-    assert sizes == [len(data) for data in encoded]
-    assert encode_records([], params) == []
+    data, sizes = encode_records(results, params)
+    encoded = [encode_groups(r.kinds, r.words, params) for r in results]
+    assert data == b"".join(encoded)
+    assert sizes.tolist() == [len(e) for e in encoded]
+    assert encoded_sizes([r.kinds for r in results], params).tolist() == sizes.tolist()
+    empty, no_sizes = encode_records([], params)
+    assert (empty, no_sizes.tolist()) == (b"", [])
     bad = [results[1], CompressResult(results[2].kinds, results[2].words[:-1], 0)]
     with pytest.raises(ValueError, match="record 1: token kinds require"):
         encode_records(bad, params)

@@ -1,5 +1,7 @@
 import io
 import struct
+import time
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -15,10 +17,12 @@ from refpack import (
     compress,
     mutate,
     pack_bases,
+    random_reads,
     random_sequence,
     read_container,
     write_container,
 )
+from refpack.compress import encode_groups
 from refpack.container import (
     _CRC,
     _FIXED,
@@ -30,6 +34,7 @@ from refpack.container import (
     Container,
     ContainerRecord,
     build_chunk_index,
+    chunk_indexes,
     decompress_record,
     decompress_records,
     extract_range,
@@ -49,6 +54,13 @@ def kinds_of(*kinds):
 
 def result_of(kinds, words, n_bases):
     return CompressResult(kinds_of(*kinds), np.array(words, dtype="<u4"), n_bases)
+
+
+def chunk_index_of(kinds, granularity, params):
+    """Each record's ``ChunkIndex``, built from ``build_chunk_index`` as
+    ``read_container`` builds it from a file."""
+    entries = build_chunk_index(kinds, granularity, params)
+    return chunk_indexes([granularity] * len(kinds), entries)
 
 
 def checksum_of(reference):
@@ -224,13 +236,13 @@ def test_write_rejects_inconsistent_base_count(reference):
 
 def test_chunk_index_empty_tokens_has_origin():
     params = CompressParams(k=64, s=16)
-    ci = build_chunk_index([kinds_of()], 4, params)[0]
+    ci = chunk_index_of([kinds_of()], 4, params)[0]
     assert ci.entries == [(0, 0, 0)]
 
 
 def test_chunk_index_all_verbatim_arithmetic():
     params = CompressParams(k=64, s=16)
-    ci = build_chunk_index([kinds_of(*[V] * 64)], 2, params)[0]
+    ci = chunk_index_of([kinds_of(*[V] * 64)], 2, params)[0]
     # Boundary every 32 tokens; 32 verbatims = 512 bases, 2 headers + 32
     # payload words = 136 bytes.
     assert ci.entries == [(0, 0, 0), (512, 2, 136)]
@@ -241,7 +253,7 @@ def test_chunk_index_dense_under_break_mode(reference, index64):
     rng = np.random.default_rng(7)
     target = mutate(reference, MutationProfile(snp=0.02), rng)
     result = compress(target, index64, reference, params, break_every_groups=3)
-    ci = build_chunk_index([result.kinds], 3, params)[0]
+    ci = chunk_index_of([result.kinds], 3, params)[0]
     boundaries = -(-result.kinds.size // (16 * 3))
     assert len(ci.entries) == boundaries
     assert ci.base_offsets == tuple(sorted(ci.base_offsets))
@@ -249,17 +261,17 @@ def test_chunk_index_dense_under_break_mode(reference, index64):
 
 def test_chunk_index_skips_chained_boundaries():
     params = CompressParams(k=64, s=16)
-    ci = build_chunk_index([kinds_of(FM, *[C] * 31)], 1, params)[0]
+    ci = chunk_index_of([kinds_of(FM, *[C] * 31)], 1, params)[0]
     assert ci.entries == [(0, 0, 0)]
     # A full match at the boundary makes it usable again.
-    ci = build_chunk_index([kinds_of(*[FM] * 17, *[C] * 15)], 1, params)[0]
+    ci = chunk_index_of([kinds_of(*[FM] * 17, *[C] * 15)], 1, params)[0]
     assert ci.entries == [(0, 0, 0), (1024, 1, 68)]
 
 
 def test_chunk_index_verbatim_does_not_clear_chain():
     params = CompressParams(k=64, s=16)
     # Group 1 opens with a verbatim but still owes state to group 0's match.
-    ci = build_chunk_index([kinds_of(FM, *[C] * 15, V, *[C] * 15)], 1, params)[0]
+    ci = chunk_index_of([kinds_of(FM, *[C] * 15, V, *[C] * 15)], 1, params)[0]
     assert ci.entries == [(0, 0, 0)]
 
 
@@ -289,7 +301,7 @@ def test_chunk_index_matches_reference(n, granularity, s, seed):
     params = CompressParams(k=64, s=s)
     rng = np.random.default_rng(seed)
     kinds = rng.choice(4, n, p=rng.dirichlet(np.ones(4))).astype(np.uint8)
-    ci = build_chunk_index([kinds], granularity, params)[0]
+    ci = chunk_index_of([kinds], granularity, params)[0]
     assert ci.entries == chunk_index_reference(kinds, granularity, params)
 
 
@@ -301,7 +313,7 @@ def test_chunk_index_of_many_records_matches_reference(sizes, granularity, seed)
     params = CompressParams(k=64, s=16)
     rng = np.random.default_rng(seed)
     kinds = [rng.choice(4, n, p=rng.dirichlet(np.ones(4))).astype(np.uint8) for n in sizes]
-    got = [ci.entries for ci in build_chunk_index(kinds, granularity, params)]
+    got = [ci.entries for ci in chunk_index_of(kinds, granularity, params)]
     assert got == [chunk_index_reference(k, granularity, params) for k in kinds]
 
 
@@ -329,6 +341,168 @@ def test_write_container_batch_matches_record_by_record(reference, index64):
             alone.id, alone.n_bases, alone.n_groups, alone.region_size
         )
         assert record.chunk_index == alone.chunk_index
+
+
+def write_container_by_field(records, params, ref_checksum, granularity):
+    """The struct-per-field container writer that ``write_container``
+    replaced, kept as the reference for its bytes. Group bytes come from
+    ``encode_groups`` and entries from ``chunk_index_reference``, one record
+    at a time."""
+    rids = [rec_id.encode("utf-8") for rec_id, _ in records]
+    table, regions, blob = bytearray(), bytearray(), bytearray()
+    cursor = HEADER_LEN + sum(2 + len(rid) + 24 for rid in rids)
+    for rid, (_, result) in zip(rids, records):
+        group_bytes = encode_groups(result.kinds, result.words, params)
+        n_groups = -(-result.kinds.size // 16)
+        table += struct.pack("<H", len(rid)) + rid
+        table += struct.pack("<QQQ", result.n_bases, n_groups, cursor)
+        regions += group_bytes + struct.pack("<I", zlib.crc32(group_bytes))
+        cursor += len(group_bytes) + 4
+        entries = chunk_index_reference(result.kinds, granularity, params)
+        section = struct.pack("<IQ", granularity, len(entries))
+        for entry in entries:
+            section += struct.pack("<QQQ", *entry)
+        blob += section + struct.pack("<I", zlib.crc32(section))
+    index_blob_offset = HEADER_LEN + len(table) + len(regions)
+    fixed = _FIXED.pack(
+        MAGIC, VERSION, params.k, params.s, ref_checksum, len(rids), index_blob_offset
+    )
+    return fixed + struct.pack("<I", zlib.crc32(fixed + table)) + table + regions + blob
+
+
+@pytest.fixture(scope="module")
+def many_reads(reference):
+    """1,250 mutated 200-base reads of the reference, as in the ``reads``
+    benchmark workload."""
+    rng = np.random.default_rng(0x5EAD)
+    profile = MutationProfile(snp=0.02, insertion=0.001, deletion=0.001)
+    reads = random_reads(reference, 1_250, 200, profile, rng, rc_fraction=0.5)
+    return [(f"read{i:05d}", read) for i, read in enumerate(reads)]
+
+
+@pytest.mark.parametrize("granularity", [1, 2, 16])
+def test_write_container_matches_struct_per_field_writer(
+    granularity, reference, index64, many_reads
+):
+    params = CompressParams(k=64, s=16)
+    rng = np.random.default_rng(granularity)
+    odd = [
+        ("empty", pack_bases("")),
+        ("", random_sequence(300, rng)),
+        ("id-" + "\u00e9" * 200, mutate(reference, MutationProfile(snp=0.01), rng)),
+    ]
+    assert len(odd[2][0].encode("utf-8")) >= 300  # the u16 length uses its high byte
+    targets = odd + many_reads
+    results = compress(
+        [seq for _, seq in targets], index64, reference, params,
+        break_every_groups=granularity,
+    )
+    records = [(rec_id, result) for (rec_id, _), result in zip(targets, results)]
+    checksum = checksum_of(reference)
+    for chosen in ([], records[:3], records):
+        expected = write_container_by_field(chosen, params, checksum, granularity)
+        got = container_bytes(chosen, params, reference, granularity=granularity)
+        assert got == expected
+    assert read_container(got) == read_container_by_field(got)
+
+
+def test_read_container_rejects_counts_beyond_the_file():
+    """Counts in a header and in a section are checked against the file size
+    before anything is sized from them."""
+    params = CompressParams(k=64, s=16)
+    header = _FIXED.pack(MAGIC, VERSION, params.k, params.s, bytes(32), 2**32 - 1, 100)
+    table = struct.pack("<H", 3) + b"abc" + bytes(24)
+    data = header + struct.pack("<I", zlib.crc32(header + table)) + table
+    data += bytes(100 - len(data))
+    assert len(data) == 100
+    started = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptContainer, match="truncated container"):
+            read_container(data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - started < 1 and peak < 1 << 20
+    assert _read_outcome(read_container_by_field, data) == _read_outcome(read_container, data)
+
+    packed = container_bytes(
+        [("r", result_of([V], [0], 16))], params, pack_bases("ACGT"), granularity=1
+    )
+    section = struct.pack("<IQ", 1, 2**60) + struct.pack("<QQQ", 0, 0, 0)
+    bad = _with_section(packed, 0, section)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptContainer, match="entry count exceeds file size"):
+            read_container(bad)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert _read_outcome(read_container_by_field, bad) == _read_outcome(read_container, bad)
+
+
+def test_section_fault_in_a_late_record_is_reported_as_by_field(reference, index64, many_reads):
+    """A corrupt section in record 700 of 1,250 is reported exactly as the
+    field-by-field reader reports it, whichever check it fails, and before a
+    fault in a later record, whichever that is."""
+    params = CompressParams(k=64, s=16)
+    targets = list(many_reads)
+    for i in (700, 900):  # records with more than one chunk-index entry
+        targets[i] = (f"read{i:05d}", PackedSequence.from_codes(reference.codes()[i : i + 2_000]))
+    results = compress(
+        [seq for _, seq in targets], index64, reference, params, break_every_groups=1
+    )
+    records = [(rec_id, result) for (rec_id, _), result in zip(targets, results)]
+    data = container_bytes(records, params, reference, granularity=1)
+    box = read_container(data)
+    blob_offset = int.from_bytes(data[46:54], "little")
+
+    def section(i):
+        entries = box.records[i].chunk_index.entries
+        assert len(entries) >= 2
+        return struct.pack("<IQ", 1, len(entries)), b"".join(
+            struct.pack("<QQQ", *e) for e in entries
+        )
+
+    def with_sections(replaced, broken_crc=None):
+        """``data`` with the sections of some records replaced and re-CRC'd,
+        and with the CRC of one record's section left unfixed."""
+        out = bytearray(data[:blob_offset])
+        pos = blob_offset
+        for i, rec in enumerate(box.records):
+            size = 12 + 24 * len(rec.chunk_index.base_offsets)
+            body = replaced.get(i, data[pos : pos + size])
+            crc = zlib.crc32(body) ^ (i == broken_crc)
+            out += body + struct.pack("<I", crc)
+            pos += size + 4
+        return bytes(out)
+
+    def faults(i):
+        """Sections of record ``i`` that fail each content check."""
+        head, body = section(i)
+        return {
+            "zero chunk index granularity": struct.pack("<IQ", 0, len(body) // 24) + body,
+            "chunk index keys not strictly increasing": head + body[:24] + body[:24] + body[48:],
+            "chunk index entry out of range": head + body[:-8] + struct.pack("<Q", 10**6),
+            "chunk index must start at origin": struct.pack("<IQ", 1, 0),
+        }
+
+    crafted = {}
+    for what, bad in faults(700).items():
+        crafted[what] = with_sections({700: bad})
+        crafted[f"{what} before a CRC fault"] = with_sections({700: bad}, broken_crc=900)
+        for later, worse in faults(900).items():
+            crafted[f"{what} before {later}"] = with_sections({700: bad, 900: worse})
+    crafted["CRC fault before a content fault"] = with_sections(
+        {900: faults(900)["chunk index must start at origin"]}, broken_crc=700
+    )
+    for name, bad in crafted.items():
+        expected = _read_outcome(read_container_by_field, bad)
+        assert isinstance(expected, str) and expected.startswith("record 'read00700': "), name
+        assert _read_outcome(read_container, bad) == expected, name
+        what = expected.split(": ", 1)[1]
+        assert name.startswith(what if what != "chunk index CRC mismatch" else "CRC fault"), name
 
 
 def test_chunk_index_validation():
@@ -424,6 +598,23 @@ def test_extract_never_returns_corrupted_group_bytes(reference, index64):
         except RefpackError:
             continue
         assert got == target, f"silent wrong output after flipping byte {pos}"
+
+
+def test_extract_from_an_unaligned_entry_is_a_structured_error(reference, index64):
+    """A chunk-index byte offset off a word boundary, in a section with a
+    valid CRC, makes extract decode misaligned words: that must surface as a
+    refpack error, not as an error of the buffer machinery."""
+    params = CompressParams(k=64, s=16)
+    target = mutate(reference, MutationProfile(snp=0.02), np.random.default_rng(0xA11))
+    result = compress(target, index64, reference, params, break_every_groups=1)
+    data = container_bytes([("a", result)], params, reference, granularity=1)
+    entries = read_container(data).records[0].chunk_index.entries
+    base, group, byte = entries[1]
+    section = struct.pack("<IQ", 1, 2) + struct.pack("<QQQ", *entries[0])
+    section += struct.pack("<QQQ", base, group, byte + 1)
+    box = read_container(_with_section(data, 0, section))
+    with pytest.raises(RefpackError):
+        extract_range(box, box.records[0], reference, base + 3, 10)
 
 
 def test_extract_wrong_reference(packed, reference):
