@@ -50,7 +50,7 @@ from __future__ import annotations
 import struct
 import zlib
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO, Iterable, NamedTuple, Sequence, Union
 
@@ -195,6 +195,14 @@ class Container:
     ref_checksum: bytes
     records: list[ContainerRecord]
     data: bytes
+    # (byte offset, size) of each record region whose CRC has passed
+    _verified: set[tuple[int, int]] = field(
+        default_factory=set, init=False, repr=False, compare=False
+    )
+    _view: memoryview = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._view = memoryview(self.data)
 
     def find_record(self, record_id: str) -> ContainerRecord:
         for rec in self.records:
@@ -202,12 +210,16 @@ class Container:
                 return rec
         raise KeyError(f"no record named {record_id!r}")
 
-    def group_bytes(self, record: ContainerRecord) -> bytes:
-        """The record's group bytes, CRC-verified."""
+    def group_bytes(self, record: ContainerRecord) -> memoryview:
+        """A view of the record's group bytes, CRC-verified on first use: the
+        check runs once per region of this container, not once per call."""
+        region = (record.byte_offset, record.region_size)
         crc_at = record.byte_offset + record.region_size - _CRC.size
-        body = self.data[record.byte_offset : crc_at]
-        if zlib.crc32(body) != _CRC.unpack_from(self.data, crc_at)[0]:
-            raise CorruptContainer(f"record {record.id!r}: group data CRC mismatch")
+        body = self._view[record.byte_offset : crc_at]
+        if region not in self._verified:
+            if zlib.crc32(body) != _CRC.unpack_from(self.data, crc_at)[0]:
+                raise CorruptContainer(f"record {record.id!r}: group data CRC mismatch")
+            self._verified.add(region)
         return body
 
 
@@ -474,7 +486,8 @@ def _entry_fault(
 
     Sections are checked in file order. Within one, a zero granularity comes
     first, then an origin other than (0, 0, 0), then the entries after the
-    origin one by one, each for keys in order before its range.
+    origin one by one, each for keys in order before its range. A byte
+    offset off a word boundary is out of range: decoding cannot start there.
     """
     counts = entries.counts
     record, i = ragged_arange(counts)
@@ -489,8 +502,10 @@ def _entry_fault(
     unordered = np.zeros(record.size, dtype=bool)
     unordered[later] = entries.base_offsets[later] <= entries.base_offsets[later - 1]
     bad = unordered.copy()
-    bad[later] |= (entries.group_ordinals[later] >= n_groups[of]) | (
-        entries.byte_offsets[later] >= region_sizes[of] - _CRC.size
+    bad[later] |= (
+        (entries.group_ordinals[later] >= n_groups[of])
+        | (entries.byte_offsets[later] >= region_sizes[of] - _CRC.size)
+        | (entries.byte_offsets[later] % WORD_BYTES != 0)
     )
     bad_entry = np.flatnonzero(bad)[:1]
     candidates = [*np.flatnonzero(zero | off_origin)[:1].tolist(), *record[bad_entry].tolist()]
@@ -515,8 +530,10 @@ def decompress_records(
 
     Every record's CRC is checked before the reference checksum, so a corrupt
     record reads as a corrupt container even against the wrong reference.
+    Each record's bytes are copied out of their view: a view is an object the
+    garbage collector tracks, and a batch of many would trigger collections.
     """
-    triples = [(container.group_bytes(rec), rec.n_groups, rec.n_bases) for rec in records]
+    triples = [(bytes(container.group_bytes(rec)), rec.n_groups, rec.n_bases) for rec in records]
     return decode_records(triples, reference, container.params, container.ref_checksum)
 
 
@@ -554,7 +571,7 @@ def extract_range(
 
     entry_base, entry_group, entry_byte = record.chunk_index.predecessor(base_offset)
     needed = (base_offset - entry_base) + length
-    entry = memoryview(container.group_bytes(record))[entry_byte:]
+    entry = container.group_bytes(record)[entry_byte:]
     (codes,), (groups,) = decode_group(
         [(entry, record.n_groups - entry_group, entry_group)],
         reference,

@@ -12,13 +12,17 @@ the final byte are always zero.
 The ".2bit-raw" interchange format is an 8-byte little-endian base count
 followed by the packed bytes.
 
-FASTA goes both ways in batches of about 256 KiB of bases, so that a file of
-many short records costs little Python per record and one long record does
-not need its whole text in memory: ``parse_fasta`` maps, checks and packs a
-batch of records with one lookup each, and ``write_fasta`` unpacks a batch to
-ASCII with one ``take`` and puts in its headers and line ends with one
-``np.insert``. Sequences that refpack packs itself, from a parse or a decode,
-are made without the constructor's checks.
+FASTA goes both ways about 256 KiB at a time, so that a file of many short
+records costs little Python per record and one long record does not need its
+whole text in memory. ``parse_fasta`` reads a window of whole lines at a time
+with no Python step per line: one ``bytes.translate`` gives every byte its
+class (base code, '\n', space, ambiguity letter, '>', ';' or junk), array
+passes over the non-base bytes alone find, strip and sort the lines, and one
+boolean compress keeps the sequence codes, which are packed at once. A record
+that goes on past its window carries only packed bytes and at most 3 codes.
+``write_fasta`` unpacks a batch to ASCII with one ``take`` and puts in its
+headers and line ends with one ``np.insert``. Sequences that refpack packs
+itself, from a parse or a decode, are made without the constructor's checks.
 """
 
 from __future__ import annotations
@@ -47,10 +51,6 @@ _ASCII_TO_DIGIT = bytes(
 # IUPAC one-letter ambiguity codes (everything legal in a FASTA sequence line
 # that is not a concrete A/C/G/T). U is RNA uracil and treated the same way.
 _IUPAC_AMBIGUOUS = b"NRYSWKMBDHVU"
-_IS_AMBIGUOUS = np.zeros(256, dtype=bool)
-for _c in _IUPAC_AMBIGUOUS:
-    _IS_AMBIGUOUS[_c] = True
-    _IS_AMBIGUOUS[_c + 32] = True
 
 _UNPACK_SHIFTS = np.arange(0, 8, 2, dtype=np.uint8)
 
@@ -351,9 +351,33 @@ class FastaRecord:
     replaced: int = 0  # ambiguity codes rewritten to 'A' during ingestion
 
 
-# Sequence bytes at which ``parse_fasta`` maps, checks and packs the records
-# read so far; it bounds the batch's temporaries for files of many records.
+# Bytes ``parse_fasta`` reads as one window of whole lines; a longer line is
+# a window of its own. It bounds a window's temporaries.
 _FASTA_BATCH_BYTES = 1 << 18
+
+# FASTA byte classes: a base is its code 0-3, then the classes below; the
+# spaces are what ``bytes.strip`` strips, besides '\n'.
+_AMBIGUOUS, _NEWLINE, _SPACE, _HEADER, _COMMENT, _JUNK = range(4, 10)
+_FASTA_CLASS = bytearray(np.where(_ASCII_TO_CODE < 4, _ASCII_TO_CODE, _JUNK))
+for _c in _IUPAC_AMBIGUOUS + _IUPAC_AMBIGUOUS.lower():
+    _FASTA_CLASS[_c] = _AMBIGUOUS
+for _c in b" \t\r\x0b\x0c":
+    _FASTA_CLASS[_c] = _SPACE
+_FASTA_CLASS[10], _FASTA_CLASS[62], _FASTA_CLASS[59] = _NEWLINE, _HEADER, _COMMENT  # '\n' '>' ';'
+_FASTA_CLASS = bytes(_FASTA_CLASS)
+
+
+@dataclass(slots=True)
+class _OpenRecord:
+    """A record whose end is not read yet: its header, its bases so far as
+    packed whole bytes, and the last ``length % 4`` codes, not yet packed."""
+
+    id: str
+    line: int
+    length: int
+    replaced: int
+    chunks: list[bytes]
+    carry: np.ndarray
 
 
 def parse_fasta(data: Union[str, bytes], *, strict: bool = False) -> list[FastaRecord]:
@@ -365,109 +389,222 @@ def parse_fasta(data: Union[str, bytes], *, strict: bool = False) -> list[FastaR
     Characters that are not IUPAC nucleotide letters are always an error.
     The first faulty line of the file is the one reported.
 
-    One pass over the lines, read one at a time, keeps each record's
-    stripped sequence lines, the last padded with 'A' to a whole packed
-    byte. Once a batch of whole records holds ``_FASTA_BATCH_BYTES`` such
-    bytes, it is joined, mapped and checked with one lookup, and packed.
+    The text is read a window of about ``_FASTA_BATCH_BYTES`` whole lines at
+    a time (``_fasta_window``), with no Python step per line. A record that
+    goes on past its window keeps only packed bytes and at most 3 codes.
     """
     if isinstance(data, str):
         data = data.encode("ascii", errors="replace")
 
     records: list[FastaRecord] = []
-    # the pending batch: whole records and their sequence lines
-    ids: list[str] = []
-    lengths: list[int] = []
-    lines: list[bytes] = []
-    line_nos: list[int] = []
-    pending = 0
-
-    def end_record(
-        record_id: str | None, length: int, header_line: int
-    ) -> FastaParseError | None:
-        nonlocal pending
-        if record_id is None:
-            return None
-        if not length:
-            return FastaParseError(f"record {record_id!r} has no sequence data", header_line)
-        ids.append(record_id)
-        lengths.append(length)
-        if length % 4:
-            lines[-1] += b"A" * (-length % 4)
-        pending += length
-        if pending >= _FASTA_BATCH_BYTES:
-            records.extend(_pack_fasta_batch(ids, lengths, lines, line_nos, strict))
-            del ids[:], lengths[:], lines[:], line_nos[:]
-            pending = 0
-        return None
-
-    cur_id: str | None = None
-    cur_length = cur_header_line = 0
-    error: FastaParseError | None = None
-    for line_no, raw_line in enumerate(io.BytesIO(data), start=1):
-        line = raw_line.strip()
-        if not line or line[0] == 59:  # blank, or an old-style ';' comment
-            continue
-        if line[0] == 62:  # '>' header
-            error = end_record(cur_id, cur_length, cur_header_line)
-            if error is not None:
-                break
-            cur_id = line[1:].strip().decode("utf-8", errors="replace")
-            cur_length, cur_header_line = 0, line_no
-            if not cur_id:
-                error = FastaParseError("empty record id", line_no)
-                break
-        elif cur_id is None:
-            error = FastaParseError("sequence data before any '>' header", line_no)
-            break
+    open_record: _OpenRecord | None = None
+    pos = line_no = 0
+    while pos < len(data):
+        if len(data) - pos <= _FASTA_BATCH_BYTES:
+            end = len(data)
         else:
-            lines.append(line)
-            line_nos.append(line_no)
-            cur_length += len(line)
-    else:
-        error = end_record(cur_id, cur_length, cur_header_line)
+            end = data.rfind(b"\n", pos, pos + _FASTA_BATCH_BYTES) + 1
+            if end <= pos:  # a line longer than a window is a window of its own
+                end = data.find(b"\n", pos + _FASTA_BATCH_BYTES) + 1 or len(data)
+        open_record, n_lines = _fasta_window(data[pos:end], line_no, open_record, strict, records)
+        pos, line_no = end, line_no + n_lines
 
-    # A bad byte on a line before a structural error is reported first.
-    if lines:
-        records.extend(_pack_fasta_batch(ids, lengths, lines, line_nos, strict))
-    if error is not None:
-        raise error
+    if open_record is not None:
+        if not open_record.length:
+            raise FastaParseError(
+                f"record {open_record.id!r} has no sequence data", open_record.line
+            )
+        open_record.chunks.append(_pack_code_array(open_record.carry))
+        records.append(_closed(open_record))
     return records
 
 
-def _pack_fasta_batch(
-    ids: list[str], lengths: list[int], lines: list[bytes], line_nos: list[int], strict: bool
-) -> list[FastaRecord]:
-    """Map, check and pack a batch of whole records; the first bad line raises.
+def _header_id(win: bytes, lo: int, hi: int) -> str:
+    """The id of the stripped header line ``win[lo:hi]``, '>' first."""
+    return win[lo + 1 : hi].strip().decode("utf-8", errors="replace")
 
-    ``lines`` are the records' sequence lines in file order, each record's
-    last line padded with 'A' (code 0) to a multiple of 4 bases.
+
+def _closed(rec: _OpenRecord) -> FastaRecord:
+    """The record, its packed chunks joined."""
+    data = b"".join(rec.chunks)
+    return FastaRecord(rec.id, PackedSequence._unchecked(data, rec.length), rec.replaced)
+
+
+def _strip_lines(at, kind, line_of, starts, ends):
+    """Strip line i, ``[starts[i], ends[i])``, as ``bytes.strip`` does.
+
+    ``at``, ``kind`` and ``line_of`` give each non-base byte's position,
+    class and line. A run of spaces that starts or ends its line is
+    stripped; one inside it stays, as junk. Returns each stripped line's
+    bounds ``lo`` and ``hi``, and which of the non-base bytes were stripped.
     """
-    arr = np.frombuffer(b"".join(lines), dtype=np.uint8)
-    codes = _ASCII_TO_CODE[arr]
-    invalid = codes == 0xFF
-    replaced = [0] * len(ids)
-    if invalid.any():
-        ambiguous = invalid & _IS_AMBIGUOUS[arr]
-        junk = invalid & ~ambiguous
-        bad = invalid if strict else junk
-        if bad.any():
-            # Locate the line of the first bad byte; within that line, junk
-            # is reported before an ambiguity letter. The padding 'A's are
-            # valid, so they never raise.
-            ends = np.cumsum([len(line) for line in lines])
-            i = int(np.searchsorted(ends, int(np.argmax(bad)), side="right"))
-            span = slice(ends[i] - len(lines[i]), ends[i])
-            if junk[span].any():
-                pos = span.start + int(np.argmax(junk[span]))
-                raise FastaParseError(f"invalid sequence character {chr(arr[pos])!r}", line_nos[i])
-            pos = span.start + int(np.argmax(ambiguous[span]))
-            raise FastaParseError(
-                f"ambiguous base {chr(arr[pos])!r} rejected in strict mode", line_nos[i]
-            )
-        record_ends = np.cumsum([(n + 3) // 4 * 4 for n in lengths])
-        replaced = np.diff(np.cumsum(ambiguous)[record_ends - 1], prepend=0).tolist()
-        codes[ambiguous] = 0
-    return [FastaRecord(*fields) for fields in zip(ids, _split_packed(codes, lengths), replaced)]
+    space = np.flatnonzero(kind == _SPACE)
+    where = at[space]
+    first = np.flatnonzero(np.diff(where, prepend=-2) != 1)
+    size = np.diff(np.append(first, where.size))
+    run_line = line_of[space[first]]
+    leading = where[first] == starts[run_line]
+    trailing = where[first] + size == ends[run_line]
+    lead = np.zeros(ends.size, dtype=np.int64)
+    trail = np.zeros(ends.size, dtype=np.int64)
+    lead[run_line[leading]] = size[leading]
+    trail[run_line[trailing]] = size[trailing]
+    lo = starts + lead
+    stripped = np.zeros(at.size, dtype=bool)
+    stripped[space] = np.repeat(leading | trailing, size)
+    return lo, np.maximum(ends - trail, lo), stripped
+
+
+def _fasta_window(
+    win: bytes,
+    line_no: int,
+    open_record: _OpenRecord | None,
+    strict: bool,
+    records: list[FastaRecord],
+) -> tuple[_OpenRecord | None, int]:
+    """Parse one window of whole lines, the first of them line ``line_no + 1``.
+
+    Appends the records that end in the window to ``records`` and returns the
+    record still open at its end, and the number of '\\n' in the window. The
+    window's first fault raises.
+
+    One ``translate`` gives each byte its class. Array passes over the
+    non-base bytes alone find the lines, strip them (a run of spaces that
+    starts or ends its line goes) and sort them into headers, comments and
+    sequence; one boolean compress then keeps the sequence lines' codes.
+    """
+    n = len(win)
+    cls = np.frombuffer(win.translate(_FASTA_CLASS), dtype=np.uint8)
+    at = np.flatnonzero(cls > 3)  # the non-base bytes
+    kind = cls[at]
+    is_newline = kind == _NEWLINE
+    breaks = at[is_newline]
+    # Line i is [starts[i], ends[i]) and its '\n'; line_of gives the line of
+    # each non-base byte.
+    ends = breaks if win[-1] == 10 else np.append(breaks, n)
+    starts = np.concatenate(([0], breaks + 1))[: ends.size]
+    line_of = np.cumsum(is_newline) - is_newline
+
+    lo, hi, stripped = _strip_lines(at, kind, line_of, starts, ends)
+
+    head = cls[np.minimum(lo, n - 1)]
+    filled = lo < hi
+    is_header = filled & (head == _HEADER)
+    is_seq = filled & ~is_header & (head != _COMMENT)
+    inside = is_seq[line_of] & ~is_newline & ~stripped
+    ambiguous = inside & (kind == _AMBIGUOUS)
+    junk = inside & ~ambiguous
+
+    # Segment j holds the bases before header j, and the last one those
+    # after the last header; segment 0 goes on the open record.
+    headers = np.flatnonzero(is_header)
+    seq_len = np.where(is_seq, hi - lo, 0)
+    seq_end = np.cumsum(seq_len)
+    counts = np.diff(np.append(seq_end[headers], seq_end[-1]), prepend=0)
+
+    # The window's faults as (line found, rank there, message, line named),
+    # the line found counted from 0 in the window; the first one raises.
+    faults = []
+    bad = junk | ambiguous if strict else junk
+    if bad.any():
+        line = line_of[np.argmax(bad)]
+        in_line = line_of == line
+        if (junk & in_line).any():
+            byte = win[at[np.argmax(junk & in_line)]]
+            message = f"invalid sequence character {chr(byte)!r}"
+        else:
+            byte = win[at[np.argmax(ambiguous & in_line)]]
+            message = f"ambiguous base {chr(byte)!r} rejected in strict mode"
+        faults.append((line, 1, message, line_no + line + 1))
+    if open_record is None:
+        early = np.flatnonzero(is_seq[: headers[0] if headers.size else None])
+        if early.size:
+            message = "sequence data before any '>' header"
+            faults.append((early[0], 0, message, line_no + early[0] + 1))
+    elif headers.size and not open_record.length + counts[0]:
+        message = f"record {open_record.id!r} has no sequence data"
+        faults.append((headers[0], 0, message, open_record.line))
+    empty = np.flatnonzero(counts[1:-1] == 0)
+    if empty.size:
+        h = headers[empty[0]]
+        message = f"record {_header_id(win, lo[h], hi[h])!r} has no sequence data"
+        faults.append((headers[empty[0] + 1], 0, message, line_no + h + 1))
+    no_id = headers[hi[headers] - lo[headers] == 1]  # '>' and spaces only
+    if no_id.size:
+        faults.append((no_id[0], 1, "empty record id", line_no + no_id[0] + 1))
+    if faults:
+        _, _, message, line = min(faults, key=lambda fault: fault[:2])
+        raise FastaParseError(message, int(line))
+    ids = [_header_id(win, a, b) for a, b in zip(lo[headers].tolist(), hi[headers].tolist())]
+
+    # A record that ends in the window is padded to whole bytes: its pad
+    # codes are the bytes just after its last sequence line, kept and then
+    # zeroed (the next record's first base is 4 or more bytes on: '\n>x\n').
+    # A record with no bases in the window is its carried codes, padded.
+    carry = np.zeros(0, dtype=np.uint8) if open_record is None else open_record.carry
+    total = counts.copy()
+    total[0] += carry.size
+    pad = -total[:-1] % 4
+    ends_here = np.flatnonzero((counts[:-1] > 0) & (pad > 0))
+    seq_lines = np.flatnonzero(is_seq)
+    pad_line = seq_lines[np.searchsorted(seq_lines, headers[ends_here]) - 1]
+    extra = np.zeros(ends.size, dtype=np.int64)
+    extra[pad_line] = pad[ends_here]
+    kept_end = np.cumsum(seq_len + extra)  # kept codes through each line
+    kept_start = kept_end - seq_len - extra
+    pad_run, pad_step = ragged_arange(pad[ends_here])
+    amb = np.flatnonzero(ambiguous)
+    amb_slot = (kept_start - lo)[line_of[amb]] + at[amb]
+    # The arrays of one entry per non-base byte go before the window-sized
+    # ones come: a window of many headers has almost as many such bytes.
+    del at, kind, is_newline, line_of, stripped, inside, ambiguous, junk, bad, amb
+
+    # Keep the sequence lines' bytes (bases and ambiguity letters: no other
+    # byte passed the checks) and the pads, then zero letters and pads.
+    keep = cls < 5
+    other = np.flatnonzero(filled & ~is_seq)
+    run, step = ragged_arange((hi - lo)[other])
+    keep[lo[other][run] + step] = False
+    del run, step
+    keep[hi[pad_line][pad_run] + pad_step] = True
+    codes = cls[keep]
+    del cls, keep
+    codes[amb_slot] = 0
+    codes[(kept_start + seq_len)[pad_line][pad_run] + pad_step] = 0
+    kept_cuts = np.append(kept_end[headers], kept_end[-1])
+    replaced = np.bincount(
+        np.searchsorted(kept_cuts, amb_slot, side="right"), minlength=kept_cuts.size
+    )
+    if carry.size:
+        front = 0 if counts[0] or not pad.size else pad[0]
+        codes = np.concatenate((carry, np.zeros(front, dtype=np.uint8), codes))
+    whole = codes.size - int(total[-1]) % 4
+    carry = codes[whole:].copy()
+    packed = _pack_code_array(codes[:whole])
+    del codes  # before the records' objects are made, so none lands above it
+    byte_ends = np.cumsum(np.append((total[:-1] + pad) // 4, total[-1] // 4)).tolist()
+    counts, replaced = counts.tolist(), replaced.tolist()
+
+    if open_record is not None:
+        open_record.chunks.append(packed[: byte_ends[0]])
+        open_record.length += counts[0]
+        open_record.replaced += replaced[0]
+        if not ids:
+            open_record.carry = carry
+            return open_record, breaks.size
+        records.append(_closed(open_record))
+    if not ids:
+        return None, breaks.size
+    unchecked = PackedSequence._unchecked
+    records.extend(
+        FastaRecord(record_id, unchecked(packed[a:b], length), r)
+        for record_id, a, b, length, r in zip(
+            ids[:-1], byte_ends[:-2], byte_ends[1:-1], counts[1:-1], replaced[1:-1]
+        )
+    )
+    line = line_no + int(headers[-1]) + 1
+    chunks = [packed[byte_ends[-2] :]]
+    return _OpenRecord(ids[-1], line, counts[-1], replaced[-1], chunks, carry), breaks.size
 
 
 def read_fasta(path: Union[str, Path], *, strict: bool = False) -> list[FastaRecord]:

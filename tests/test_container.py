@@ -22,6 +22,7 @@ from refpack import (
     read_container,
     write_container,
 )
+import refpack.container as container_mod
 from refpack.compress import encode_groups
 from refpack.container import (
     _CRC,
@@ -602,8 +603,8 @@ def test_extract_never_returns_corrupted_group_bytes(reference, index64):
 
 def test_extract_from_an_unaligned_entry_is_a_structured_error(reference, index64):
     """A chunk-index byte offset off a word boundary, in a section with a
-    valid CRC, makes extract decode misaligned words: that must surface as a
-    refpack error, not as an error of the buffer machinery."""
+    valid CRC, would make extract decode misaligned words: the reader rejects
+    it as out of range before any extract can start there."""
     params = CompressParams(k=64, s=16)
     target = mutate(reference, MutationProfile(snp=0.02), np.random.default_rng(0xA11))
     result = compress(target, index64, reference, params, break_every_groups=1)
@@ -612,9 +613,38 @@ def test_extract_from_an_unaligned_entry_is_a_structured_error(reference, index6
     base, group, byte = entries[1]
     section = struct.pack("<IQ", 1, 2) + struct.pack("<QQQ", *entries[0])
     section += struct.pack("<QQQ", base, group, byte + 1)
-    box = read_container(_with_section(data, 0, section))
-    with pytest.raises(RefpackError):
-        extract_range(box, box.records[0], reference, base + 3, 10)
+    with pytest.raises(CorruptContainer, match="'a': chunk index entry out of range"):
+        read_container(_with_section(data, 0, section))
+
+
+def test_group_bytes_crc_runs_once_per_record(packed, reference, monkeypatch):
+    """Two extracts of one record run ``zlib.crc32`` over its group bytes
+    once; a corrupt region still fails the first extract, and a full decode."""
+    data, targets, _ = packed
+    calls = []
+    crc32 = zlib.crc32
+
+    def counting_crc32(buf, *args):
+        calls.append(len(buf))
+        return crc32(buf, *args)
+
+    box = read_container(data)
+    rec = box.find_record("whole")
+    body = rec.region_size - 4
+    monkeypatch.setattr(container_mod.zlib, "crc32", counting_crc32)
+    first = extract_range(box, rec, reference, 7_000, 64)
+    assert extract_range(box, rec, reference, 7_000, 64) == first
+    assert decompress_record(box, rec, reference) == targets["whole"]
+    assert calls.count(body) == 1
+
+    bad = bytearray(data)
+    bad[rec.byte_offset + body // 2] ^= 0x10
+    for attempt in (
+        lambda box: extract_range(box, box.find_record("whole"), reference, 7_000, 64),
+        lambda box: decompress_records(box, box.records, reference),
+    ):
+        with pytest.raises(CorruptContainer, match="group data CRC mismatch"):
+            attempt(read_container(bytes(bad)))
 
 
 def test_extract_wrong_reference(packed, reference):
@@ -748,7 +778,7 @@ def read_container_by_field(data):
                 raise CorruptContainer(
                     f"record {rec.id!r}: chunk index keys not strictly increasing"
                 )
-            if groups[j] >= rec.n_groups or bytes_[j] >= rec.region_size - 4:
+            if groups[j] >= rec.n_groups or bytes_[j] >= rec.region_size - 4 or bytes_[j] % 4:
                 raise CorruptContainer(f"record {rec.id!r}: chunk index entry out of range")
         rec.chunk_index = ChunkIndex(granularity, tuple(bases), tuple(groups), tuple(bytes_))
     if bcur.pos != len(data):

@@ -369,7 +369,9 @@ def parse_fasta_by_line(data, *, strict=False):
     if isinstance(data, str):
         data = data.encode("ascii", errors="replace")
     table = sequence_mod._ASCII_TO_CODE
-    is_ambiguous = sequence_mod._IS_AMBIGUOUS
+    is_ambiguous = np.zeros(256, dtype=bool)
+    for c in sequence_mod._IUPAC_AMBIGUOUS:
+        is_ambiguous[[c, c + 32]] = True
     records = []
     cur_id, cur_chunks, cur_replaced, cur_header_line = None, [], 0, 0
 
@@ -460,12 +462,45 @@ def _many_record_files(draw):
     return b"".join(out)
 
 
+@st.composite
+def _long_record_files(draw):
+    """Files whose first record spans several windows at the small batch
+    sizes: one random fold width, lines framed by spaces, tabs or CRLF,
+    ambiguity letters every 37 bases (from the start, or only from base 250
+    on, so that strict mode fails in a later window), and at times one bad
+    byte far into the record. Later records are short."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ambiguous_from = draw(st.sampled_from([0, 250]))
+    bad = draw(st.sampled_from([None, b"!", b"-", b" ", b"\r"]))
+    out = [b"; comment\n"]
+    for i in range(draw(st.integers(1, 4))):
+        length = int(rng.integers(300, 900)) if i == 0 else int(rng.integers(1, 60))
+        letters = np.frombuffer(b"ACGTacgt", dtype=np.uint8)[rng.integers(0, 8, length)]
+        spots = np.arange(ambiguous_from + int(rng.integers(0, 37)), length, 37)
+        letters[spots] = np.frombuffer(b"NRYnryUWk", dtype=np.uint8)[rng.integers(0, 9, spots.size)]
+        if i == 0 and bad is not None:
+            letters[int(rng.integers(length // 2, length))] = bad[0]
+        text = letters.tobytes()
+        width = int(rng.integers(1, 80))
+        out.append(b" >r%d\t\n" % i)
+        for start in range(0, length, width):
+            lead, tail = rng.integers(0, 3, 2)
+            out.append((b"", b" ", b"\t")[lead] + text[start : start + width])
+            out.append((b"\n", b" \r\n", b"\t\n")[tail])
+    return b"".join(out)
+
+
 _fasta_files = st.one_of(
     st.lists(st.tuples(_fasta_lines, st.sampled_from([b"\n", b"\r\n"])), max_size=14).map(
         lambda lines: b"".join(b"".join(parts) + end for parts, end in lines)
     ),
     _many_record_files(),
+    _long_record_files(),
 )
+
+# Batch sizes under which the parse must not change: a line or a few a
+# window, windows that cut records, and the default.
+_BATCH_SIZES = [1, 2, 3, 7, 64, 200, sequence_mod._FASTA_BATCH_BYTES]
 
 
 @settings(max_examples=300, deadline=None)
@@ -473,14 +508,14 @@ _fasta_files = st.one_of(
     _fasta_files,
     st.booleans(),
     st.booleans(),
-    st.sampled_from([1, 3, 64, sequence_mod._FASTA_BATCH_BYTES]),
+    st.sampled_from(_BATCH_SIZES),
 )
 def test_parse_fasta_matches_line_by_line(data, strict, as_text, batch_bytes):
     """Records, replacement counts, error messages and line numbers all equal
     those of the line-by-line parser, on headers, blank and ';' lines, CRLF,
     lowercase, IUPAC letters, junk bytes, data before the first header and
-    empty records, and on many-record files whose batches split between
-    records when the batch size is a few bytes."""
+    empty records; on many-record files; and on long records that windows of
+    a few bytes cut into many pieces, with faults in later windows."""
     if as_text:
         data = data.decode("latin-1")
     with mock.patch.object(sequence_mod, "_FASTA_BATCH_BYTES", batch_bytes):
@@ -492,7 +527,10 @@ def test_parse_fasta_reports_first_bad_line():
     """The first faulty line wins: junk after an ambiguity letter on one line
     is reported first, a line with only ambiguity letters is an error in
     strict mode alone, and a bad byte on an earlier line beats a later empty
-    record or empty id, within a batch or across batches."""
+    record or empty id, within a window or across windows, in a long record
+    opened many windows before."""
+    # lines 2-41: 10 bases a line, line 35 the only one with a C run
+    long_record = ">a\n" + "ACGTACGTAG\n" * 33 + "CCCCAAAAAA\n" + "ACGTACGTAG\n" * 6
     cases = [
         (">r\nACGN\nAN!T\n", False, "line 3: invalid sequence character '!'"),
         (">r\nACGN\nAN!T\n", True, "line 2: ambiguous base 'N' rejected in strict mode"),
@@ -500,19 +538,59 @@ def test_parse_fasta_reports_first_bad_line():
         (">a\nAC!T\n>b\nACGT\n>\nACGT\n", False, "line 2: invalid sequence character '!'"),
         (">a\nACGT\n>b\nACNT\n>c\n>d\nA\n", True, "line 4: ambiguous base 'N' rejected in strict mode"),
         (">a\nACNT\n>b\n>c\nACGT\n", False, "line 3: record 'b' has no sequence data"),
+        (long_record.replace("CCCC", "C!CC", 1), False, "line 35: invalid sequence character '!'"),
+        (long_record.replace("CCCC", "CNC!", 1), True, "line 35: invalid sequence character '!'"),
+        (
+            long_record.replace("CCCC", "CCNC", 1),
+            True,
+            "line 35: ambiguous base 'N' rejected in strict mode",
+        ),
+        (long_record + ">b\n\n>c\nACGT\n", False, "line 42: record 'b' has no sequence data"),
+        (long_record + ">b\nAC\n  >  \nACGT\n", False, "line 44: empty record id"),
     ]
     for text, strict, message in cases:
         assert _parse_outcome(parse_fasta_by_line, text, strict)[1] == message
-        for batch_bytes in (1, sequence_mod._FASTA_BATCH_BYTES):
+        for batch_bytes in _BATCH_SIZES:
             with mock.patch.object(sequence_mod, "_FASTA_BATCH_BYTES", batch_bytes):
                 assert _parse_outcome(parse_fasta, text, strict)[1] == message
+
+
+def test_parse_fasta_windows_cut_records_at_every_residue():
+    """Windows of whole lines cut a long record after every residue of its
+    length mod 4, so the carried codes (0-3 of them) take every count; the
+    parse still equals the line-by-line one, in both modes and at every batch
+    size."""
+    rng = np.random.default_rng(3)
+    letters = np.frombuffer(b"ACGTN", dtype=np.uint8)[rng.integers(0, 5, 2_000)].tobytes()
+    widths = np.resize(np.arange(1, 8), 600).tolist()
+    cuts = np.cumsum([0, *widths]).tolist()
+    text = b">long\n" + b"".join(
+        letters[a:b] + b"\n" for a, b in zip(cuts, cuts[1:]) if b <= len(letters)
+    ) + b">short\nACG\n"
+    carried = set()
+    window = sequence_mod._fasta_window
+
+    def spy(*args):
+        open_record, n_lines = window(*args)
+        if open_record is not None:
+            carried.add(open_record.carry.size)
+            assert open_record.carry.size == open_record.length % 4
+        return open_record, n_lines
+
+    for batch_bytes in _BATCH_SIZES:
+        with mock.patch.object(sequence_mod, "_FASTA_BATCH_BYTES", batch_bytes), \
+                mock.patch.object(sequence_mod, "_fasta_window", spy):
+            for strict in (False, True):
+                got = _parse_outcome(parse_fasta, text, strict)
+                assert got == _parse_outcome(parse_fasta_by_line, text, strict)
+    assert carried == {0, 1, 2, 3}
 
 
 def test_parse_fasta_peak_memory_is_bounded():
     """Parsing 4 Mbp of reads (20,000 records of 200 bases in 60-base lines)
     peaks below the file's size plus what the parse returns plus one batch of
-    sequence: the lines are read one at a time, not all split up front, which
-    alone held about the file's size again in line objects."""
+    sequence: the text is read a window of whole lines at a time, and a
+    window's temporaries are a few arrays of its size."""
     rng = np.random.default_rng(12)
     codes = rng.integers(0, 4, 20_000 * 200, dtype=np.uint8)
     text = np.frombuffer(CODE_TO_ASCII, dtype=np.uint8)[codes].tobytes()
@@ -531,6 +609,52 @@ def test_parse_fasta_peak_memory_is_bounded():
         tracemalloc.stop()
     assert len(records) == 20_000 and records[-1].seq.length == 200
     assert peak < len(data) + kept + sequence_mod._FASTA_BATCH_BYTES
+
+
+def _traced_parse(data):
+    tracemalloc.start()
+    try:
+        records = parse_fasta(data)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return records, kept, peak
+
+
+def _random_text(n, seed):
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(0, 4, n, dtype=np.uint8)
+    return np.frombuffer(CODE_TO_ASCII, dtype=np.uint8)[codes].tobytes()
+
+
+def test_parse_fasta_long_records_keep_only_packed_bytes():
+    """4 records of 1 Mbp in 60-base lines (3.88 MiB of text, 0.96 MiB
+    packed) peak below what the parse returns plus 8 windows: a record that
+    goes on past its window holds only packed bytes and at most 3 codes.
+    Holding a whole record's lines peaked at 7.67 MiB here, and holding each
+    window's codes until the record ends at 5.39 MiB; this parse peaks at
+    about 2.3 MiB."""
+    text = _random_text(4_000_000, 41)
+    records = [text[a : a + 1_000_000] for a in range(0, 4_000_000, 1_000_000)]
+    data = b"".join(
+        b">chr%d\n" % i + b"\n".join(seq[j : j + 60] for j in range(0, len(seq), 60)) + b"\n"
+        for i, seq in enumerate(records)
+    )
+    del records
+    del text
+    records, kept, peak = _traced_parse(data)
+    assert [r.seq.length for r in records] == [1_000_000] * 4
+    assert peak < kept + 8 * sequence_mod._FASTA_BATCH_BYTES
+
+
+def test_parse_fasta_one_line_record_peak():
+    """An unfolded 4 Mbp record is one line longer than any window, so it is
+    a window of its own; its parse peaks below 6 bytes per byte of text,
+    where parsing it as one line object peaked (22.9 MiB for 3.81 MiB)."""
+    data = b">chr1\n" + _random_text(4_000_000, 42) + b"\n"
+    records, kept, peak = _traced_parse(data)
+    assert records[0].seq.length == 4_000_000
+    assert peak < 6 * len(data)
 
 
 def test_fasta_file_round_trip(tmp_path):
