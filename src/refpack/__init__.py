@@ -20,7 +20,6 @@ from .compress import (
     make_stream,
 )
 from .container import (
-    ChunkIndex,
     Container,
     ContainerRecord,
     decompress_record,
@@ -63,7 +62,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BenchReport",
     "ChecksumMismatch",
-    "ChunkIndex",
     "CompressParams",
     "CompressResult",
     "CompressedStream",

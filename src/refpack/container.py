@@ -41,7 +41,8 @@ records costs little Python per record:
   checked with array passes, which raise the same first fault, with the same
   message, that a reader checking field by field in file order would. A
   count read from the file sizes no array until the walk has checked it
-  against the file's size. Each record gets its ``ChunkIndex`` of tuples,
+  against the file's size. The checked entries of all records stay as three
+  flat lists on the ``Container``; each record keeps the range of its own,
   which ``extract_range`` bisects.
 """
 
@@ -81,33 +82,6 @@ _ID_LEN = struct.Struct("<H")
 _RECORD = struct.Struct("<QQQ")  # base count, group count, byte offset
 _SECTION = struct.Struct("<IQ")  # granularity, entry count
 _ENTRY = struct.Struct("<QQQ")  # base offset, group ordinal, byte offset
-
-
-@dataclass(slots=True)
-class ChunkIndex:
-    """Sorted entry points: decompressed base offset -> (group, byte) position."""
-
-    granularity: int
-    base_offsets: tuple[int, ...]
-    group_ordinals: tuple[int, ...]
-    byte_offsets: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.granularity < 1:
-            raise ValueError("granularity must be positive")
-
-    @property
-    def entries(self) -> list[tuple[int, int, int]]:
-        return list(zip(self.base_offsets, self.group_ordinals, self.byte_offsets))
-
-    def predecessor(self, base_offset: int) -> tuple[int, int, int]:
-        """The last entry at or before ``base_offset``."""
-        if not self.base_offsets:
-            raise ValueError("chunk index has no entries")
-        i = bisect_right(self.base_offsets, base_offset) - 1
-        if i < 0:
-            raise ValueError(f"no entry at or before base offset {base_offset}")
-        return (self.base_offsets[i], self.group_ordinals[i], self.byte_offsets[i])
 
 
 class ChunkEntries(NamedTuple):
@@ -165,20 +139,6 @@ def _sums_before(per_token: np.ndarray, at: np.ndarray, origin: np.ndarray) -> n
     return sums[at] - sums[origin]
 
 
-def chunk_indexes(granularities: Sequence[int], entries: ChunkEntries) -> list[ChunkIndex]:
-    """Each record's ``ChunkIndex`` of tuples, from its granularity and the
-    flat entries."""
-    ends = np.cumsum(entries.counts).tolist()
-    bases, groups, byte_offsets = (
-        tuple(column.tolist())
-        for column in (entries.base_offsets, entries.group_ordinals, entries.byte_offsets)
-    )
-    return [
-        ChunkIndex(g, bases[a:b], groups[a:b], byte_offsets[a:b])
-        for g, a, b in zip(granularities, [0, *ends], ends)
-    ]
-
-
 @dataclass(slots=True)
 class ContainerRecord:
     id: str
@@ -186,7 +146,9 @@ class ContainerRecord:
     n_groups: int
     byte_offset: int  # absolute file offset of the record's group bytes
     region_size: int  # group bytes plus trailing CRC
-    chunk_index: ChunkIndex | None = None
+    granularity: int  # groups per chunk-index entry
+    first_entry: int  # where the record's entries start in Container.entries
+    n_entries: int
 
 
 @dataclass
@@ -195,6 +157,9 @@ class Container:
     ref_checksum: bytes
     records: list[ContainerRecord]
     data: bytes
+    # The chunk-index entries of all records, record after record: base
+    # offsets, group ordinals and byte offsets.
+    entries: tuple[list[int], list[int], list[int]]
     # (byte offset, size) of each record region whose CRC has passed
     _verified: set[tuple[int, int]] = field(
         default_factory=set, init=False, repr=False, compare=False
@@ -417,6 +382,7 @@ def read_container(src: Union[str, Path, bytes, BinaryIO]) -> Container:
     if blob_end != size:
         raise CorruptContainer(f"{size - blob_end} trailing bytes after index blob")
 
+    counts = entries.counts
     records = list(map(
         ContainerRecord,
         ids,
@@ -424,13 +390,20 @@ def read_container(src: Union[str, Path, bytes, BinaryIO]) -> Container:
         n_groups.tolist(),
         byte_offsets.tolist(),
         region_sizes.tolist(),
-        chunk_indexes(granularities.tolist(), entries),
+        granularities.tolist(),
+        (np.cumsum(counts) - counts).tolist(),
+        counts.tolist(),
     ))
     return Container(
         params=CompressParams(k=k, s=s),
         ref_checksum=checksum,
         records=records,
         data=data,
+        entries=(
+            entries.base_offsets.tolist(),
+            entries.group_ordinals.tolist(),
+            entries.byte_offsets.tolist(),
+        ),
     )
 
 
@@ -555,9 +528,9 @@ def extract_range(
     """Decode ``length`` bases starting at ``base_offset`` without a full decode.
 
     The record's group bytes are CRC-checked first. Decoding begins at the
-    chunk-index predecessor entry and stops as soon as the requested window is
-    covered, so at most (gap to the entry + length + one group) bases are ever
-    decoded.
+    record's last chunk-index entry at or before ``base_offset`` and stops as
+    soon as the requested window is covered, so at most (gap to the entry +
+    length + one group) bases are ever decoded.
     """
     if base_offset < 0 or length < 0 or base_offset + length > record.n_bases:
         raise ValueError(
@@ -569,7 +542,12 @@ def extract_range(
     if length == 0:
         return PackedSequence(b"", 0)
 
-    entry_base, entry_group, entry_byte = record.chunk_index.predecessor(base_offset)
+    # The reader checked that each record's entries start at its origin, so
+    # one of them is at or before any offset.
+    bases, ordinals, byte_offsets = container.entries
+    first = record.first_entry
+    i = bisect_right(bases, base_offset, first, first + record.n_entries) - 1
+    entry_base, entry_group, entry_byte = bases[i], ordinals[i], byte_offsets[i]
     needed = (base_offset - entry_base) + length
     entry = container.group_bytes(record)[entry_byte:]
     (codes,), (groups,) = decode_group(

@@ -231,31 +231,22 @@ def ragged_arange(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return run, np.arange(run.size) - (np.cumsum(counts) - counts)[run]
 
 
-def _split_packed(codes: np.ndarray, lengths: Sequence[int]) -> list[PackedSequence]:
-    """Pack a buffer of runs of base codes in one pass and cut it per run.
-
-    Run i holds ``lengths[i]`` codes followed by zero codes up to a multiple
-    of 4, so that every run starts on a byte of the packed buffer. The codes
-    are not checked to be 0-3, and the sequences are made unchecked.
-    """
-    data = _pack_code_array(codes)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    ends = np.cumsum((lengths + 3) // 4).tolist()
-    unchecked = PackedSequence._unchecked
-    return [unchecked(data[a:b], n) for a, b, n in zip([0, *ends], ends, lengths.tolist())]
-
-
 def pack_code_runs(runs: Sequence[np.ndarray]) -> list[PackedSequence]:
     """A ``PackedSequence`` of each run of base codes, packed in one pass.
 
     Unlike ``from_codes``, this does not check that the codes are 0-3: it is
     for codes that refpack itself produced, such as a decoder's output. The
     runs, each followed by zero codes up to a multiple of 4, are joined with
-    one copy.
+    one copy, so that every run starts on a byte of the packed buffer, which
+    is then cut per run.
     """
     zeros = np.zeros(3, dtype=np.uint8)
     pieces = [piece for run in runs for piece in (run, zeros[: -run.size % 4])]
-    return _split_packed(np.concatenate([zeros[:0], *pieces]), [run.size for run in runs])
+    data = _pack_code_array(np.concatenate([zeros[:0], *pieces]))
+    lengths = np.array([run.size for run in runs], dtype=np.int64)
+    ends = np.cumsum((lengths + 3) // 4).tolist()
+    unchecked = PackedSequence._unchecked
+    return [unchecked(data[a:b], n) for a, b, n in zip([0, *ends], ends, lengths.tolist())]
 
 
 def pack_bases(text: str | bytes) -> PackedSequence:

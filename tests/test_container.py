@@ -1,3 +1,4 @@
+import gc
 import io
 import struct
 import time
@@ -31,11 +32,9 @@ from refpack.container import (
     HEADER_LEN,
     MAGIC,
     VERSION,
-    ChunkIndex,
     Container,
     ContainerRecord,
     build_chunk_index,
-    chunk_indexes,
     decompress_record,
     decompress_records,
     extract_range,
@@ -57,11 +56,20 @@ def result_of(kinds, words, n_bases):
     return CompressResult(kinds_of(*kinds), np.array(words, dtype="<u4"), n_bases)
 
 
-def chunk_index_of(kinds, granularity, params):
-    """Each record's ``ChunkIndex``, built from ``build_chunk_index`` as
-    ``read_container`` builds it from a file."""
+def built_entries(kinds, granularity, params):
+    """Each record's chunk-index entries from ``build_chunk_index``, as
+    (base offset, group ordinal, byte offset) tuples."""
     entries = build_chunk_index(kinds, granularity, params)
-    return chunk_indexes([granularity] * len(kinds), entries)
+    rows = list(zip(*(column.tolist() for column in entries[1:])))
+    ends = np.cumsum(entries.counts).tolist()
+    return [rows[a:b] for a, b in zip([0, *ends], ends)]
+
+
+def read_entries(box, rec):
+    """A read record's chunk-index entries, sliced out of ``box.entries``, as
+    (base offset, group ordinal, byte offset) tuples."""
+    first, end = rec.first_entry, rec.first_entry + rec.n_entries
+    return list(zip(*(column[first:end] for column in box.entries)))
 
 
 def checksum_of(reference):
@@ -113,7 +121,7 @@ def test_single_record_frozen_size(reference):
     assert (rec.n_bases, rec.n_groups) == (1024, 1)
     assert rec.byte_offset == 58 + 27
     assert rec.region_size == 12
-    assert rec.chunk_index.entries == [(0, 0, 0)]
+    assert read_entries(box, rec) == [(0, 0, 0)]
 
 
 def test_round_trip_all_records(packed, reference):
@@ -237,16 +245,15 @@ def test_write_rejects_inconsistent_base_count(reference):
 
 def test_chunk_index_empty_tokens_has_origin():
     params = CompressParams(k=64, s=16)
-    ci = chunk_index_of([kinds_of()], 4, params)[0]
-    assert ci.entries == [(0, 0, 0)]
+    assert built_entries([kinds_of()], 4, params) == [[(0, 0, 0)]]
 
 
 def test_chunk_index_all_verbatim_arithmetic():
     params = CompressParams(k=64, s=16)
-    ci = chunk_index_of([kinds_of(*[V] * 64)], 2, params)[0]
+    (entries,) = built_entries([kinds_of(*[V] * 64)], 2, params)
     # Boundary every 32 tokens; 32 verbatims = 512 bases, 2 headers + 32
     # payload words = 136 bytes.
-    assert ci.entries == [(0, 0, 0), (512, 2, 136)]
+    assert entries == [(0, 0, 0), (512, 2, 136)]
 
 
 def test_chunk_index_dense_under_break_mode(reference, index64):
@@ -254,26 +261,26 @@ def test_chunk_index_dense_under_break_mode(reference, index64):
     rng = np.random.default_rng(7)
     target = mutate(reference, MutationProfile(snp=0.02), rng)
     result = compress(target, index64, reference, params, break_every_groups=3)
-    ci = chunk_index_of([result.kinds], 3, params)[0]
+    (entries,) = built_entries([result.kinds], 3, params)
     boundaries = -(-result.kinds.size // (16 * 3))
-    assert len(ci.entries) == boundaries
-    assert ci.base_offsets == tuple(sorted(ci.base_offsets))
+    assert len(entries) == boundaries
+    bases = [base for base, _, _ in entries]
+    assert bases == sorted(bases)
 
 
 def test_chunk_index_skips_chained_boundaries():
     params = CompressParams(k=64, s=16)
-    ci = chunk_index_of([kinds_of(FM, *[C] * 31)], 1, params)[0]
-    assert ci.entries == [(0, 0, 0)]
+    assert built_entries([kinds_of(FM, *[C] * 31)], 1, params) == [[(0, 0, 0)]]
     # A full match at the boundary makes it usable again.
-    ci = chunk_index_of([kinds_of(*[FM] * 17, *[C] * 15)], 1, params)[0]
-    assert ci.entries == [(0, 0, 0), (1024, 1, 68)]
+    assert built_entries([kinds_of(*[FM] * 17, *[C] * 15)], 1, params) == [
+        [(0, 0, 0), (1024, 1, 68)]
+    ]
 
 
 def test_chunk_index_verbatim_does_not_clear_chain():
     params = CompressParams(k=64, s=16)
     # Group 1 opens with a verbatim but still owes state to group 0's match.
-    ci = chunk_index_of([kinds_of(FM, *[C] * 15, V, *[C] * 15)], 1, params)[0]
-    assert ci.entries == [(0, 0, 0)]
+    assert built_entries([kinds_of(FM, *[C] * 15, V, *[C] * 15)], 1, params) == [[(0, 0, 0)]]
 
 
 def chunk_index_reference(kinds, granularity, params):
@@ -302,8 +309,9 @@ def test_chunk_index_matches_reference(n, granularity, s, seed):
     params = CompressParams(k=64, s=s)
     rng = np.random.default_rng(seed)
     kinds = rng.choice(4, n, p=rng.dirichlet(np.ones(4))).astype(np.uint8)
-    ci = chunk_index_of([kinds], granularity, params)[0]
-    assert ci.entries == chunk_index_reference(kinds, granularity, params)
+    assert built_entries([kinds], granularity, params) == [
+        chunk_index_reference(kinds, granularity, params)
+    ]
 
 
 @settings(max_examples=40, deadline=None)
@@ -314,7 +322,7 @@ def test_chunk_index_of_many_records_matches_reference(sizes, granularity, seed)
     params = CompressParams(k=64, s=16)
     rng = np.random.default_rng(seed)
     kinds = [rng.choice(4, n, p=rng.dirichlet(np.ones(4))).astype(np.uint8) for n in sizes]
-    got = [ci.entries for ci in chunk_index_of(kinds, granularity, params)]
+    got = built_entries(kinds, granularity, params)
     assert got == [chunk_index_reference(k, granularity, params) for k in kinds]
 
 
@@ -341,7 +349,8 @@ def test_write_container_batch_matches_record_by_record(reference, index64):
         assert (record.id, record.n_bases, record.n_groups, record.region_size) == (
             alone.id, alone.n_bases, alone.n_groups, alone.region_size
         )
-        assert record.chunk_index == alone.chunk_index
+        assert record.granularity == alone.granularity
+        assert read_entries(batch, record) == read_entries(single, alone)
 
 
 def write_container_by_field(records, params, ref_checksum, granularity):
@@ -407,6 +416,22 @@ def test_write_container_matches_struct_per_field_writer(
     assert read_container(got) == read_container_by_field(got)
 
 
+def test_read_container_holds_no_per_record_index_objects(reference, index64, many_reads):
+    """The chunk index of a read container is three flat lists of ints, so
+    the objects the garbage collector tracks grow by about one per record."""
+    params = CompressParams(k=64, s=16)
+    results = compress([read for _, read in many_reads], index64, reference, params)
+    records = [(rec_id, result) for (rec_id, _), result in zip(many_reads, results)]
+    data = container_bytes(records, params, reference)
+    gc.collect()
+    before = len(gc.get_objects())
+    box = read_container(data)
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    assert len(box.records) == 1_250
+    assert added <= len(box.records) + 16, added
+
+
 def test_read_container_rejects_counts_beyond_the_file():
     """Counts in a header and in a section are checked against the file size
     before anything is sized from them."""
@@ -460,7 +485,7 @@ def test_section_fault_in_a_late_record_is_reported_as_by_field(reference, index
     blob_offset = int.from_bytes(data[46:54], "little")
 
     def section(i):
-        entries = box.records[i].chunk_index.entries
+        entries = read_entries(box, box.records[i])
         assert len(entries) >= 2
         return struct.pack("<IQ", 1, len(entries)), b"".join(
             struct.pack("<QQQ", *e) for e in entries
@@ -472,7 +497,7 @@ def test_section_fault_in_a_late_record_is_reported_as_by_field(reference, index
         out = bytearray(data[:blob_offset])
         pos = blob_offset
         for i, rec in enumerate(box.records):
-            size = 12 + 24 * len(rec.chunk_index.base_offsets)
+            size = 12 + 24 * rec.n_entries
             body = replaced.get(i, data[pos : pos + size])
             crc = zlib.crc32(body) ^ (i == broken_crc)
             out += body + struct.pack("<I", crc)
@@ -510,20 +535,6 @@ def test_chunk_index_validation():
     params = CompressParams(k=64, s=16)
     with pytest.raises(ValueError, match="granularity"):
         build_chunk_index([kinds_of()], 0, params)
-    with pytest.raises(ValueError, match="granularity"):
-        ChunkIndex(0, (0,), (0,), (0,))
-
-
-def test_predecessor():
-    ci = ChunkIndex(1, (0, 100, 200), (0, 4, 9), (0, 40, 90))
-    assert ci.predecessor(0) == (0, 0, 0)
-    assert ci.predecessor(99) == (0, 0, 0)
-    assert ci.predecessor(100) == (100, 4, 40)
-    assert ci.predecessor(10_000) == (200, 9, 90)
-    with pytest.raises(ValueError, match="no entry"):
-        ChunkIndex(1, (5,), (0,), (0,)).predecessor(3)
-    with pytest.raises(ValueError, match="no entries"):
-        ChunkIndex(1, (), (), ()).predecessor(0)
 
 
 def test_extract_matches_full_decode(packed, reference):
@@ -540,19 +551,32 @@ def test_extract_matches_full_decode(packed, reference):
             assert got.codes().tolist() == codes[off : off + length].tolist()
 
 
-def test_extract_decodes_a_bounded_window(packed, reference):
-    data, _, params = packed
-    box = read_container(data)
-    rec = box.records[0]
-    stats = {}
-    off, length = rec.n_bases // 2, 500
-    got = extract_range(box, rec, reference, off, length, _stats=stats)
-    assert got.length == length
-    entry_base, _, _ = rec.chunk_index.predecessor(off)
-    # Never more than the gap to the entry point, the request, and one
-    # trailing group of full matches.
-    assert length <= stats["decoded_bases"] < (off - entry_base) + length + 16 * params.k
-    assert stats["groups_decoded"] < rec.n_groups
+def test_extract_decodes_a_bounded_window(reference, index64):
+    """In every record of a container with an entry at each group, extract
+    starts at the record's own last entry at or before the offset."""
+    params = CompressParams(k=64, s=16)
+    rng = np.random.default_rng(0xB0D)
+    profile = MutationProfile(snp=0.01, insertion=0.001, deletion=0.001)
+    codes = reference.codes()
+    targets = [
+        mutate(PackedSequence.from_codes(codes[start : start + n]), profile, rng)
+        for start, n in ((0, 5_000), (8_000, 12_000), (22_000, 7_000))
+    ]
+    results = compress(targets, index64, reference, params, break_every_groups=1)
+    records = [(f"r{i}", result) for i, result in enumerate(results)]
+    box = read_container(container_bytes(records, params, reference, granularity=1))
+    length = 500
+    for rec, target in zip(box.records, targets):
+        for off in (rec.n_bases // 2, rec.n_bases - length):
+            stats = {}
+            got = extract_range(box, rec, reference, off, length, _stats=stats)
+            assert got.codes().tolist() == target.codes()[off : off + length].tolist()
+            entry_base = max(base for base, _, _ in read_entries(box, rec) if base <= off)
+            assert entry_base > 0
+            # Never more than the gap to the entry point, the request, and one
+            # trailing group of full matches.
+            assert length <= stats["decoded_bases"] < (off - entry_base) + length + 16 * params.k
+            assert stats["groups_decoded"] < rec.n_groups
 
 
 def test_extract_works_with_sparse_index(reference, index64):
@@ -563,7 +587,7 @@ def test_extract_works_with_sparse_index(reference, index64):
     data = container_bytes([("self", result)], params, reference)
     box = read_container(data)
     rec = box.records[0]
-    assert rec.chunk_index.entries == [(0, 0, 0)]
+    assert read_entries(box, rec) == [(0, 0, 0)]
     got = extract_range(box, rec, reference, 12_345, 100)
     assert got.codes().tolist() == reference.codes()[12_345:12_445].tolist()
 
@@ -609,7 +633,8 @@ def test_extract_from_an_unaligned_entry_is_a_structured_error(reference, index6
     target = mutate(reference, MutationProfile(snp=0.02), np.random.default_rng(0xA11))
     result = compress(target, index64, reference, params, break_every_groups=1)
     data = container_bytes([("a", result)], params, reference, granularity=1)
-    entries = read_container(data).records[0].chunk_index.entries
+    box = read_container(data)
+    entries = read_entries(box, box.records[0])
     base, group, byte = entries[1]
     section = struct.pack("<IQ", 1, 2) + struct.pack("<QQQ", *entries[0])
     section += struct.pack("<QQQ", base, group, byte + 1)
@@ -751,9 +776,10 @@ def read_container_by_field(data):
         region_size = next_start - byte_offset
         if region_size < 4:
             raise CorruptContainer(f"record {rid!r}: region too small")
-        records.append(ContainerRecord(rid, n_bases, n_groups, byte_offset, region_size, None))
+        records.append(ContainerRecord(rid, n_bases, n_groups, byte_offset, region_size, 0, 0, 0))
         prev_end = next_start
     bcur = Cursor(blob_offset)
+    all_bases, all_groups, all_bytes = [], [], []
     for rec in records:
         section_start = bcur.pos
         granularity = bcur.uint(4, "chunk index granularity")
@@ -780,10 +806,15 @@ def read_container_by_field(data):
                 )
             if groups[j] >= rec.n_groups or bytes_[j] >= rec.region_size - 4 or bytes_[j] % 4:
                 raise CorruptContainer(f"record {rec.id!r}: chunk index entry out of range")
-        rec.chunk_index = ChunkIndex(granularity, tuple(bases), tuple(groups), tuple(bytes_))
+        rec.granularity, rec.first_entry, rec.n_entries = granularity, len(all_bases), n_entries
+        all_bases += bases
+        all_groups += groups
+        all_bytes += bytes_
     if bcur.pos != len(data):
         raise CorruptContainer(f"{len(data) - bcur.pos} trailing bytes after index blob")
-    return Container(CompressParams(k=k, s=s), checksum, records, data)
+    return Container(
+        CompressParams(k=k, s=s), checksum, records, data, (all_bases, all_groups, all_bytes)
+    )
 
 
 def _read_outcome(reader, data):
@@ -799,7 +830,7 @@ def _with_section(data, record_index, section):
     blob_offset = int.from_bytes(data[46:54], "little")
     pos = blob_offset
     for i, rec in enumerate(box.records):
-        length = 12 + 24 * len(rec.chunk_index.base_offsets) + 4
+        length = 12 + 24 * rec.n_entries + 4
         if i == record_index:
             return data[:pos] + section + _CRC.pack(zlib.crc32(section)) + data[pos + length :]
         pos += length
@@ -821,13 +852,13 @@ def test_read_container_matches_field_by_field_reader(reference, index64):
     data = container_bytes(records, params, reference, granularity=2)
     good = read_container(data)
     assert good == read_container_by_field(data)
-    assert len(good.records[0].chunk_index.base_offsets) > 2
+    assert good.records[0].n_entries > 2
     crafted = [data[:n] for n in range(len(data))] + [data + b"\x00", data + bytes(30)]
     for pos in range(len(data)):
         bad = bytearray(data)
         bad[pos] ^= 0x41
         crafted.append(bytes(bad))
-    entries = good.records[0].chunk_index.entries
+    entries = read_entries(good, good.records[0])
     sections = {
         "too many entries": struct.pack("<IQ", 2, 10**6),
         "zero granularity": struct.pack("<IQ", 0, 1) + struct.pack("<QQQ", 0, 0, 0),
@@ -888,4 +919,4 @@ def test_default_granularity_round_trips(reference, index64):
     )
     data = container_bytes([("g", result)], params, reference)
     rec = read_container(data).records[0]
-    assert rec.chunk_index.granularity == DEFAULT_GRANULARITY
+    assert rec.granularity == DEFAULT_GRANULARITY
