@@ -528,9 +528,12 @@ def extract_range(
     """Decode ``length`` bases starting at ``base_offset`` without a full decode.
 
     The record's group bytes are CRC-checked first. Decoding begins at the
-    record's last chunk-index entry at or before ``base_offset`` and stops as
-    soon as the requested window is covered, so at most (gap to the entry +
-    length + one group) bases are ever decoded.
+    record's last chunk-index entry at or before ``base_offset``: the groups
+    that end at or before ``base_offset`` are skipped by header alone, and
+    decoding stops as soon as the requested window is covered, so fewer than
+    (length + two groups) bases are ever decoded. Skipped groups raise
+    framing faults and orphan continuations as a full decode does, but not
+    an out-of-range reference offset, since none of their bases are output.
     """
     if base_offset < 0 or length < 0 or base_offset + length > record.n_bases:
         raise ValueError(
@@ -548,21 +551,23 @@ def extract_range(
     first = record.first_entry
     i = bisect_right(bases, base_offset, first, first + record.n_entries) - 1
     entry_base, entry_group, entry_byte = bases[i], ordinals[i], byte_offsets[i]
-    needed = (base_offset - entry_base) + length
+    skip = base_offset - entry_base
     entry = container.group_bytes(record)[entry_byte:]
-    (codes,), (groups,) = decode_group(
+    (codes,), (groups,), ((skipped_groups, skipped_bases),) = decode_group(
         [(entry, record.n_groups - entry_group, entry_group)],
         reference,
         container.params,
-        needed=needed,
+        needed=skip + length,
+        start=skip,
     )
-    if codes.size < needed:
+    short = skip + length - (skipped_bases + codes.size)
+    if short > 0:
         raise CorruptStream(
-            f"record {record.id!r}: stream ended {needed - codes.size} bases short of "
-            f"extract range"
+            f"record {record.id!r}: stream ended {short} bases short of extract range"
         )
     if _stats is not None:
         _stats["decoded_bases"] = codes.size
         _stats["groups_decoded"] = groups
-    skip = base_offset - entry_base
+        _stats["groups_skipped"] = skipped_groups
+    skip -= skipped_bases
     return PackedSequence.from_codes(codes[skip : skip + length])

@@ -9,8 +9,17 @@ match's offset by +K (forward) or -K (reverse).
 ``decode_group`` is the one decoder. ``decode_records`` calls it once for
 the whole records of ``decompress`` and the container's ``decompress_records``;
 the container's ``extract_range`` calls it from a chunk-index entry. It works
-in three steps:
+in four steps:
 
+* header skip (``extract`` only): the groups that end at or before the
+  requested base are framed and checked, and passed over by header alone.
+  A group's bases are ``n_verbatim * S + (16 - n_verbatim) * K``, and its
+  last match and the continuations after it carry the match chain, all
+  from bit operations on the header; no token is visited. Orphan
+  continuations and framing faults raise as in the token walk, but the
+  reference offsets of skipped matches are not range-checked: none of their
+  bases are output, and a decoded continuation that inherits a bad offset
+  is still reported;
 * frame walk: each group is sized from popcounts of its header's kind bits
   and must fit in the bytes left; decoding stops once a caller that asked for
   a number of bases has them;
@@ -59,11 +68,16 @@ def decode_group(
     params: CompressParams,
     *,
     needed: int | None = None,
-) -> tuple[list[np.ndarray], list[int]]:
-    """The base codes of each stream and the number of groups decoded.
+    start: int = 0,
+) -> tuple[list[np.ndarray], list[int], list[tuple[int, int]]]:
+    """The base codes of each stream, the groups decoded and the (groups,
+    bases) skipped before them.
 
-    With ``needed``, each stream is decoded only up to the first group at
-    which it holds ``needed`` bases.
+    With ``start``, the leading groups of each stream that end at or before
+    base ``start`` are skipped by header alone (see ``_skip_groups``) and the
+    codes begin at the first group that reaches it. With ``needed``, each
+    stream is decoded only up to the first group at which it holds
+    ``needed`` bases, counted from the stream start.
     """
     k, s = params.k, params.s
     wv = params.words_per_verbatim
@@ -93,14 +107,22 @@ def decode_group(
     verbatim_rows: list[int] = []
     row_ends: list[int] = []
     walked: list[int] = []
-    row = start = 0
+    skipped = [(0, 0)] * len(streams)
+    skipping = start >= GROUP_SLOTS * s  # else no group can end by ``start``
+    row = first_word = 0
     for data, n_groups, first_group in streams:
         size = len(data)
-        stop = start + size // WORD_BYTES
-        pos = start
-        first_row = row
+        stop = first_word + size // WORD_BYTES
+        end_group = first_group + n_groups
+        pos, g0, first_row = first_word, first_group, row
         step = None  # +k or -k from the last match to the next continuation
-        for g in range(first_group, first_group + n_groups):
+        if skipping:
+            pos, g0, bases, step, offset = _skip_groups(
+                words, pos, stop, first_group, end_group, start, params
+            )
+            first_row -= bases // s  # ``needed`` counts the skipped bases too
+            skipped[len(walked)] = (g0 - first_group, bases)  # this stream's entry
+        for g in range(g0, end_group):
             if pos >= stop:
                 raise CorruptStream("truncated stream: missing group header", group=g)
             header = words[pos]
@@ -145,23 +167,75 @@ def decode_group(
                     reverse_rows.append(row)
                 row += match_rows
             if needed is not None and (row - first_row) * s >= needed:
-                walked.append(g + 1 - first_group)
+                walked.append(g + 1 - g0)
                 break
         else:
             if pos != stop or size % WORD_BYTES:
                 raise CorruptStream(
-                    f"{size - WORD_BYTES * (pos - start)} trailing bytes after final group",
-                    group=first_group + n_groups,
+                    f"{size - WORD_BYTES * (pos - first_word)} trailing bytes after final group",
+                    group=end_group,
                 )
-            walked.append(n_groups)
+            walked.append(end_group - g0)
         row_ends.append(row)
-        start += -(-size // WORD_BYTES)
+        first_word += -(-size // WORD_BYTES)
 
     out = np.empty(row * s, dtype=np.uint8)
     _gather_windows(out, reference, windows, window_rows, reverse_rows, params)
     _gather_verbatim(out, buf, verbatim, verbatim_rows, params)
     bounds = [0, *row_ends]
-    return [out[a * s : b * s] for a, b in zip(bounds, row_ends)], walked
+    return [out[a * s : b * s] for a, b in zip(bounds, row_ends)], walked, skipped
+
+
+def _skip_groups(words, pos, stop, g, end_group, start, params):
+    """Walk the groups that end at or before base ``start`` by header alone.
+
+    Each group is framed and checked as in the token walk, and an orphan
+    continuation raises at its group and slot, but no token is visited:
+    the group's bases and its match chain follow from bit operations on the
+    header. The reference offsets of skipped matches are not range-checked;
+    the token walk checks the offset of each continuation it decodes.
+    Returns the word and ordinal of the first group not skipped, the bases
+    skipped, and the chain's step (None before any match) and offset.
+    """
+    k, s, wv = params.k, params.s, params.words_per_verbatim
+    step = None
+    offset = bases = 0
+    while g < end_group:
+        if pos >= stop:
+            raise CorruptStream("truncated stream: missing group header", group=g)
+        header = words[pos]
+        low, high = header & _EVEN_BITS, (header >> 1) & _EVEN_BITS
+        # One bit at 2*slot per slot of a kind: matches, continuations, either.
+        matches, continuations, used = low ^ high, low & high, low | high
+        n_verbatim = GROUP_SLOTS - used.bit_count()
+        n_words = 1 + matches.bit_count() + wv * n_verbatim
+        if pos + n_words > stop:
+            raise CorruptStream("truncated stream: payload exhausted", group=g)
+        group_bases = n_verbatim * s + (GROUP_SLOTS - n_verbatim) * k
+        if bases + group_bases > start:
+            break
+        if step is None and continuations:
+            first = continuations & -continuations
+            if not matches or first < matches & -matches:
+                raise CorruptStream(
+                    "continuation with no preceding match",
+                    group=g,
+                    slot=first.bit_length() // 2,
+                )
+        if matches:
+            last = 1 << (matches.bit_length() - 1)
+            below = last - 1
+            slot = last.bit_length() // 2
+            verbatim_below = slot - (used & below).bit_count()
+            offset = words[pos + 1 + (matches & below).bit_count() + wv * verbatim_below]
+            step = k if low & last else -k
+            continuations &= ~below
+        if continuations:
+            offset += step * continuations.bit_count()
+        pos += n_words
+        bases += group_bases
+        g += 1
+    return pos, g, bases, step, offset
 
 
 def _gather_windows(out, reference, windows, rows, reverse_rows, params) -> None:
@@ -214,7 +288,7 @@ def decode_records(
     if ref_checksum != sequence_checksum(reference):
         raise ChecksumMismatch("stream was compressed against a different reference")
     streams = [(data, n_groups, 0) for data, n_groups, _ in records]
-    parts, _ = decode_group(streams, reference, params)
+    parts, _, _ = decode_group(streams, reference, params)
     for (_, _, n_bases), codes in zip(records, parts):
         if codes.size < n_bases:
             raise CorruptStream(f"stream yields {codes.size} bases but footer declares {n_bases}")

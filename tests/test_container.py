@@ -24,7 +24,7 @@ from refpack import (
     write_container,
 )
 import refpack.container as container_mod
-from refpack.compress import encode_groups
+from refpack.compress import encode_groups, group_count
 from refpack.container import (
     _CRC,
     _FIXED,
@@ -577,6 +577,47 @@ def test_extract_decodes_a_bounded_window(reference, index64):
             # trailing group of full matches.
             assert length <= stats["decoded_bases"] < (off - entry_base) + length + 16 * params.k
             assert stats["groups_decoded"] < rec.n_groups
+
+
+def test_extract_skips_the_groups_before_its_range(reference, index64):
+    """At the default granularity an offset can be 15 groups past its entry.
+    Extract skips the groups that end before the offset by header alone, so
+    it decodes fewer than the request plus two groups of full matches,
+    whatever its distance from the entry."""
+    params = CompressParams(k=64, s=16)
+    rng = np.random.default_rng(0x5C1B)
+    profile = MutationProfile(snp=0.01, insertion=0.001, deletion=0.001)
+    codes = reference.codes()
+    forward = mutate(PackedSequence.from_codes(codes[:9_000]), profile, rng)
+    reverse = PackedSequence.from_codes((codes[9_000:20_000][::-1] ^ 3).astype(np.uint8))
+    targets = [forward, reverse, random_sequence(6_000, rng)]
+    results = compress(
+        targets, index64, reference, params, break_every_groups=DEFAULT_GRANULARITY
+    )
+    records = [(f"r{i}", result) for i, result in enumerate(results)]
+    box = read_container(container_bytes(records, params, reference))
+    length = 64
+    most_skipped = 0
+    for rec, target, result in zip(box.records, targets, results):
+        assert rec.granularity == DEFAULT_GRANULARITY
+        kinds = np.zeros(group_count(result.kinds.size) * 16, dtype=np.uint8)
+        kinds[: result.kinds.size] = result.kinds
+        group_ends = params.kind_bases[kinds].reshape(-1, 16).sum(axis=1).cumsum()
+        # Random offsets, and the first base of the last group of each chunk.
+        chunk_last = group_ends[DEFAULT_GRANULARITY - 2 :: DEFAULT_GRANULARITY]
+        offsets = [*rng.integers(0, rec.n_bases - length, 30).tolist(), *chunk_last.tolist()]
+        for off in (off for off in offsets if off <= rec.n_bases - length):
+            stats = {}
+            got = extract_range(box, rec, reference, off, length, _stats=stats)
+            assert got.codes().tolist() == target.codes()[off : off + length].tolist()
+            _, entry_group, _ = max(e for e in read_entries(box, rec) if e[0] <= off)
+            first = int(np.searchsorted(group_ends, off, side="right"))
+            last = int(np.searchsorted(group_ends, off + length, side="left"))
+            assert stats["groups_skipped"] == first - entry_group
+            assert stats["groups_skipped"] + stats["groups_decoded"] == last + 1 - entry_group
+            assert length <= stats["decoded_bases"] < length + 2 * 16 * params.k
+            most_skipped = max(most_skipped, stats["groups_skipped"])
+    assert most_skipped == DEFAULT_GRANULARITY - 1
 
 
 def test_extract_works_with_sparse_index(reference, index64):

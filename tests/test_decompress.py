@@ -228,27 +228,32 @@ def decode_one_group(header, payload, reference, last, params, *, group_index=0)
     return np.concatenate(chunks).astype(np.uint8, copy=False), last
 
 
-def decode_by_slot(data, n_groups, reference, params, *, first_group=0, needed=None):
-    """Base codes and groups decoded, stopping once ``needed`` bases are out."""
+def decode_by_slot(data, n_groups, reference, params, *, first_group=0, needed=None, start=0):
+    """Base codes and groups decoded from the first group that reaches base
+    ``start``, stopping once ``needed`` bases are out; and the (groups,
+    bases) before that first group. Every group is decoded in full."""
     last = None
     parts = []
-    got = 0
+    got = skipped = 0
     for g, header, words in iter_group_frames(data, n_groups, params, first_group=first_group):
         codes, last = decode_one_group(header, words, reference, last, params, group_index=g)
-        parts.append(codes)
         got += codes.size
+        if got <= start:
+            skipped += 1
+            continue
+        parts.append(codes)
         if needed is not None and got >= needed:
             break
     codes = np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint8)
-    return codes, len(parts)
+    return codes, len(parts), (skipped, got - codes.size)
 
 
-def decode_one(data, n_groups, reference, params, *, first_group=0, needed=None):
+def decode_one(data, n_groups, reference, params, *, first_group=0, needed=None, start=0):
     """``decode_group`` on a single stream."""
-    (codes,), (groups,) = decode_group(
-        [(data, n_groups, first_group)], reference, params, needed=needed
+    (codes,), (groups,), (skipped,) = decode_group(
+        [(data, n_groups, first_group)], reference, params, needed=needed, start=start
     )
-    return codes, groups
+    return codes, groups, skipped
 
 
 def fault_of(decode, *args, **kwargs):
@@ -372,14 +377,15 @@ def random_tokens(rng, params, ref_len, n_tokens):
     st.integers(0, 3000),
     st.booleans(),
     st.sampled_from([None, 1, 300]),
+    st.integers(0, 6000),
 )
-def test_decode_group_matches_per_slot_loop(pair, seed, sizes, needed, at_group_end, gather):
+def test_decode_group_matches_per_slot_loop(pair, seed, sizes, needed, at_group_end, gather, start):
     """``gather`` shrinks the gather's chunks to one or a few windows."""
     with mock.patch.object(decompress_module, "_GATHER_BYTES", gather or GATHER_BYTES):
-        _check_against_per_slot_loop(pair, seed, sizes, needed, at_group_end)
+        _check_against_per_slot_loop(pair, seed, sizes, needed, at_group_end, start)
 
 
-def _check_against_per_slot_loop(pair, seed, sizes, needed, at_group_end):
+def _check_against_per_slot_loop(pair, seed, sizes, needed, at_group_end, start):
     params = CompressParams(k=pair[0], s=pair[1])
     rng = np.random.default_rng(seed)
     reference = random_sequence(int(rng.integers(params.k, 600)), rng)
@@ -387,20 +393,32 @@ def _check_against_per_slot_loop(pair, seed, sizes, needed, at_group_end):
     for n_tokens in sizes:
         kinds, words = random_tokens(rng, params, reference.length, n_tokens)
         streams.append((encode_groups(kinds, words, params), group_count(kinds.size), 0))
-    parts, walked = decode_group(streams, reference, params)
-    for (data, n_groups, _), codes, groups in zip(streams, parts, walked):
-        expected, _ = decode_by_slot(data, n_groups, reference, params)
+    parts, walked, skipped = decode_group(streams, reference, params)
+    for (data, n_groups, _), codes, groups, before in zip(streams, parts, walked, skipped):
+        expected = decode_by_slot(data, n_groups, reference, params)[0]
         assert np.array_equal(codes, expected)
-        assert groups == n_groups
-    # An extract decodes one stream from a chain-free entry and stops early.
+        assert (groups, before) == (n_groups, (0, 0))
+    # With ``start``, every stream opens at its first group that reaches it.
+    parts, walked, skipped = decode_group(streams, reference, params, start=start)
+    for (data, n_groups, _), *got in zip(streams, parts, walked, skipped):
+        expected = decode_by_slot(data, n_groups, reference, params, start=start)
+        assert np.array_equal(got[0], expected[0]) and got[1:] == list(expected[1:])
+    # An extract decodes one stream from a chain-free entry, skips the groups
+    # before its range and stops early.
     data, n_groups, _ = streams[0]
+    ranges = [(0, needed), (start, start + needed)]
     if at_group_end:  # exactly the bases of the groups up to some group
         parts = _group_parts(data, n_groups, reference, params)
-        group_ends = np.cumsum([part.size for part in parts])
-        needed = int(group_ends[needed % group_ends.size]) if group_ends.size else needed
-    got = decode_one(data, n_groups, reference, params, first_group=7, needed=needed)
-    expected = decode_by_slot(data, n_groups, reference, params, first_group=7, needed=needed)
-    assert np.array_equal(got[0], expected[0]) and got[1] == expected[1]
+        group_ends = np.cumsum([part.size for part in parts]).tolist()
+        if group_ends:
+            i, j = start % len(group_ends), needed % len(group_ends)
+            ranges = [(0, group_ends[j]), (group_ends[i], group_ends[max(i, j)])]
+    for start, needed in ranges:
+        got = decode_one(data, n_groups, reference, params, first_group=7, needed=needed,
+                         start=start)
+        expected = decode_by_slot(data, n_groups, reference, params, first_group=7,
+                                  needed=needed, start=start)
+        assert np.array_equal(got[0], expected[0]) and got[1:] == expected[1:]
 
 
 def _group_parts(data, n_groups, reference, params):
@@ -441,6 +459,7 @@ def _crafted_faults(reference, params):
     cases = {
         "orphan continuation": _stream_of([cont], params),
         "orphan after verbatim": _stream_of([vb] * 21 + [cont], params),
+        "orphan before a match": _stream_of([vb] * 18 + [cont, fm(100), cont], params),
         "offset past the end": _stream_of([vb] * 19 + [fm(last_offset + 1)], params),
         "chain past the end": _stream_of([vb] * 3 + [fm(last_offset - k), cont, cont], params),
         "reverse chain below 0": _stream_of(
@@ -469,6 +488,83 @@ def test_crafted_faults_match_per_slot_loop(reference, k, s):
     # The first fault in stream order wins over a later framing fault.
     data, n_groups = _crafted_faults(reference, params)["bad offset before truncation"]
     assert fault_of(decode_one, data, n_groups, reference, params)[1] == 2
+
+
+# Faults that the groups skipped before ``start`` raise as the token walk does.
+SKIPPED_FAULTS = (
+    "orphan continuation",
+    "orphan after verbatim",
+    "orphan before a match",
+    "truncated header",
+    "truncated payload",
+    "trailing word",
+    "trailing bytes",
+    "truncated group 5",
+)
+
+
+@pytest.mark.parametrize("k, s", [(64, 16), (32, 32)])
+def test_skipped_groups_raise_framing_and_orphan_faults(reference, k, s):
+    params = CompressParams(k=k, s=s)
+    cases = _crafted_faults(reference, params)
+    past_every_group = 10**6
+    for name in SKIPPED_FAULTS:
+        data, n_groups = cases[name]
+        expected = fault_of(decode_one, data, n_groups, reference, params, first_group=3)
+        got = fault_of(
+            decode_one, data, n_groups, reference, params, first_group=3, start=past_every_group
+        )
+        assert got == expected, name
+    # A bad offset in a skipped group is not reported; the later truncation is.
+    data, n_groups = cases["bad offset before truncation"]
+    assert "out of range" in fault_of(decode_one, data, n_groups, reference, params)[0]
+    message, group, _ = fault_of(
+        decode_one, data, n_groups, reference, params, start=past_every_group
+    )
+    assert "truncated stream" in message and group == 5
+
+
+def _bad_offset_then(later, kind, params, reference):
+    """A stream whose group 0 ends on a match with an out-of-range offset,
+    followed by the ``later`` tokens, and the bases of group 0."""
+    k, s, wv = params.k, params.s, params.words_per_verbatim
+    bad = reference.length - k + 1 + (k if kind == TokenKind.REVERSE_MATCH else 0)
+    first = [(TokenKind.VERBATIM, [0x1234] * wv)] * 15 + [(kind, [bad])]
+    data, n_groups = _stream_of(first + later, params)
+    return data, n_groups, 15 * s + k
+
+
+@pytest.mark.parametrize("kind", [TokenKind.FORWARD_MATCH, TokenKind.REVERSE_MATCH])
+@pytest.mark.parametrize("k, s", [(64, 16), (32, 32)])
+def test_skipped_bad_offset_is_passed_over(reference, k, s, kind):
+    params = CompressParams(k=k, s=s)
+    wv = params.words_per_verbatim
+    later = [(TokenKind.FORWARD_MATCH, [100]), (TokenKind.CONTINUATION, [])]
+    later += [(TokenKind.VERBATIM, [i] * wv) for i in range(10)]
+    later += [(TokenKind.REVERSE_MATCH, [3 * k]), (TokenKind.CONTINUATION, [])]
+    data, n_groups, skipped = _bad_offset_then(later, kind, params, reference)
+    # The full decode reports the offset ...
+    message, group, slot = fault_of(decode_one, data, n_groups, reference, params)
+    assert "out of range" in message and (group, slot) == (0, 15)
+    # ... an extract past its group gives the later group's bases.
+    alone, n_alone = _stream_of(later, params)
+    expected = decode_by_slot(alone, n_alone, reference, params)[0]
+    for start in (skipped, skipped + 1, skipped + len(expected) - 1):
+        got = decode_one(data, n_groups, reference, params, start=start)
+        assert np.array_equal(got[0], expected) and got[1:] == (1, (1, skipped))
+
+
+@pytest.mark.parametrize("kind", [TokenKind.FORWARD_MATCH, TokenKind.REVERSE_MATCH])
+@pytest.mark.parametrize("k, s", [(64, 16), (32, 32)])
+def test_continuation_of_skipped_bad_offset_raises(reference, k, s, kind):
+    params = CompressParams(k=k, s=s)
+    later = [(TokenKind.CONTINUATION, []), (TokenKind.VERBATIM, [0] * params.words_per_verbatim)]
+    data, n_groups, skipped = _bad_offset_then(later, kind, params, reference)
+    assert fault_of(decode_one, data, n_groups, reference, params)[1:] == (0, 15)
+    message, group, slot = fault_of(decode_one, data, n_groups, reference, params, start=skipped)
+    # One step on from the bad offset: +k forward, -k reverse.
+    inherited = reference.length + 1 - (k if kind == TokenKind.REVERSE_MATCH else 0)
+    assert f"reference offset {inherited} out of range" in message and (group, slot) == (1, 0)
 
 
 def test_batched_streams_start_without_a_match(reference, params):
