@@ -47,6 +47,7 @@ from .sequence import (
     PackedSequence,
     concat_sequences,
     load_sequences,
+    packed_slice,
     write_2bit_raw,
     write_fasta,
 )
@@ -232,12 +233,6 @@ def cmd_extract(args: argparse.Namespace, config: dict[str, str]) -> int:
     return 0
 
 
-def _clip(seq: PackedSequence, n: int) -> PackedSequence:
-    """The first n bases of ``seq``: the low 2n bits of its packed bytes."""
-    head = int.from_bytes(seq.data, "little") & ((1 << 2 * n) - 1)
-    return PackedSequence(head.to_bytes((n + 3) // 4, "little"), n)
-
-
 def cmd_shd_filter(args: argparse.Namespace, config: dict[str, str]) -> int:
     reads = load_sequences(args.reads)
     segments = load_sequences(args.segments)
@@ -256,7 +251,7 @@ def cmd_shd_filter(args: argparse.Namespace, config: dict[str, str]) -> int:
                     f"({a.length} vs {b.length}); pass --clip to truncate"
                 )
             n = min(a.length, b.length)
-            a, b = _clip(a, n), _clip(b, n)
+            a, b = (packed_slice(int.from_bytes(x.data, "little"), 0, n) for x in (a, b))
             clipped += 1
         pairs.append((a, b))
     cfg = ShdConfig(

@@ -67,9 +67,10 @@ from .compress import (
     group_count,
     record_sums,
 )
-from .decompress import decode_group, decode_records
+from .decompress import decode_packed, decode_records
 from .errors import ChecksumMismatch, CorruptContainer, CorruptStream
-from .sequence import PackedSequence, ragged_arange, read_bytes, sequence_checksum, write_bytes
+from .sequence import PackedSequence, packed_slice, ragged_arange, read_bytes, sequence_checksum
+from .sequence import write_bytes
 
 MAGIC = b"BNCC"
 VERSION = 1
@@ -534,6 +535,12 @@ def extract_range(
     (length + two groups) bases are ever decoded. Skipped groups raise
     framing faults and orphan continuations as a full decode does, but not
     an out-of-range reference offset, since none of their bases are output.
+
+    The gather has two forms (``decode_packed``): when fewer than
+    ``_FEW_TOKENS`` tokens overlap the range, only those are gathered, on
+    one Python int; at or over it, numpy gathers every decoded token, which
+    are packed into one. Either way the range is cut out of the int with a
+    shift and a mask.
     """
     if base_offset < 0 or length < 0 or base_offset + length > record.n_bases:
         raise ValueError(
@@ -553,21 +560,20 @@ def extract_range(
     entry_base, entry_group, entry_byte = bases[i], ordinals[i], byte_offsets[i]
     skip = base_offset - entry_base
     entry = container.group_bytes(record)[entry_byte:]
-    (codes,), (groups,), ((skipped_groups, skipped_bases),) = decode_group(
-        [(entry, record.n_groups - entry_group, entry_group)],
+    (value, first, end), groups, (skipped_groups, skipped_bases) = decode_packed(
+        (entry, record.n_groups - entry_group, entry_group),
         reference,
         container.params,
         needed=skip + length,
         start=skip,
     )
-    short = skip + length - (skipped_bases + codes.size)
+    short = skip + length - (skipped_bases + end)
     if short > 0:
         raise CorruptStream(
             f"record {record.id!r}: stream ended {short} bases short of extract range"
         )
     if _stats is not None:
-        _stats["decoded_bases"] = codes.size
+        _stats["decoded_bases"] = end - first
         _stats["groups_decoded"] = groups
         _stats["groups_skipped"] = skipped_groups
-    skip -= skipped_bases
-    return PackedSequence.from_codes(codes[skip : skip + length])
+    return packed_slice(value, skip - skipped_bases - first, length)

@@ -6,10 +6,11 @@ bits, followed by its payload words. A verbatim slot holds its S bases packed
 its payload offset; a continuation slot has no payload and advances the last
 match's offset by +K (forward) or -K (reverse).
 
-``decode_group`` is the one decoder. ``decode_records`` calls it once for
-the whole records of ``decompress`` and the container's ``decompress_records``;
-the container's ``extract_range`` calls it from a chunk-index entry. It works
-in four steps:
+``_walk`` is the one token walk, and two entry points gather its output.
+``decode_group`` gathers with numpy; ``decode_records`` calls it once for the
+whole records of ``decompress`` and the container's ``decompress_records``.
+``decode_packed`` picks its gather by size; the container's ``extract_range``
+calls it from a chunk-index entry. Decoding works in four steps:
 
 * header skip (``extract`` only): the groups that end at or before the
   requested base are framed and checked, and passed over by header alone.
@@ -27,11 +28,17 @@ in four steps:
   last match across verbatim tokens and groups, resetting it at each stream
   start. Group by group it runs before the next frame is read, so the first
   fault in stream order is the one raised;
-* gather: the K-base windows of all match tokens are gathered from the
-  reference's packed bytes (the reference is never unpacked), reverse
-  ones complemented, verbatim payloads unpacked, and all of it placed into
-  one output array. Windows go a chunk at a time, so that no temporary
-  exceeds ``_GATHER_BYTES``.
+* gather, in one of two forms that read the same walk output. The numpy
+  form (``decode_group``, and ``decode_packed`` at ``_FEW_TOKENS`` tokens or
+  more) gathers the K-base windows of all match tokens from the reference's
+  packed bytes (the reference is never unpacked), complements the reverse
+  ones, unpacks the verbatim payloads and places all of it into one output
+  array. Windows go a chunk at a time, so that no temporary exceeds
+  ``_GATHER_BYTES``. The int form (``decode_packed`` when fewer than
+  ``_FEW_TOKENS`` tokens overlap the requested range) gathers only those
+  tokens: each window from the few reference bytes under it, each payload
+  from its words, OR-ed into one Python int, where a numpy call would cost
+  more than the bases it moves.
 
 Structural violations raise CorruptStream carrying the group ordinal and slot
 index.
@@ -39,6 +46,7 @@ index.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Sequence
 
 import numpy as np
@@ -46,6 +54,7 @@ import numpy as np
 from .compress import GROUP_SLOTS, WORD_BYTES, CompressParams, CompressedStream, TokenKind
 from .errors import ChecksumMismatch, CorruptStream
 from .sequence import PackedSequence, pack_code_runs, packed_kmers, sequence_checksum, unpack_rows
+from .sequence import _pack_code_array, _reverse_complement_int
 
 # (group bytes, group count, ordinal of the first group); the first group is
 # a chain-free entry point: a stream start or a chunk-index entry.
@@ -60,6 +69,10 @@ _EVEN_BITS = 0x55555555
 _GATHER_BYTES = 1 << 20
 # Bases packed in one payload word.
 _WORD_BASES = 4 * WORD_BYTES
+# Tokens below which an extract gathers on Python ints (``_gather_int``):
+# there the numpy gather costs its per-call overhead, whatever its size. The
+# two cross at 55-65 tokens of the benchmark's containers (k=32, s=16).
+_FEW_TOKENS = 48
 
 
 def decode_group(
@@ -78,6 +91,40 @@ def decode_group(
     codes begin at the first group that reaches it. With ``needed``, each
     stream is decoded only up to the first group at which it holds
     ``needed`` bases, counted from the stream start.
+    """
+    buf, tokens, row_ends, walked, skipped = _walk(streams, reference, params, needed, start)
+    s = params.s
+    out = _gather_codes(reference, buf, tokens, row_ends[-1] if row_ends else 0, params)
+    bounds = [0, *row_ends]
+    return [out[a * s : b * s] for a, b in zip(bounds, row_ends)], walked, skipped
+
+
+def decode_packed(
+    stream: Stream, reference: PackedSequence, params: CompressParams, *, needed: int, start: int
+) -> tuple[tuple[int, int, int], int, tuple[int, int]]:
+    """A span of one stream's bases as one packed int, the groups decoded and
+    the (groups, bases) skipped before them.
+
+    The walk is ``decode_group``'s. The span is (value, first, end): bases
+    ``first`` to ``end`` of the decoded groups, base ``first`` in the low
+    bits of ``value``. Under ``_FEW_TOKENS`` tokens in ``[start, needed)``
+    only those are gathered, on Python ints (``_gather_int``); at or over
+    it, every decoded token is, by the numpy gather.
+    """
+    buf, tokens, (rows,), (walked,), (skipped,) = _walk([stream], reference, params, needed, start)
+    few = _few_tokens(tokens, start - skipped[1], needed - skipped[1], params)
+    if few is not None:
+        return _gather_int(reference, buf, tokens, few, params), walked, skipped
+    codes = _gather_codes(reference, buf, tokens, rows, params)
+    return (int.from_bytes(_pack_code_array(codes), "little"), 0, codes.size), walked, skipped
+
+
+def _walk(streams, reference, params, needed, start):
+    """The frame walk, header skip and token walk of ``decode_group``.
+
+    Returns the joined stream bytes, the tokens (window offsets, window
+    rows, reverse rows, verbatim payload words, verbatim rows), each
+    stream's end row and its groups decoded and skipped.
     """
     k, s = params.k, params.s
     wv = params.words_per_verbatim
@@ -178,12 +225,8 @@ def decode_group(
             walked.append(end_group - g0)
         row_ends.append(row)
         first_word += -(-size // WORD_BYTES)
-
-    out = np.empty(row * s, dtype=np.uint8)
-    _gather_windows(out, reference, windows, window_rows, reverse_rows, params)
-    _gather_verbatim(out, buf, verbatim, verbatim_rows, params)
-    bounds = [0, *row_ends]
-    return [out[a * s : b * s] for a, b in zip(bounds, row_ends)], walked, skipped
+    tokens = (windows, window_rows, reverse_rows, verbatim, verbatim_rows)
+    return buf, tokens, row_ends, walked, skipped
 
 
 def _skip_groups(words, pos, stop, g, end_group, start, params):
@@ -236,6 +279,59 @@ def _skip_groups(words, pos, stop, g, end_group, start, params):
         bases += group_bases
         g += 1
     return pos, g, bases, step, offset
+
+
+def _few_tokens(tokens, lo, hi, params):
+    """The (first, stop) index ranges of the window and verbatim tokens that
+    overlap bases [lo, hi), if there are fewer than _FEW_TOKENS; else None."""
+    _, window_rows, _, _, verbatim_rows = tokens
+    lo, hi = lo // params.s, -(-hi // params.s)  # in rows
+    a = bisect_right(window_rows, lo - params.k // params.s)
+    b = bisect_left(window_rows, hi, a)
+    c = bisect_left(verbatim_rows, lo)
+    d = bisect_left(verbatim_rows, hi, c)
+    return (a, b, c, d) if 0 < b - a + d - c < _FEW_TOKENS else None
+
+
+def _gather_int(reference, buf, tokens, ranges, params) -> tuple[int, int, int]:
+    """The tokens in ``ranges`` placed on one Python int, and the first and
+    end bases they cover.
+
+    A window is read from the ceil((offset % 4 + k) / 4) reference bytes
+    under it, which never run past the end, and shifted down by
+    2 * (offset % 4); a reverse one is reverse-complemented by byte table
+    first. A verbatim payload is read from its words. Each is masked to its
+    bases and OR-ed in at 2 * s per row from the first.
+    """
+    k, s, wv = params.k, params.s, params.words_per_verbatim
+    windows, window_rows, reverse_rows, verbatim, verbatim_rows = tokens
+    a, b, c, d = ranges
+    rows, vrows = window_rows[a:b], verbatim_rows[c:d]
+    first = min(rows[:1] + vrows[:1])
+    end = max([row + k // s for row in rows[-1:]] + [row + 1 for row in vrows[-1:]])
+    data, reverse = reference.data, set(reverse_rows)
+    value, mask = 0, (1 << 2 * k) - 1
+    for offset, row in zip(windows[a:b], rows):
+        piece = data[offset >> 2 : (offset + k + 3) >> 2]
+        if row in reverse:
+            window = _reverse_complement_int(piece, (offset & 3) + k)
+        else:
+            window = int.from_bytes(piece, "little") >> 2 * (offset & 3)
+        value |= (window & mask) << 2 * s * (row - first)
+    mask = (1 << 2 * s) - 1
+    for word, row in zip(verbatim[c:d], vrows):
+        payload = int.from_bytes(buf[WORD_BYTES * word : WORD_BYTES * (word + wv)], "little")
+        value |= (payload & mask) << 2 * s * (row - first)
+    return value, first * s, end * s
+
+
+def _gather_codes(reference, buf, tokens, rows, params) -> np.ndarray:
+    """The codes of ``rows`` rows of s bases, every token gathered by numpy."""
+    windows, window_rows, reverse_rows, verbatim, verbatim_rows = tokens
+    out = np.empty(rows * params.s, dtype=np.uint8)
+    _gather_windows(out, reference, windows, window_rows, reverse_rows, params)
+    _gather_verbatim(out, buf, verbatim, verbatim_rows, params)
+    return out
 
 
 def _gather_windows(out, reference, windows, rows, reverse_rows, params) -> None:

@@ -249,6 +249,13 @@ def pack_code_runs(runs: Sequence[np.ndarray]) -> list[PackedSequence]:
     return [unchecked(data[a:b], n) for a, b, n in zip([0, *ends], ends, lengths.tolist())]
 
 
+def packed_slice(value: int, start: int, length: int) -> PackedSequence:
+    """Bases ``start`` to ``start + length`` of the bases packed in ``value``,
+    base 0 in its low two bits: one shift, one mask and ``to_bytes``."""
+    cut = (value >> 2 * start) & ((1 << 2 * length) - 1)
+    return PackedSequence._unchecked(cut.to_bytes((length + 3) // 4, "little"), length)
+
+
 def pack_bases(text: str | bytes) -> PackedSequence:
     """Pack an ASCII A/C/G/T string. Any other character is an error.
 

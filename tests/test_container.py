@@ -1,4 +1,5 @@
 import gc
+import importlib
 import io
 import struct
 import time
@@ -42,6 +43,8 @@ from refpack.container import (
 from refpack.errors import ChecksumMismatch, CorruptContainer, CorruptStream, RefpackError
 from refpack.index import ReferenceIndex
 from refpack.sequence import PackedSequence, read_2bit_raw, sequence_checksum, write_2bit_raw
+
+decompress_mod = importlib.import_module("refpack.decompress")
 
 V = TokenKind.VERBATIM
 FM = TokenKind.FORWARD_MATCH
@@ -631,6 +634,46 @@ def test_extract_works_with_sparse_index(reference, index64):
     assert read_entries(box, rec) == [(0, 0, 0)]
     got = extract_range(box, rec, reference, 12_345, 100)
     assert got.codes().tolist() == reference.codes()[12_345:12_445].tolist()
+
+
+@pytest.mark.parametrize("granularity", [1, DEFAULT_GRANULARITY])
+def test_extract_length_sweep(reference, index64, granularity, monkeypatch):
+    """Extracts from the start, the middle and the end of a forward- and a
+    reverse-chained record, of lengths on both sides of the gather's switch
+    from Python ints to numpy, equal the full decode sliced."""
+    params = CompressParams(k=64, s=16)
+    k = params.k
+    codes = reference.codes()
+    forward = mutate(
+        PackedSequence.from_codes(codes[:9_000]),
+        MutationProfile(snp=0.002),
+        np.random.default_rng(0x5EE9),
+    )
+    reverse = PackedSequence.from_codes((codes[9_000:20_000][::-1] ^ 3).astype(np.uint8))
+    results = compress(
+        [forward, reverse], index64, reference, params, break_every_groups=granularity
+    )
+    records = [("forward", results[0]), ("reverse", results[1])]
+    box = read_container(container_bytes(records, params, reference, granularity=granularity))
+    forms = {"int": 0, "numpy": 0}
+    for form, name in (("int", "_gather_int"), ("numpy", "_gather_codes")):
+        real = getattr(decompress_mod, name)
+
+        def counted(*args, _real=real, _form=form):
+            forms[_form] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(decompress_mod, name, counted)
+    few = decompress_mod._FEW_TOKENS
+    lengths = (0, 1, 63, 64, 65, (few - 1) * k, (few + 1) * k, 4_096)
+    for rec in box.records:
+        full = decompress_record(box, rec, reference)
+        n = rec.n_bases
+        for length in lengths:
+            for off in (0, (n - length) // 2, n - length):
+                got = extract_range(box, rec, reference, off, length)
+                assert got == pack_bases(full.to_ascii()[off : off + length]), (rec.id, off)
+    assert forms["int"] and forms["numpy"]
 
 
 def test_extract_range_validation(packed, reference):

@@ -18,14 +18,16 @@ from refpack import (
     mutate,
     random_sequence,
 )
-from refpack.compress import SLOT_SHIFTS, WORD_BYTES, CompressedStream, group_count
+from refpack.compress import GROUP_SLOTS, SLOT_SHIFTS, WORD_BYTES, CompressedStream, group_count
+from refpack.decompress import _FEW_TOKENS as FEW_TOKENS
 from refpack.decompress import _GATHER_BYTES as GATHER_BYTES
-from refpack.decompress import decode_group
+from refpack.decompress import decode_group, decode_packed
 from refpack.errors import ChecksumMismatch, CorruptStream
 from refpack.sequence import (
     PackedSequence,
     concat_sequences,
     pack_bases,
+    packed_slice,
     reverse_complement_sequence,
     sequence_checksum,
 )
@@ -419,6 +421,81 @@ def _check_against_per_slot_loop(pair, seed, sizes, needed, at_group_end, start)
         expected = decode_by_slot(data, n_groups, reference, params, first_group=7,
                                   needed=needed, start=start)
         assert np.array_equal(got[0], expected[0]) and got[1:] == expected[1:]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(KS_PAIRS),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 160),
+    st.integers(0, 4000),
+    st.integers(1, 3000),
+    st.sampled_from(["numpy", "int", "threshold"]),
+)
+def test_decode_packed_matches_per_slot_loop(pair, seed, n_tokens, start, length, form):
+    """Both gather forms, and the size switch between them, give the bases
+    of the per-slot loop; the int form gathers only the tokens that overlap
+    the range."""
+    params = CompressParams(k=pair[0], s=pair[1])
+    few = {"numpy": 0, "int": 10**9, "threshold": FEW_TOKENS}[form]
+    rng = np.random.default_rng(seed)
+    reference = random_sequence(int(rng.integers(params.k, 600)), rng)
+    kinds, words = random_tokens(rng, params, reference.length, n_tokens)
+    data, n_groups = encode_groups(kinds, words, params), group_count(kinds.size)
+    needed = start + length
+    with mock.patch.object(decompress_module, "_FEW_TOKENS", few):
+        (value, first, end), *got = decode_packed(
+            (data, n_groups, 7), reference, params, needed=needed, start=start
+        )
+    expected, *counts = decode_by_slot(
+        data, n_groups, reference, params, first_group=7, needed=needed, start=start
+    )
+    assert got == counts
+    assert packed_slice(value, 0, end - first).codes().tolist() == expected[first:end].tolist()
+    lo, hi = start - counts[1][1], min(needed - counts[1][1], expected.size)
+    if lo >= expected.size:  # the range lies past the stream: nothing to gather
+        return
+    assert first <= lo and end >= hi
+    if tokens_in(kinds, params, counts[1][1], first, end) < few:
+        assert lo - first < params.k and end - hi < params.k
+    else:
+        assert (first, end) == (0, expected.size)
+
+
+def tokens_in(kinds, params, skipped, first, end):
+    """How many tokens, the verbatim padding of the last group too, start in
+    bases [first, end) counted from base ``skipped``."""
+    padded = np.zeros(group_count(kinds.size) * GROUP_SLOTS, dtype=np.uint8)
+    padded[: kinds.size] = kinds
+    sizes = params.kind_bases[padded]
+    starts = np.cumsum(sizes) - sizes - skipped
+    return int(((first <= starts) & (starts < end)).sum())
+
+
+@pytest.mark.parametrize("k, s", KS_PAIRS)
+def test_gather_forms_read_every_window_offset(k, s):
+    """Forward and reverse windows at every offset mod 4 and at the last
+    offset of references of every length mod 4, where the window's bytes
+    end at the reference's last byte."""
+    params = CompressParams(k=k, s=s)
+    wv = params.words_per_verbatim
+    rng = np.random.default_rng(k * 100 + s)
+    vb = (TokenKind.VERBATIM, [0x9E3779B9] * wv)
+    for extra in range(4):
+        reference = random_sequence(4 * k + 8 + extra, rng)
+        last = reference.length - k
+        for offset in (0, 1, 2, 3, 5, last - 3, last - 2, last - 1, last):
+            for kind in (TokenKind.FORWARD_MATCH, TokenKind.REVERSE_MATCH):
+                data, n_groups = _stream_of([vb, (kind, [offset]), vb], params)
+                expected = decode_by_slot(data, n_groups, reference, params)[0]
+                for few in (0, 10**9):
+                    with mock.patch.object(decompress_module, "_FEW_TOKENS", few):
+                        (value, first, end), _, _ = decode_packed(
+                            (data, n_groups, 0), reference, params, needed=s + 1, start=s
+                        )
+                    assert (first, end) == ((0, expected.size) if few == 0 else (s, s + k))
+                    got = packed_slice(value, 0, end - first).codes()
+                    assert got.tolist() == expected[first:end].tolist(), (offset, kind, few)
 
 
 def _group_parts(data, n_groups, reference, params):
