@@ -529,12 +529,13 @@ def extract_range(
     """Decode ``length`` bases starting at ``base_offset`` without a full decode.
 
     The record's group bytes are CRC-checked first. Decoding begins at the
-    record's last chunk-index entry at or before ``base_offset``: the groups
-    that end at or before ``base_offset`` are skipped by header alone, and
-    decoding stops as soon as the requested window is covered, so fewer than
-    (length + two groups) bases are ever decoded. Skipped groups raise
-    framing faults and orphan continuations as a full decode does, but not
-    an out-of-range reference offset, since none of their bases are output.
+    record's last chunk-index entry at or before ``base_offset``; the frame
+    walk passes over the groups that end by ``base_offset`` by header alone
+    and stops once the range is covered, so fewer than (length + two groups)
+    bases are ever decoded. Passed-over groups raise framing faults and
+    orphan continuations as a full decode does, but not an out-of-range
+    reference offset, since none of their bases are output. A stream that
+    ends short of the range raises ``CorruptStream``.
 
     The gather has two forms (``decode_packed``): when fewer than
     ``_FEW_TOKENS`` tokens overlap the range, only those are gathered, on

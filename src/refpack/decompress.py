@@ -6,24 +6,23 @@ bits, followed by its payload words. A verbatim slot holds its S bases packed
 its payload offset; a continuation slot has no payload and advances the last
 match's offset by +K (forward) or -K (reverse).
 
-``_walk`` is the one token walk, and two entry points gather its output.
-``decode_group`` gathers with numpy; ``decode_records`` calls it once for the
-whole records of ``decompress`` and the container's ``decompress_records``.
-``decode_packed`` picks its gather by size; the container's ``extract_range``
-calls it from a chunk-index entry. Decoding works in four steps:
+``_walk`` is the one frame and token walk, and two entry points gather its
+output. ``decode_group`` gathers with numpy; ``decode_records`` calls it once
+for the whole records of ``decompress`` and the container's
+``decompress_records``. ``decode_packed`` picks its gather by size; the
+container's ``extract_range`` calls it from a chunk-index entry. Decoding
+works in three steps:
 
-* header skip (``extract`` only): the groups that end at or before the
-  requested base are framed and checked, and passed over by header alone.
-  A group's bases are ``n_verbatim * S + (16 - n_verbatim) * K``, and its
-  last match and the continuations after it carry the match chain, all
-  from bit operations on the header; no token is visited. Orphan
-  continuations and framing faults raise as in the token walk, but the
-  reference offsets of skipped matches are not range-checked: none of their
-  bases are output, and a decoded continuation that inherits a bad offset
-  is still reported;
 * frame walk: each group is sized from popcounts of its header's kind bits
   and must fit in the bytes left; decoding stops once a caller that asked for
-  a number of bases has them;
+  a number of bases has them. An extract's groups that end at or before its
+  first base are passed over in the same loop by header alone: a group's
+  bases are ``n_verbatim * S + (16 - n_verbatim) * K``, and its last match
+  and the continuations after it carry the match chain, all from bit
+  operations on the header. Orphan continuations raise there as in the token
+  walk, but the reference offsets of passed-over matches are not
+  range-checked: none of their bases are output, and a decoded continuation
+  that inherits a bad offset is still reported;
 * token walk: one integer step per token, as in ``compress``, carrying the
   last match across verbatim tokens and groups, resetting it at each stream
   start. Group by group it runs before the next frame is read, so the first
@@ -64,6 +63,9 @@ Record = tuple[bytes | memoryview, int, int]
 
 # Header byte -> the kind codes of its four slots, slot 0 first.
 _BYTE_KINDS = [tuple((b >> shift) & 3 for shift in (0, 2, 4, 6)) for b in range(256)]
+_VERBATIM, _FORWARD, _CONTINUATION = (
+    int(kind) for kind in (TokenKind.VERBATIM, TokenKind.FORWARD_MATCH, TokenKind.CONTINUATION)
+)
 _EVEN_BITS = 0x55555555
 # Windows are gathered in chunks that keep each temporary under this size.
 _GATHER_BYTES = 1 << 20
@@ -76,27 +78,14 @@ _FEW_TOKENS = 48
 
 
 def decode_group(
-    streams: Sequence[Stream],
-    reference: PackedSequence,
-    params: CompressParams,
-    *,
-    needed: int | None = None,
-    start: int = 0,
-) -> tuple[list[np.ndarray], list[int], list[tuple[int, int]]]:
-    """The base codes of each stream, the groups decoded and the (groups,
-    bases) skipped before them.
-
-    With ``start``, the leading groups of each stream that end at or before
-    base ``start`` are skipped by header alone (see ``_skip_groups``) and the
-    codes begin at the first group that reaches it. With ``needed``, each
-    stream is decoded only up to the first group at which it holds
-    ``needed`` bases, counted from the stream start.
-    """
-    buf, tokens, row_ends, walked, skipped = _walk(streams, reference, params, needed, start)
+    streams: Sequence[Stream], reference: PackedSequence, params: CompressParams
+) -> list[np.ndarray]:
+    """The base codes of each whole stream, every token gathered by numpy."""
+    buf, tokens, row_ends, _, _ = _walk(streams, reference, params)
     s = params.s
     out = _gather_codes(reference, buf, tokens, row_ends[-1] if row_ends else 0, params)
     bounds = [0, *row_ends]
-    return [out[a * s : b * s] for a, b in zip(bounds, row_ends)], walked, skipped
+    return [out[a * s : b * s] for a, b in zip(bounds, row_ends)]
 
 
 def decode_packed(
@@ -105,13 +94,16 @@ def decode_packed(
     """A span of one stream's bases as one packed int, the groups decoded and
     the (groups, bases) skipped before them.
 
-    The walk is ``decode_group``'s. The span is (value, first, end): bases
-    ``first`` to ``end`` of the decoded groups, base ``first`` in the low
-    bits of ``value``. Under ``_FEW_TOKENS`` tokens in ``[start, needed)``
-    only those are gathered, on Python ints (``_gather_int``); at or over
-    it, every decoded token is, by the numpy gather.
+    The groups that end at or before base ``start`` are passed over by header
+    alone, and decoding stops at the first group at which the stream holds
+    ``needed`` bases, both counted from the stream start. The span is (value,
+    first, end): bases ``first`` to ``end`` of the decoded groups, base
+    ``first`` in the low bits of ``value``. Under ``_FEW_TOKENS`` tokens in
+    ``[start, needed)`` only those are gathered, on Python ints
+    (``_gather_int``); at or over it, every decoded token is, by the numpy
+    gather.
     """
-    buf, tokens, (rows,), (walked,), (skipped,) = _walk([stream], reference, params, needed, start)
+    buf, tokens, (rows,), walked, skipped = _walk([stream], reference, params, needed, start)
     few = _few_tokens(tokens, start - skipped[1], needed - skipped[1], params)
     if few is not None:
         return _gather_int(reference, buf, tokens, few, params), walked, skipped
@@ -119,20 +111,21 @@ def decode_packed(
     return (int.from_bytes(_pack_code_array(codes), "little"), 0, codes.size), walked, skipped
 
 
-def _walk(streams, reference, params, needed, start):
-    """The frame walk, header skip and token walk of ``decode_group``.
+def _walk(streams, reference, params, needed=None, start=0):
+    """The frame walk, with its header skip, and the token walk.
 
-    Returns the joined stream bytes, the tokens (window offsets, window
-    rows, reverse rows, verbatim payload words, verbatim rows), each
-    stream's end row and its groups decoded and skipped.
+    ``needed`` and ``start`` are an extract's, on a single stream. Returns
+    the joined stream bytes, the tokens (window offsets, window rows, reverse
+    rows, verbatim payload words, verbatim rows) and each stream's end row;
+    and, for that single stream, the groups decoded and the (groups, bases)
+    skipped before them.
     """
     k, s = params.k, params.s
     wv = params.words_per_verbatim
     match_rows = k // s  # the output is laid out in rows of s bases
     last_offset = reference.length - k
-    verbatim_kind = TokenKind.VERBATIM.value
-    forward = TokenKind.FORWARD_MATCH.value
-    continuation = TokenKind.CONTINUATION.value
+    # Locals: a global lookup on every token costs about 2% of a full decode.
+    verbatim_kind, forward, continuation = _VERBATIM, _FORWARD, _CONTINUATION
     if len(streams) == 1:
         buf = streams[0][0]
     else:  # each stream starts on a word of the joined buffer
@@ -153,23 +146,16 @@ def _walk(streams, reference, params, needed, start):
     verbatim: list[int] = []
     verbatim_rows: list[int] = []
     row_ends: list[int] = []
-    walked: list[int] = []
-    skipped = [(0, 0)] * len(streams)
     skipping = start >= GROUP_SLOTS * s  # else no group can end by ``start``
+    skipped_groups = skipped_bases = 0
     row = first_word = 0
     for data, n_groups, first_group in streams:
         size = len(data)
         stop = first_word + size // WORD_BYTES
         end_group = first_group + n_groups
-        pos, g0, first_row = first_word, first_group, row
+        pos, first_row = first_word, row
         step = None  # +k or -k from the last match to the next continuation
-        if skipping:
-            pos, g0, bases, step, offset = _skip_groups(
-                words, pos, stop, first_group, end_group, start, params
-            )
-            first_row -= bases // s  # ``needed`` counts the skipped bases too
-            skipped[len(walked)] = (g0 - first_group, bases)  # this stream's entry
-        for g in range(g0, end_group):
+        for g in range(first_group, end_group):
             if pos >= stop:
                 raise CorruptStream("truncated stream: missing group header", group=g)
             header = words[pos]
@@ -177,8 +163,39 @@ def _walk(streams, reference, params, needed, start):
             # per match slot (01, 10), none per continuation (11).
             low, high = header & _EVEN_BITS, (header >> 1) & _EVEN_BITS
             n_verbatim = GROUP_SLOTS - (low | high).bit_count()
-            if pos + 1 + (low ^ high).bit_count() + wv * n_verbatim > stop:
+            n_words = 1 + (low ^ high).bit_count() + wv * n_verbatim
+            if pos + n_words > stop:
                 raise CorruptStream("truncated stream: payload exhausted", group=g)
+            if skipping:
+                group_bases = n_verbatim * s + (GROUP_SLOTS - n_verbatim) * k
+                if skipped_bases + group_bases <= start:
+                    # The match chain from the header alone: each match and
+                    # each continuation has one bit, at 2 * slot.
+                    matches, continuations, used = low ^ high, low & high, low | high
+                    if step is None and continuations:
+                        first = continuations & -continuations
+                        if not matches or first < matches & -matches:
+                            raise CorruptStream(
+                                "continuation with no preceding match",
+                                group=g,
+                                slot=first.bit_length() // 2,
+                            )
+                    if matches:  # the last match restarts the chain
+                        last = 1 << (matches.bit_length() - 1)
+                        below = last - 1
+                        verbatim_below = last.bit_length() // 2 - (used & below).bit_count()
+                        at = pos + 1 + (matches & below).bit_count() + wv * verbatim_below
+                        offset = words[at]
+                        step = k if low & last else -k
+                        continuations &= ~below
+                    if continuations:
+                        offset += step * continuations.bit_count()
+                    pos += n_words
+                    skipped_groups += 1
+                    skipped_bases += group_bases
+                    continue
+                skipping = False
+                first_row -= skipped_bases // s  # ``needed`` counts them too
             pos += 1
             kinds = (
                 _BYTE_KINDS[header & 0xFF] + _BYTE_KINDS[(header >> 8) & 0xFF]
@@ -214,7 +231,7 @@ def _walk(streams, reference, params, needed, start):
                     reverse_rows.append(row)
                 row += match_rows
             if needed is not None and (row - first_row) * s >= needed:
-                walked.append(g + 1 - g0)
+                end_group = g + 1  # the groups walked end here
                 break
         else:
             if pos != stop or size % WORD_BYTES:
@@ -222,63 +239,11 @@ def _walk(streams, reference, params, needed, start):
                     f"{size - WORD_BYTES * (pos - first_word)} trailing bytes after final group",
                     group=end_group,
                 )
-            walked.append(end_group - g0)
         row_ends.append(row)
         first_word += -(-size // WORD_BYTES)
     tokens = (windows, window_rows, reverse_rows, verbatim, verbatim_rows)
-    return buf, tokens, row_ends, walked, skipped
-
-
-def _skip_groups(words, pos, stop, g, end_group, start, params):
-    """Walk the groups that end at or before base ``start`` by header alone.
-
-    Each group is framed and checked as in the token walk, and an orphan
-    continuation raises at its group and slot, but no token is visited:
-    the group's bases and its match chain follow from bit operations on the
-    header. The reference offsets of skipped matches are not range-checked;
-    the token walk checks the offset of each continuation it decodes.
-    Returns the word and ordinal of the first group not skipped, the bases
-    skipped, and the chain's step (None before any match) and offset.
-    """
-    k, s, wv = params.k, params.s, params.words_per_verbatim
-    step = None
-    offset = bases = 0
-    while g < end_group:
-        if pos >= stop:
-            raise CorruptStream("truncated stream: missing group header", group=g)
-        header = words[pos]
-        low, high = header & _EVEN_BITS, (header >> 1) & _EVEN_BITS
-        # One bit at 2*slot per slot of a kind: matches, continuations, either.
-        matches, continuations, used = low ^ high, low & high, low | high
-        n_verbatim = GROUP_SLOTS - used.bit_count()
-        n_words = 1 + matches.bit_count() + wv * n_verbatim
-        if pos + n_words > stop:
-            raise CorruptStream("truncated stream: payload exhausted", group=g)
-        group_bases = n_verbatim * s + (GROUP_SLOTS - n_verbatim) * k
-        if bases + group_bases > start:
-            break
-        if step is None and continuations:
-            first = continuations & -continuations
-            if not matches or first < matches & -matches:
-                raise CorruptStream(
-                    "continuation with no preceding match",
-                    group=g,
-                    slot=first.bit_length() // 2,
-                )
-        if matches:
-            last = 1 << (matches.bit_length() - 1)
-            below = last - 1
-            slot = last.bit_length() // 2
-            verbatim_below = slot - (used & below).bit_count()
-            offset = words[pos + 1 + (matches & below).bit_count() + wv * verbatim_below]
-            step = k if low & last else -k
-            continuations &= ~below
-        if continuations:
-            offset += step * continuations.bit_count()
-        pos += n_words
-        bases += group_bases
-        g += 1
-    return pos, g, bases, step, offset
+    walked = end_group - first_group - skipped_groups if streams else 0
+    return buf, tokens, row_ends, walked, (skipped_groups, skipped_bases)
 
 
 def _few_tokens(tokens, lo, hi, params):
@@ -384,7 +349,7 @@ def decode_records(
     if ref_checksum != sequence_checksum(reference):
         raise ChecksumMismatch("stream was compressed against a different reference")
     streams = [(data, n_groups, 0) for data, n_groups, _ in records]
-    parts, _, _ = decode_group(streams, reference, params)
+    parts = decode_group(streams, reference, params)
     for (_, _, n_bases), codes in zip(records, parts):
         if codes.size < n_bases:
             raise CorruptStream(f"stream yields {codes.size} bases but footer declares {n_bases}")

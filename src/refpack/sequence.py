@@ -378,14 +378,13 @@ class _OpenRecord:
     carry: np.ndarray
 
 
-def parse_fasta(data: Union[str, bytes], *, strict: bool = False) -> list[FastaRecord]:
+def parse_fasta(data: Union[str, bytes]) -> list[FastaRecord]:
     """Parse FASTA text into packed records.
 
     Headers start with '>'; sequence lines may be folded and mixed-case.
     IUPAC ambiguity letters (N, R, Y, ...) are rewritten to 'A' and counted
-    per record, unless ``strict`` is set, in which case they are an error.
-    Characters that are not IUPAC nucleotide letters are always an error.
-    The first faulty line of the file is the one reported.
+    per record. Characters that are not IUPAC nucleotide letters are an
+    error; the first faulty line of the file is the one reported.
 
     The text is read a window of about ``_FASTA_BATCH_BYTES`` whole lines at
     a time (``_fasta_window``), with no Python step per line. A record that
@@ -404,7 +403,7 @@ def parse_fasta(data: Union[str, bytes], *, strict: bool = False) -> list[FastaR
             end = data.rfind(b"\n", pos, pos + _FASTA_BATCH_BYTES) + 1
             if end <= pos:  # a line longer than a window is a window of its own
                 end = data.find(b"\n", pos + _FASTA_BATCH_BYTES) + 1 or len(data)
-        open_record, n_lines = _fasta_window(data[pos:end], line_no, open_record, strict, records)
+        open_record, n_lines = _fasta_window(data[pos:end], line_no, open_record, records)
         pos, line_no = end, line_no + n_lines
 
     if open_record is not None:
@@ -457,7 +456,6 @@ def _fasta_window(
     win: bytes,
     line_no: int,
     open_record: _OpenRecord | None,
-    strict: bool,
     records: list[FastaRecord],
 ) -> tuple[_OpenRecord | None, int]:
     """Parse one window of whole lines, the first of them line ``line_no + 1``.
@@ -503,16 +501,10 @@ def _fasta_window(
     # The window's faults as (line found, rank there, message, line named),
     # the line found counted from 0 in the window; the first one raises.
     faults = []
-    bad = junk | ambiguous if strict else junk
-    if bad.any():
-        line = line_of[np.argmax(bad)]
-        in_line = line_of == line
-        if (junk & in_line).any():
-            byte = win[at[np.argmax(junk & in_line)]]
-            message = f"invalid sequence character {chr(byte)!r}"
-        else:
-            byte = win[at[np.argmax(ambiguous & in_line)]]
-            message = f"ambiguous base {chr(byte)!r} rejected in strict mode"
+    if junk.any():
+        first = np.argmax(junk)
+        line = line_of[first]
+        message = f"invalid sequence character {chr(win[at[first]])!r}"
         faults.append((line, 1, message, line_no + line + 1))
     if open_record is None:
         early = np.flatnonzero(is_seq[: headers[0] if headers.size else None])
@@ -555,7 +547,7 @@ def _fasta_window(
     amb_slot = (kept_start - lo)[line_of[amb]] + at[amb]
     # The arrays of one entry per non-base byte go before the window-sized
     # ones come: a window of many headers has almost as many such bytes.
-    del at, kind, is_newline, line_of, stripped, inside, ambiguous, junk, bad, amb
+    del at, kind, is_newline, line_of, stripped, inside, ambiguous, junk, amb
 
     # Keep the sequence lines' bytes (bases and ambiguity letters: no other
     # byte passed the checks) and the pads, then zero letters and pads.
@@ -605,8 +597,8 @@ def _fasta_window(
     return _OpenRecord(ids[-1], line, counts[-1], replaced[-1], chunks, carry), breaks.size
 
 
-def read_fasta(path: Union[str, Path], *, strict: bool = False) -> list[FastaRecord]:
-    return parse_fasta(Path(path).read_bytes(), strict=strict)
+def read_fasta(path: Union[str, Path]) -> list[FastaRecord]:
+    return parse_fasta(Path(path).read_bytes())
 
 
 # Bases that ``write_fasta`` unpacks, folds and writes at a time; it bounds
@@ -728,7 +720,7 @@ def read_2bit_raw(src: Union[str, Path, bytes, BinaryIO]) -> PackedSequence:
     return PackedSequence(blob[TWOBIT_RAW_PREFIX_LEN:], length)
 
 
-def load_sequences(path: Union[str, Path], *, strict: bool = False) -> list[FastaRecord]:
+def load_sequences(path: Union[str, Path]) -> list[FastaRecord]:
     """Read a sequence file, sniffing the format.
 
     Files whose first non-whitespace byte is '>' or ';' parse as FASTA;
@@ -739,5 +731,5 @@ def load_sequences(path: Union[str, Path], *, strict: bool = False) -> list[Fast
     blob = path.read_bytes()
     head = blob.lstrip()[:1]
     if head in (b">", b";"):
-        return parse_fasta(blob, strict=strict)
+        return parse_fasta(blob)
     return [FastaRecord(path.stem, read_2bit_raw(blob))]

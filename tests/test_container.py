@@ -16,6 +16,7 @@ from refpack import (
     CompressResult,
     MutationProfile,
     TokenKind,
+    build_index,
     compress,
     mutate,
     pack_bases,
@@ -621,6 +622,62 @@ def test_extract_skips_the_groups_before_its_range(reference, index64):
             assert length <= stats["decoded_bases"] < length + 2 * 16 * params.k
             most_skipped = max(most_skipped, stats["groups_skipped"])
     assert most_skipped == DEFAULT_GRANULARITY - 1
+
+
+def test_extract_past_every_group_of_a_short_stream(reference):
+    """A record table that declares 4,096 more bases than the record's groups
+    hold, under a valid meta CRC, reads cleanly. An extract near the declared
+    end passes over every group by header alone and reports how far short
+    the stream ended; a full decode reports the footer count."""
+    params = CompressParams(k=32, s=16)
+    target = mutate(
+        PackedSequence.from_codes(reference.codes()[:20_000]),
+        MutationProfile(snp=0.01),
+        np.random.default_rng(0x5407),
+    )
+    result = compress(target, build_index(reference, 32), reference, params)
+    kinds = np.zeros(group_count(result.kinds.size) * 16, dtype=np.uint8)
+    kinds[: result.kinds.size] = result.kinds
+    n = int(params.kind_bases[kinds].sum())  # the bases the groups hold
+    data = bytearray(container_bytes([("r", result)], params, reference))
+    base_count_at = HEADER_LEN + 2 + len("r")
+    table_end = base_count_at + 24
+    struct.pack_into("<Q", data, base_count_at, n + 4_096)
+    _CRC.pack_into(data, _FIXED.size, zlib.crc32(data[: _FIXED.size] + data[HEADER_LEN:table_end]))
+    box = read_container(bytes(data))
+    rec = box.records[0]
+    assert rec.n_bases == n + 4_096
+    with pytest.raises(CorruptStream) as err:
+        extract_range(box, rec, reference, n + 1_000, 64)
+    assert str(err.value) == "record 'r': stream ended 1064 bases short of extract range"
+    with pytest.raises(CorruptStream, match="footer declares"):
+        decompress_record(box, rec, reference)
+
+
+@pytest.mark.parametrize("residue", range(4))
+def test_records_decode_at_every_alignment(reference, index64, residue):
+    """The one record of a container starts at byte 84 + its id length, so
+    ids of 1-4 characters put its group words at every residue mod 4 of the
+    file. Its full decode, an extract from a chunk-index entry and one that
+    passes over groups all equal the target."""
+    params = CompressParams(k=64, s=16)
+    rng = np.random.default_rng(0xA119 + residue)
+    target = mutate(
+        PackedSequence.from_codes(reference.codes()[3_000:23_000]), MutationProfile(snp=0.01), rng
+    )
+    result = compress(target, index64, reference, params, break_every_groups=DEFAULT_GRANULARITY)
+    rec_id = "r" * (1 + (residue - 1) % 4)
+    box = read_container(container_bytes([(rec_id, result)], params, reference))
+    rec = box.records[0]
+    assert rec.byte_offset == 84 + len(rec_id) and rec.byte_offset % 4 == residue
+    assert decompress_record(box, rec, reference) == target
+    codes = target.codes()
+    entry = next(base for base, _, _ in read_entries(box, rec) if base >= 64)
+    for off, skips in ((entry, False), (entry - 64, True)):
+        stats = {}
+        got = extract_range(box, rec, reference, off, 64, _stats=stats)
+        assert got.codes().tolist() == codes[off : off + 64].tolist()
+        assert (stats["groups_skipped"] > 0) == skips
 
 
 def test_extract_works_with_sparse_index(reference, index64):

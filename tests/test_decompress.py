@@ -152,7 +152,7 @@ decompress_module = importlib.import_module("refpack.decompress")
 
 
 # ------------------------------------------------------------------ oracle
-# The per-slot decoder that ``decode_group`` replaced: frames are read one
+# The per-slot decoder that ``_walk`` replaced: frames are read one
 # group at a time and each group is decoded slot by slot from
 # ``reference.codes()``. Differential tests require equal bases and equal
 # faults from the two.
@@ -251,11 +251,15 @@ def decode_by_slot(data, n_groups, reference, params, *, first_group=0, needed=N
 
 
 def decode_one(data, n_groups, reference, params, *, first_group=0, needed=None, start=0):
-    """``decode_group`` on a single stream."""
-    (codes,), (groups,), (skipped,) = decode_group(
-        [(data, n_groups, first_group)], reference, params, needed=needed, start=start
-    )
-    return codes, groups, skipped
+    """``decode_packed`` on a single stream, every decoded group gathered:
+    its codes, groups decoded and (groups, bases) skipped."""
+    needed = 2**62 if needed is None else needed
+    with mock.patch.object(decompress_module, "_FEW_TOKENS", 0):
+        (value, first, end), groups, skipped = decode_packed(
+            (data, n_groups, first_group), reference, params, needed=needed, start=start
+        )
+    assert first == 0
+    return packed_slice(value, 0, end).codes(), groups, skipped
 
 
 def fault_of(decode, *args, **kwargs):
@@ -395,16 +399,15 @@ def _check_against_per_slot_loop(pair, seed, sizes, needed, at_group_end, start)
     for n_tokens in sizes:
         kinds, words = random_tokens(rng, params, reference.length, n_tokens)
         streams.append((encode_groups(kinds, words, params), group_count(kinds.size), 0))
-    parts, walked, skipped = decode_group(streams, reference, params)
-    for (data, n_groups, _), codes, groups, before in zip(streams, parts, walked, skipped):
+    parts = decode_group(streams, reference, params)
+    for (data, n_groups, _), codes in zip(streams, parts):
         expected = decode_by_slot(data, n_groups, reference, params)[0]
         assert np.array_equal(codes, expected)
-        assert (groups, before) == (n_groups, (0, 0))
-    # With ``start``, every stream opens at its first group that reaches it.
-    parts, walked, skipped = decode_group(streams, reference, params, start=start)
-    for (data, n_groups, _), *got in zip(streams, parts, walked, skipped):
+    # With ``start``, a stream opens at its first group that reaches it.
+    for data, n_groups, _ in streams:
+        got = decode_one(data, n_groups, reference, params, start=start)
         expected = decode_by_slot(data, n_groups, reference, params, start=start)
-        assert np.array_equal(got[0], expected[0]) and got[1:] == list(expected[1:])
+        assert np.array_equal(got[0], expected[0]) and got[1:] == expected[1:]
     # An extract decodes one stream from a chain-free entry, skips the groups
     # before its range and stops early.
     data, n_groups, _ = streams[0]

@@ -336,11 +336,6 @@ def test_parse_fasta_ambiguity_replaced():
     assert rec.replaced == 3
 
 
-def test_parse_fasta_strict_rejects_ambiguity():
-    with pytest.raises(FastaParseError, match="strict"):
-        parse_fasta(">r\nANG\n", strict=True)
-
-
 def test_parse_fasta_junk_character():
     with pytest.raises(FastaParseError, match="line 3"):
         parse_fasta(">r\nACGT\nAC!T\n")
@@ -363,7 +358,7 @@ def test_parse_fasta_empty_id():
         parse_fasta(">\nACGT\n")
 
 
-def parse_fasta_by_line(data, *, strict=False):
+def parse_fasta_by_line(data):
     """Line-by-line parser, one numpy lookup per line: the reference for the
     one-pass ``parse_fasta``."""
     if isinstance(data, str):
@@ -407,11 +402,6 @@ def parse_fasta_by_line(data, *, strict=False):
             if junk.any():
                 pos = int(np.argmax(junk))
                 raise FastaParseError(f"invalid sequence character {chr(arr[pos])!r}", line_no)
-            if strict:
-                pos = int(np.argmax(ambiguous))
-                raise FastaParseError(
-                    f"ambiguous base {chr(arr[pos])!r} rejected in strict mode", line_no
-                )
             cur_replaced += int(ambiguous.sum())
             codes = np.where(ambiguous, np.uint8(0), codes)
         cur_chunks.append(codes)
@@ -420,9 +410,9 @@ def parse_fasta_by_line(data, *, strict=False):
     return records
 
 
-def _parse_outcome(parser, data, strict):
+def _parse_outcome(parser, data):
     try:
-        return parser(data, strict=strict)
+        return parser(data)
     except FastaParseError as exc:
         return ("error", str(exc), exc.line)
 
@@ -467,7 +457,7 @@ def _long_record_files(draw):
     """Files whose first record spans several windows at the small batch
     sizes: one random fold width, lines framed by spaces, tabs or CRLF,
     ambiguity letters every 37 bases (from the start, or only from base 250
-    on, so that strict mode fails in a later window), and at times one bad
+    on), and at times one bad
     byte far into the record. Later records are short."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ambiguous_from = draw(st.sampled_from([0, 250]))
@@ -507,10 +497,9 @@ _BATCH_SIZES = [1, 2, 3, 7, 64, 200, sequence_mod._FASTA_BATCH_BYTES]
 @given(
     _fasta_files,
     st.booleans(),
-    st.booleans(),
     st.sampled_from(_BATCH_SIZES),
 )
-def test_parse_fasta_matches_line_by_line(data, strict, as_text, batch_bytes):
+def test_parse_fasta_matches_line_by_line(data, as_text, batch_bytes):
     """Records, replacement counts, error messages and line numbers all equal
     those of the line-by-line parser, on headers, blank and ';' lines, CRLF,
     lowercase, IUPAC letters, junk bytes, data before the first header and
@@ -519,47 +508,38 @@ def test_parse_fasta_matches_line_by_line(data, strict, as_text, batch_bytes):
     if as_text:
         data = data.decode("latin-1")
     with mock.patch.object(sequence_mod, "_FASTA_BATCH_BYTES", batch_bytes):
-        got = _parse_outcome(parse_fasta, data, strict)
-    assert got == _parse_outcome(parse_fasta_by_line, data, strict)
+        got = _parse_outcome(parse_fasta, data)
+    assert got == _parse_outcome(parse_fasta_by_line, data)
 
 
 def test_parse_fasta_reports_first_bad_line():
-    """The first faulty line wins: junk after an ambiguity letter on one line
-    is reported first, a line with only ambiguity letters is an error in
-    strict mode alone, and a bad byte on an earlier line beats a later empty
+    """The first faulty line wins: a line with only ambiguity letters is no
+    fault, and a bad byte on an earlier line beats a later empty
     record or empty id, within a window or across windows, in a long record
     opened many windows before."""
     # lines 2-41: 10 bases a line, line 35 the only one with a C run
     long_record = ">a\n" + "ACGTACGTAG\n" * 33 + "CCCCAAAAAA\n" + "ACGTACGTAG\n" * 6
     cases = [
-        (">r\nACGN\nAN!T\n", False, "line 3: invalid sequence character '!'"),
-        (">r\nACGN\nAN!T\n", True, "line 2: ambiguous base 'N' rejected in strict mode"),
-        (">a\nAC!T\n>b\n>c\nACGT\n", False, "line 2: invalid sequence character '!'"),
-        (">a\nAC!T\n>b\nACGT\n>\nACGT\n", False, "line 2: invalid sequence character '!'"),
-        (">a\nACGT\n>b\nACNT\n>c\n>d\nA\n", True, "line 4: ambiguous base 'N' rejected in strict mode"),
-        (">a\nACNT\n>b\n>c\nACGT\n", False, "line 3: record 'b' has no sequence data"),
-        (long_record.replace("CCCC", "C!CC", 1), False, "line 35: invalid sequence character '!'"),
-        (long_record.replace("CCCC", "CNC!", 1), True, "line 35: invalid sequence character '!'"),
-        (
-            long_record.replace("CCCC", "CCNC", 1),
-            True,
-            "line 35: ambiguous base 'N' rejected in strict mode",
-        ),
-        (long_record + ">b\n\n>c\nACGT\n", False, "line 42: record 'b' has no sequence data"),
-        (long_record + ">b\nAC\n  >  \nACGT\n", False, "line 44: empty record id"),
+        (">r\nACGN\nAN!T\n", "line 3: invalid sequence character '!'"),
+        (">a\nAC!T\n>b\n>c\nACGT\n", "line 2: invalid sequence character '!'"),
+        (">a\nAC!T\n>b\nACGT\n>\nACGT\n", "line 2: invalid sequence character '!'"),
+        (">a\nACNT\n>b\n>c\nACGT\n", "line 3: record 'b' has no sequence data"),
+        (long_record.replace("CCCC", "C!CC", 1), "line 35: invalid sequence character '!'"),
+        (long_record.replace("CCCC", "CNC!", 1), "line 35: invalid sequence character '!'"),
+        (long_record + ">b\n\n>c\nACGT\n", "line 42: record 'b' has no sequence data"),
+        (long_record + ">b\nAC\n  >  \nACGT\n", "line 44: empty record id"),
     ]
-    for text, strict, message in cases:
-        assert _parse_outcome(parse_fasta_by_line, text, strict)[1] == message
+    for text, message in cases:
+        assert _parse_outcome(parse_fasta_by_line, text)[1] == message
         for batch_bytes in _BATCH_SIZES:
             with mock.patch.object(sequence_mod, "_FASTA_BATCH_BYTES", batch_bytes):
-                assert _parse_outcome(parse_fasta, text, strict)[1] == message
+                assert _parse_outcome(parse_fasta, text)[1] == message
 
 
 def test_parse_fasta_windows_cut_records_at_every_residue():
     """Windows of whole lines cut a long record after every residue of its
     length mod 4, so the carried codes (0-3 of them) take every count; the
-    parse still equals the line-by-line one, in both modes and at every batch
-    size."""
+    parse still equals the line-by-line one at every batch size."""
     rng = np.random.default_rng(3)
     letters = np.frombuffer(b"ACGTN", dtype=np.uint8)[rng.integers(0, 5, 2_000)].tobytes()
     widths = np.resize(np.arange(1, 8), 600).tolist()
@@ -580,9 +560,8 @@ def test_parse_fasta_windows_cut_records_at_every_residue():
     for batch_bytes in _BATCH_SIZES:
         with mock.patch.object(sequence_mod, "_FASTA_BATCH_BYTES", batch_bytes), \
                 mock.patch.object(sequence_mod, "_fasta_window", spy):
-            for strict in (False, True):
-                got = _parse_outcome(parse_fasta, text, strict)
-                assert got == _parse_outcome(parse_fasta_by_line, text, strict)
+            got = _parse_outcome(parse_fasta, text)
+            assert got == _parse_outcome(parse_fasta_by_line, text)
     assert carried == {0, 1, 2, 3}
 
 
