@@ -537,11 +537,11 @@ def extract_range(
     reference offset, since none of their bases are output. A stream that
     ends short of the range raises ``CorruptStream``.
 
-    The gather has two forms (``decode_packed``): when fewer than
-    ``_FEW_TOKENS`` tokens overlap the range, only those are gathered, on
-    one Python int; at or over it, numpy gathers every decoded token, which
-    are packed into one. Either way the range is cut out of the int with a
-    shift and a mask.
+    Token expansion and gather have two forms (``decode_packed``): under
+    ``_FEW_GROUPS`` decoded groups, they are walked slot by slot and only the
+    tokens that overlap the range are gathered, on one Python int; at or over
+    it, numpy expands and gathers every decoded token, which are packed into
+    one. Either way the range is cut out of the int with a shift and a mask.
     """
     if base_offset < 0 or length < 0 or base_offset + length > record.n_bases:
         raise ValueError(

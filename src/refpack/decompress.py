@@ -6,38 +6,43 @@ bits, followed by its payload words. A verbatim slot holds its S bases packed
 its payload offset; a continuation slot has no payload and advances the last
 match's offset by +K (forward) or -K (reverse).
 
-``_walk`` is the one frame and token walk, and two entry points gather its
-output. ``decode_group`` gathers with numpy; ``decode_records`` calls it once
-for the whole records of ``decompress`` and the container's
-``decompress_records``. ``decode_packed`` picks its gather by size; the
+``_walk`` is the one frame walk, and two entry points expand and gather the
+groups it frames. ``decode_group`` does it with numpy; ``decode_records``
+calls it once for the whole records of ``decompress`` and the container's
+``decompress_records``. ``decode_packed`` picks its form by size; the
 container's ``extract_range`` calls it from a chunk-index entry. Decoding
 works in three steps:
 
-* frame walk: each group is sized from popcounts of its header's kind bits
-  and must fit in the bytes left; decoding stops once a caller that asked for
-  a number of bases has them. An extract's groups that end at or before its
-  first base are passed over in the same loop by header alone: a group's
-  bases are ``n_verbatim * S + (16 - n_verbatim) * K``, and its last match
-  and the continuations after it carry the match chain, all from bit
-  operations on the header. Orphan continuations raise there as in the token
-  walk, but the reference offsets of passed-over matches are not
-  range-checked: none of their bases are output, and a decoded continuation
-  that inherits a bad offset is still reported;
-* token walk: one integer step per token, as in ``compress``, carrying the
-  last match across verbatim tokens and groups, resetting it at each stream
-  start. Group by group it runs before the next frame is read, so the first
-  fault in stream order is the one raised;
-* gather, in one of two forms that read the same walk output. The numpy
-  form (``decode_group``, and ``decode_packed`` at ``_FEW_TOKENS`` tokens or
-  more) gathers the K-base windows of all match tokens from the reference's
-  packed bytes (the reference is never unpacked), complements the reverse
-  ones, unpacks the verbatim payloads and places all of it into one output
-  array. Windows go a chunk at a time, so that no temporary exceeds
-  ``_GATHER_BYTES``. The int form (``decode_packed`` when fewer than
-  ``_FEW_TOKENS`` tokens overlap the requested range) gathers only those
-  tokens: each window from the few reference bytes under it, each payload
-  from its words, OR-ed into one Python int, where a numpy call would cost
-  more than the bases it moves.
+* frame walk: one Python step per group, reading header words straight from
+  the stream bytes. Each group is sized from popcounts of its header's kind
+  bits, its bases are ``n_verbatim * S + (16 - n_verbatim) * K``, and it
+  must fit in the bytes left; the walk records its header's word position
+  and first output row, and stops once a caller that asked for a number of
+  bases has them. An extract's groups that end at or before its first base
+  are passed over by header alone: their last match and the continuations
+  after it carry the match chain into the first decoded group, from bit
+  operations on the header. Orphan continuations raise there; the reference
+  offsets of passed-over matches are not range-checked, since none of their
+  bases are output, but a decoded continuation that inherits a bad offset is
+  still reported. A framing fault stops the walk and is held, not raised, so
+  that a token fault in an earlier group wins over it;
+* token expansion, in one of two forms. The numpy form (``decode_group``,
+  and ``decode_packed`` at ``_FEW_GROUPS`` decoded groups or more) expands
+  the framed groups a chunk at a time: kinds from shifts of the headers,
+  payload words and rows from cumulative sums of the words and rows of each
+  kind, match offsets from one gather, and each continuation's offset as its
+  last match's plus ``step ×`` the continuations since; orphans and
+  out-of-range offsets are masks, and the first in stream order is raised.
+  The int form (``_gather_int``, under ``_FEW_GROUPS`` decoded groups)
+  walks the few groups slot by slot, one integer step per token;
+* gather. The numpy form gathers the K-base windows of all match and
+  continuation tokens from the reference's packed bytes (the reference is
+  never unpacked), complements the reverse ones, unpacks the verbatim
+  payloads and places all of it into one output array; chunks keep each
+  temporary under ``_GATHER_BYTES``. The int form gathers only the tokens
+  that overlap the requested range: each window from the few reference
+  bytes under it, each payload from its words, OR-ed into one Python int,
+  where a numpy call would cost more than the bases it moves.
 
 Structural violations raise CorruptStream carrying the group ordinal and slot
 index.
@@ -45,12 +50,14 @@ index.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from typing import Sequence
+import sys
+from bisect import bisect_right
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .compress import GROUP_SLOTS, WORD_BYTES, CompressParams, CompressedStream, TokenKind
+from .compress import GROUP_SLOTS, SLOT_SHIFTS, WORD_BYTES, CompressParams, CompressedStream
+from .compress import TokenKind
 from .errors import ChecksumMismatch, CorruptStream
 from .sequence import PackedSequence, pack_code_runs, packed_kmers, sequence_checksum, unpack_rows
 from .sequence import _pack_code_array, _reverse_complement_int
@@ -63,29 +70,50 @@ Record = tuple[bytes | memoryview, int, int]
 
 # Header byte -> the kind codes of its four slots, slot 0 first.
 _BYTE_KINDS = [tuple((b >> shift) & 3 for shift in (0, 2, 4, 6)) for b in range(256)]
-_VERBATIM, _FORWARD, _CONTINUATION = (
-    int(kind) for kind in (TokenKind.VERBATIM, TokenKind.FORWARD_MATCH, TokenKind.CONTINUATION)
-)
+_VERBATIM, _FORWARD, _REVERSE, _CONTINUATION = (int(kind) for kind in TokenKind)
 _EVEN_BITS = 0x55555555
 # Windows are gathered in chunks that keep each temporary under this size.
 _GATHER_BYTES = 1 << 20
 # Bases packed in one payload word.
 _WORD_BASES = 4 * WORD_BYTES
-# Tokens below which an extract gathers on Python ints (``_gather_int``):
-# there the numpy gather costs its per-call overhead, whatever its size. The
-# two cross at 55-65 tokens of the benchmark's containers (k=32, s=16).
-_FEW_TOKENS = 48
+# Bytes of index temporaries per slot of an expanded group, besides its
+# window or payload codes.
+_SLOT_BYTES = 48
+# Decoded groups below which an extract expands and gathers on Python ints
+# (``_gather_int``): there the numpy form costs its per-call overhead,
+# whatever its size. The two cross at 11-12 groups of the benchmark's
+# containers (k=32, s=16).
+_FEW_GROUPS = 12
+
+
+class _Frames(NamedTuple):
+    """What the frame walk read of the groups it decoded."""
+
+    buf: bytes | memoryview  # the stream bytes, each stream starting on a word
+    words: Sequence[int]  # its whole words (``_words``)
+    heads: list[int]  # word position of each group's header
+    rows: list[int]  # output row of each group's first slot, then the end row
+    starts: list[tuple[int, int]]  # (index into heads, ordinal) of each stream's first
+    chain: tuple[int, int] | None  # (offset, step) that the header skip carries in
+    skipped: tuple[int, int]  # (groups, bases) that the header skip passed over
+    fault: CorruptStream | None  # the framing fault that stopped the walk
+
+    def fault_at(self, i: int, slot: int, message: str) -> CorruptStream:
+        """A token fault at slot ``slot`` of decoded group ``i``."""
+        at, ordinal = self.starts[bisect_right(self.starts, (i, sys.maxsize)) - 1]
+        return CorruptStream(message, group=ordinal + i - at, slot=slot)
 
 
 def decode_group(
     streams: Sequence[Stream], reference: PackedSequence, params: CompressParams
 ) -> list[np.ndarray]:
-    """The base codes of each whole stream, every token gathered by numpy."""
-    buf, tokens, row_ends, _, _ = _walk(streams, reference, params)
-    s = params.s
-    out = _gather_codes(reference, buf, tokens, row_ends[-1] if row_ends else 0, params)
-    bounds = [0, *row_ends]
-    return [out[a * s : b * s] for a, b in zip(bounds, row_ends)]
+    """The base codes of each whole stream, every group expanded and
+    gathered by numpy."""
+    frames = _walk(streams, params)
+    out = _gather_codes(reference, frames, params)
+    s, rows = params.s, frames.rows
+    bounds = [rows[i] for i, _ in frames.starts] + [rows[-1]]
+    return [out[a * s : b * s] for a, b in zip(bounds, bounds[1:])]
 
 
 def decode_packed(
@@ -98,34 +126,42 @@ def decode_packed(
     alone, and decoding stops at the first group at which the stream holds
     ``needed`` bases, both counted from the stream start. The span is (value,
     first, end): bases ``first`` to ``end`` of the decoded groups, base
-    ``first`` in the low bits of ``value``. Under ``_FEW_TOKENS`` tokens in
-    ``[start, needed)`` only those are gathered, on Python ints
-    (``_gather_int``); at or over it, every decoded token is, by the numpy
-    gather.
+    ``first`` in the low bits of ``value``. Under ``_FEW_GROUPS`` decoded
+    groups, they are walked slot by slot and only the tokens that overlap
+    ``[start, needed)`` are gathered, on Python ints (``_gather_int``); at or
+    over it, every decoded token is, by the numpy expansion and gather.
     """
-    buf, tokens, (rows,), walked, skipped = _walk([stream], reference, params, needed, start)
-    few = _few_tokens(tokens, start - skipped[1], needed - skipped[1], params)
-    if few is not None:
-        return _gather_int(reference, buf, tokens, few, params), walked, skipped
-    codes = _gather_codes(reference, buf, tokens, rows, params)
+    frames = _walk([stream], params, needed, start)
+    walked, skipped = len(frames.heads), frames.skipped
+    if walked < _FEW_GROUPS:
+        span = _gather_int(reference, frames, start - skipped[1], needed - skipped[1], params)
+        return span, walked, skipped
+    codes = _gather_codes(reference, frames, params)
     return (int.from_bytes(_pack_code_array(codes), "little"), 0, codes.size), walked, skipped
 
 
-def _walk(streams, reference, params, needed=None, start=0):
-    """The frame walk, with its header skip, and the token walk.
+def _words(buf) -> Sequence[int]:
+    """The whole words of ``buf`` as ints, read in place on a little-endian
+    host (a cast view reads a word wherever it sits in memory)."""
+    view = memoryview(buf)
+    if len(view) % WORD_BYTES:
+        view = view[: len(view) - len(view) % WORD_BYTES]
+    if sys.byteorder == "little":
+        return view.cast("I")
+    return np.frombuffer(view, "<u4").tolist()
 
-    ``needed`` and ``start`` are an extract's, on a single stream. Returns
-    the joined stream bytes, the tokens (window offsets, window rows, reverse
-    rows, verbatim payload words, verbatim rows) and each stream's end row;
-    and, for that single stream, the groups decoded and the (groups, bases)
-    skipped before them.
+
+def _walk(streams, params, needed=None, start=0) -> _Frames:
+    """The frame walk, with its header skip.
+
+    ``needed`` and ``start`` are an extract's, on a single stream. Records
+    the header position and first output row of every group it decodes, and
+    holds the first framing fault instead of raising it; the groups before
+    it are all recorded, and no later one is.
     """
     k, s = params.k, params.s
     wv = params.words_per_verbatim
     match_rows = k // s  # the output is laid out in rows of s bases
-    last_offset = reference.length - k
-    # Locals: a global lookup on every token costs about 2% of a full decode.
-    verbatim_kind, forward, continuation = _VERBATIM, _FORWARD, _CONTINUATION
     if len(streams) == 1:
         buf = streams[0][0]
     else:  # each stream starts on a word of the joined buffer
@@ -133,19 +169,12 @@ def _walk(streams, reference, params, needed=None, start=0):
         for data, _, _ in streams:
             pieces += (data, bytes(-len(data) % WORD_BYTES))
         buf = b"".join(pieces)
-    words = np.frombuffer(buf, "<u4", count=len(buf) // WORD_BYTES).astype(np.uint32, copy=False)
-    if not words.flags.aligned:  # a view of a container at an odd offset
-        words = words.copy()
-    words = memoryview(words)
+    words = _words(buf)
 
-    # Offset and output row of each match window, the rows of the reverse
-    # ones, and word index and row of each verbatim payload.
-    windows: list[int] = []
-    window_rows: list[int] = []
-    reverse_rows: list[int] = []
-    verbatim: list[int] = []
-    verbatim_rows: list[int] = []
-    row_ends: list[int] = []
+    heads: list[int] = []
+    rows: list[int] = []
+    starts: list[tuple[int, int]] = []
+    fault = chain = None
     skipping = start >= GROUP_SLOTS * s  # else no group can end by ``start``
     skipped_groups = skipped_bases = 0
     row = first_word = 0
@@ -153,11 +182,13 @@ def _walk(streams, reference, params, needed=None, start=0):
         size = len(data)
         stop = first_word + size // WORD_BYTES
         end_group = first_group + n_groups
-        pos, first_row = first_word, row
+        pos = first_word
+        starts.append((len(heads), first_group))
         step = None  # +k or -k from the last match to the next continuation
         for g in range(first_group, end_group):
             if pos >= stop:
-                raise CorruptStream("truncated stream: missing group header", group=g)
+                fault = CorruptStream("truncated stream: missing group header", group=g)
+                break
             header = words[pos]
             # kind_words in bits: wv payload words per verbatim slot (00), one
             # per match slot (01, 10), none per continuation (11).
@@ -165,7 +196,8 @@ def _walk(streams, reference, params, needed=None, start=0):
             n_verbatim = GROUP_SLOTS - (low | high).bit_count()
             n_words = 1 + (low ^ high).bit_count() + wv * n_verbatim
             if pos + n_words > stop:
-                raise CorruptStream("truncated stream: payload exhausted", group=g)
+                fault = CorruptStream("truncated stream: payload exhausted", group=g)
+                break
             if skipping:
                 group_bases = n_verbatim * s + (GROUP_SLOTS - n_verbatim) * k
                 if skipped_bases + group_bases <= start:
@@ -195,142 +227,226 @@ def _walk(streams, reference, params, needed=None, start=0):
                     skipped_bases += group_bases
                     continue
                 skipping = False
-                first_row -= skipped_bases // s  # ``needed`` counts them too
-            pos += 1
-            kinds = (
-                _BYTE_KINDS[header & 0xFF] + _BYTE_KINDS[(header >> 8) & 0xFF]
-                + _BYTE_KINDS[(header >> 16) & 0xFF] + _BYTE_KINDS[header >> 24]
-            )
-            for slot, kind in enumerate(kinds):
-                if kind == verbatim_kind:
-                    verbatim.append(pos)
-                    verbatim_rows.append(row)
-                    pos += wv
-                    row += 1
-                    continue
-                if kind == continuation:
-                    if step is None:
-                        raise CorruptStream(
-                            "continuation with no preceding match", group=g, slot=slot
-                        )
-                    offset += step
-                else:
-                    offset = words[pos]
-                    pos += 1
-                    step = k if kind == forward else -k
-                if not 0 <= offset <= last_offset:
-                    raise CorruptStream(
-                        f"reference offset {offset} out of range for k={k}, "
-                        f"reference length {reference.length}",
-                        group=g,
-                        slot=slot,
-                    )
-                windows.append(offset)
-                window_rows.append(row)
-                if step < 0:
-                    reverse_rows.append(row)
-                row += match_rows
-            if needed is not None and (row - first_row) * s >= needed:
-                end_group = g + 1  # the groups walked end here
-                break
+                starts[-1] = (0, g)
+                if step is not None:
+                    chain = (offset, step)
+            heads.append(pos)
+            rows.append(row)
+            row += n_verbatim + (GROUP_SLOTS - n_verbatim) * match_rows
+            pos += n_words
+            if needed is not None and row * s + skipped_bases >= needed:
+                break  # the groups walked end here
         else:
             if pos != stop or size % WORD_BYTES:
-                raise CorruptStream(
+                fault = CorruptStream(
                     f"{size - WORD_BYTES * (pos - first_word)} trailing bytes after final group",
                     group=end_group,
                 )
-        row_ends.append(row)
+        if fault is not None:
+            break
         first_word += -(-size // WORD_BYTES)
-    tokens = (windows, window_rows, reverse_rows, verbatim, verbatim_rows)
-    walked = end_group - first_group - skipped_groups if streams else 0
-    return buf, tokens, row_ends, walked, (skipped_groups, skipped_bases)
+    rows.append(row)
+    return _Frames(buf, words, heads, rows, starts, chain, (skipped_groups, skipped_bases), fault)
 
 
-def _few_tokens(tokens, lo, hi, params):
-    """The (first, stop) index ranges of the window and verbatim tokens that
-    overlap bases [lo, hi), if there are fewer than _FEW_TOKENS; else None."""
-    _, window_rows, _, _, verbatim_rows = tokens
-    lo, hi = lo // params.s, -(-hi // params.s)  # in rows
-    a = bisect_right(window_rows, lo - params.k // params.s)
-    b = bisect_left(window_rows, hi, a)
-    c = bisect_left(verbatim_rows, lo)
-    d = bisect_left(verbatim_rows, hi, c)
-    return (a, b, c, d) if 0 < b - a + d - c < _FEW_TOKENS else None
+def _range_message(offset: int, k: int, length: int) -> str:
+    return f"reference offset {offset} out of range for k={k}, reference length {length}"
 
 
-def _gather_int(reference, buf, tokens, ranges, params) -> tuple[int, int, int]:
-    """The tokens in ``ranges`` placed on one Python int, and the first and
-    end bases they cover.
+def _gather_int(reference, frames, lo, hi, params) -> tuple[int, int, int]:
+    """The tokens of the decoded groups that overlap bases [lo, hi), placed
+    on one Python int, and the first and end bases they cover.
 
-    A window is read from the ceil((offset % 4 + k) / 4) reference bytes
-    under it, which never run past the end, and shifted down by
-    2 * (offset % 4); a reverse one is reverse-complemented by byte table
-    first. A verbatim payload is read from its words. Each is masked to its
-    bases and OR-ed in at 2 * s per row from the first.
+    The groups are walked slot by slot, one integer step per token as in
+    ``compress``, carrying the last match across verbatim tokens and groups,
+    and every token is checked. A window is read from the ceil((offset % 4 +
+    k) / 4) reference bytes under it, which never run past the end, and
+    shifted down by 2 * (offset % 4); a reverse one is reverse-complemented
+    by byte table first. A verbatim payload is read from its words. Each is
+    masked to its bases and OR-ed in at 2 * s per row from the first.
     """
     k, s, wv = params.k, params.s, params.words_per_verbatim
-    windows, window_rows, reverse_rows, verbatim, verbatim_rows = tokens
-    a, b, c, d = ranges
-    rows, vrows = window_rows[a:b], verbatim_rows[c:d]
-    first = min(rows[:1] + vrows[:1])
-    end = max([row + k // s for row in rows[-1:]] + [row + 1 for row in vrows[-1:]])
-    data, reverse = reference.data, set(reverse_rows)
-    value, mask = 0, (1 << 2 * k) - 1
-    for offset, row in zip(windows[a:b], rows):
-        piece = data[offset >> 2 : (offset + k + 3) >> 2]
-        if row in reverse:
-            window = _reverse_complement_int(piece, (offset & 3) + k)
-        else:
-            window = int.from_bytes(piece, "little") >> 2 * (offset & 3)
-        value |= (window & mask) << 2 * s * (row - first)
-    mask = (1 << 2 * s) - 1
-    for word, row in zip(verbatim[c:d], vrows):
-        payload = int.from_bytes(buf[WORD_BYTES * word : WORD_BYTES * (word + wv)], "little")
-        value |= (payload & mask) << 2 * s * (row - first)
-    return value, first * s, end * s
+    match_rows = k // s
+    last_offset = reference.length - k
+    # Locals: a global lookup on every token costs about 2% of a walk.
+    verbatim_kind, forward, continuation = _VERBATIM, _FORWARD, _CONTINUATION
+    buf, words, data = frames.buf, frames.words, reference.data
+    lo, hi = lo // s, -(-hi // s)  # in rows
+    value, first, end = 0, None, 0
+    window_mask, payload_mask = (1 << 2 * k) - 1, (1 << 2 * s) - 1
+    offset, step = frames.chain or (0, None)
+    for g, (pos, row) in enumerate(zip(frames.heads, frames.rows), frames.starts[0][1]):
+        header = words[pos]
+        pos += 1
+        kinds = (
+            _BYTE_KINDS[header & 0xFF] + _BYTE_KINDS[(header >> 8) & 0xFF]
+            + _BYTE_KINDS[(header >> 16) & 0xFF] + _BYTE_KINDS[header >> 24]
+        )
+        for slot, kind in enumerate(kinds):
+            if kind == verbatim_kind:
+                if lo <= row < hi:
+                    payload = buf[WORD_BYTES * pos : WORD_BYTES * (pos + wv)]
+                    payload = int.from_bytes(payload, "little")
+                    if first is None:
+                        first = row
+                    value |= (payload & payload_mask) << 2 * s * (row - first)
+                    end = row + 1
+                pos += wv
+                row += 1
+                continue
+            if kind == continuation:
+                if step is None:
+                    raise CorruptStream("continuation with no preceding match", group=g, slot=slot)
+                offset += step
+            else:
+                offset = words[pos]
+                pos += 1
+                step = k if kind == forward else -k
+            if not 0 <= offset <= last_offset:
+                raise CorruptStream(_range_message(offset, k, reference.length), group=g, slot=slot)
+            if lo < row + match_rows and row < hi:
+                piece = data[offset >> 2 : (offset + k + 3) >> 2]
+                if step < 0:
+                    window = _reverse_complement_int(piece, (offset & 3) + k)
+                else:
+                    window = int.from_bytes(piece, "little") >> 2 * (offset & 3)
+                if first is None:
+                    first = row
+                value |= (window & window_mask) << 2 * s * (row - first)
+                end = row + match_rows
+            row += match_rows
+    if frames.fault is not None:
+        raise frames.fault
+    return (value, first * s, end * s) if first is not None else (0, 0, 0)
 
 
-def _gather_codes(reference, buf, tokens, rows, params) -> np.ndarray:
-    """The codes of ``rows`` rows of s bases, every token gathered by numpy."""
-    windows, window_rows, reverse_rows, verbatim, verbatim_rows = tokens
-    out = np.empty(rows * params.s, dtype=np.uint8)
-    _gather_windows(out, reference, windows, window_rows, reverse_rows, params)
-    _gather_verbatim(out, buf, verbatim, verbatim_rows, params)
+def _gather_codes(reference, frames, params) -> np.ndarray:
+    """The codes of every decoded group, expanded and gathered by numpy a
+    chunk of groups at a time; the first fault in stream order is raised."""
+    k, s = params.k, params.s
+    buf = frames.buf
+    words = np.frombuffer(buf, "<u4", count=len(buf) // WORD_BYTES)
+    heads = np.array(frames.heads, dtype=np.int64)
+    rows = np.array(frames.rows[:-1], dtype=np.int64)
+    resets = np.zeros(heads.size, dtype=bool)  # the groups that start a stream
+    resets[[i for i, _ in frames.starts[1:] if i < heads.size]] = True
+    out = np.empty(frames.rows[-1] * s, dtype=np.uint8)
+    chain = frames.chain
+    # A slot's codes are at most a window of k or a payload of whole words.
+    slot_bytes = max(k, _WORD_BASES * params.words_per_verbatim) + _SLOT_BYTES
+    chunk = max(1, _GATHER_BYTES // (GROUP_SLOTS * slot_bytes))
+    for c in range(0, heads.size, chunk):
+        part = slice(c, c + chunk)
+        tokens, chain, fault = _expand(
+            words, heads[part], rows[part], resets[part], chain, params, reference.length - k
+        )
+        if fault is not None:
+            at, message = fault
+            raise frames.fault_at(c + at // GROUP_SLOTS, at % GROUP_SLOTS, message)
+        offsets, window_rows, reverse, verbatim, verbatim_rows = tokens
+        _gather_windows(out, reference, offsets, window_rows, reverse, params)
+        _gather_verbatim(out, words, verbatim, verbatim_rows, params)
+    if frames.fault is not None:
+        raise frames.fault
     return out
 
 
-def _gather_windows(out, reference, windows, rows, reverse_rows, params) -> None:
-    """Place the k reference bases at each window offset at its row."""
+def _expand(words, heads, rows, resets, chain, params, last_offset):
+    """The tokens of groups framed at ``heads``, their first slots at output
+    ``rows``, and the chain they carry out; or the first fault among them.
+
+    ``resets`` marks the groups that start a stream; the first group, unless
+    marked, continues ``chain``. Tokens are (window offsets, window rows,
+    reverse windows, verbatim payload words, verbatim rows), the windows of
+    matches first and then of continuations. A fault is (flat slot, message).
+    """
+    k, s, wv = params.k, params.s, params.words_per_verbatim
+    kinds = ((words[heads][:, None] >> SLOT_SHIFTS) & 3).astype(np.uint8)
+    # Words and rows through each slot of its group, the header not counted.
+    word_ends = np.cumsum(params.kind_words.astype(np.int32)[kinds], axis=1, dtype=np.int32)
+    row_ends = np.cumsum((params.kind_bases // s).astype(np.int32)[kinds], axis=1, dtype=np.int32)
+    word_ends, row_ends = word_ends.ravel(), row_ends.ravel()
+    kinds = kinds.ravel()
+    is_match = (kinds == _FORWARD) | (kinds == _REVERSE)
+    is_continuation = kinds == _CONTINUATION
+    match, continuation = np.flatnonzero(is_match), np.flatnonzero(is_continuation)
+    verbatim = np.flatnonzero(kinds == _VERBATIM)
+
+    # Match j: its offset, step and the continuations before it, after a
+    # virtual match 0 that holds the chain carried in.
+    offsets = words[heads[match // GROUP_SLOTS] + word_ends[match]].astype(np.int64)
+    steps = np.where(kinds[match] == _FORWARD, k, -k)
+    n_matches = np.cumsum(is_match, dtype=np.int32)
+    n_continuations = np.cumsum(is_continuation, dtype=np.int32)
+    chain_offset, chain_step = chain or (0, 0)
+    match_offsets = np.concatenate([[chain_offset], offsets])
+    match_steps = np.concatenate([[chain_step], steps])
+    before = np.concatenate([[0], n_continuations[match]])
+    # A continuation follows the last match at or before it (0: the chain),
+    # unless that precedes the start of its stream: the matches before the
+    # group each stream starts at, carried forward to its later groups.
+    group_matches = n_matches[::GROUP_SLOTS] - is_match[::GROUP_SLOTS]
+    stream_floor = np.maximum.accumulate(np.where(resets, group_matches, -1 if chain else 0))
+    last = n_matches[continuation]
+    orphan = last <= stream_floor[continuation // GROUP_SLOTS]
+    since = n_continuations[continuation] - before[last]
+    continued = match_offsets[last] + match_steps[last] * since
+
+    bad_match = offsets > last_offset
+    bad_continuation = orphan | (continued < 0) | (continued > last_offset)
+    bad = np.concatenate([match[bad_match], continuation[bad_continuation]])
+    if bad.size:
+        at = int(bad.min())
+        if is_continuation[at]:
+            i = int(np.searchsorted(continuation, at))
+            offset = None if orphan[i] else int(continued[i])
+        else:
+            offset = int(offsets[np.searchsorted(match, at)])
+        if offset is None:
+            message = "continuation with no preceding match"
+        else:
+            message = _range_message(offset, k, last_offset + k)
+        return None, None, (at, message)
+
+    tail = int(n_matches[-1])
+    if tail <= stream_floor[-1]:
+        chain = None
+    else:
+        step = int(match_steps[tail])
+        chain = (int(match_offsets[tail]) + step * int(n_continuations[-1] - before[tail]), step)
+    window = np.concatenate([match, continuation])
+    tokens = (
+        np.concatenate([offsets, continued]),
+        rows[window // GROUP_SLOTS] + row_ends[window] - k // s,
+        np.concatenate([steps < 0, match_steps[last] < 0]),
+        heads[verbatim // GROUP_SLOTS] + word_ends[verbatim] + 1 - wv,
+        rows[verbatim // GROUP_SLOTS] + row_ends[verbatim] - 1,
+    )
+    return tokens, chain, None
+
+
+def _gather_windows(out, reference, offsets, rows, reverse, params) -> None:
+    """Place the k reference bases at each window offset at its row,
+    reverse-complemented where ``reverse`` is set."""
     k, s = params.k, params.s
-    if not windows:
+    if not offsets.size:
         return
     placed = np.ndarray((out.size // s - k // s + 1, k), np.uint8, out, strides=(s, 1))
-    chunk = max(1, _GATHER_BYTES // (k + 8))
-    for i in range(0, len(windows), chunk):
-        starts = np.array(windows[i : i + chunk], dtype=np.int64)
-        placed[rows[i : i + chunk]] = unpack_rows(packed_kmers(reference.data, starts, k))[:, :k]
-    for i in range(0, len(reverse_rows), chunk):
-        at = reverse_rows[i : i + chunk]
-        placed[at] = placed[at, ::-1] ^ 3
+    windows = unpack_rows(packed_kmers(reference.data, offsets, k))[:, :k]
+    windows[reverse] = windows[reverse, ::-1] ^ 3
+    placed[rows] = windows
 
 
-def _gather_verbatim(out, buf, verbatim, rows, params) -> None:
-    """Place the s bases of each verbatim payload at its row."""
+def _gather_verbatim(out, words, first, rows, params) -> None:
+    """Place the s bases of the payload that starts at each word at its row."""
     s, wv = params.s, params.words_per_verbatim
-    if not verbatim:
+    if not first.size:
         return
-    placed = out.reshape(-1, s)
-    # One row of bytes per payload word, base 0 in the low bits of byte 0.
-    payload = np.frombuffer(buf, np.uint8, count=len(buf) // WORD_BYTES * WORD_BYTES)
-    payload = payload.reshape(-1, WORD_BYTES)
-    chunk = max(1, _GATHER_BYTES // (_WORD_BASES * wv + 8))
-    for i in range(0, len(verbatim), chunk):
-        first = np.array(verbatim[i : i + chunk], dtype=np.int64)
-        if wv > 1:
-            first = first[:, None] + np.arange(wv)
-        placed[rows[i : i + chunk]] = unpack_rows(payload[first].reshape(len(first), -1))[:, :s]
-
-
+    if wv > 1:
+        first = first[:, None] + np.arange(wv)
+    # One row of bytes per payload, base 0 in the low bits of byte 0.
+    payload = words[first].reshape(first.shape[0], -1).view(np.uint8)
+    out.reshape(-1, s)[rows] = unpack_rows(payload)[:, :s]
 def decode_records(
     records: Sequence[Record],
     reference: PackedSequence,

@@ -26,7 +26,7 @@ from refpack import (
     write_container,
 )
 import refpack.container as container_mod
-from refpack.compress import encode_groups, group_count
+from refpack.compress import GROUP_SLOTS, encode_groups, group_count
 from refpack.container import (
     _CRC,
     _FIXED,
@@ -712,6 +712,8 @@ def test_extract_length_sweep(reference, index64, granularity, monkeypatch):
     )
     records = [("forward", results[0]), ("reverse", results[1])]
     box = read_container(container_bytes(records, params, reference, granularity=granularity))
+    # Decoded before the forms are counted, so that only extracts count.
+    fulls = [decompress_record(box, rec, reference) for rec in box.records]
     forms = {"int": 0, "numpy": 0}
     for form, name in (("int", "_gather_int"), ("numpy", "_gather_codes")):
         real = getattr(decompress_mod, name)
@@ -721,10 +723,13 @@ def test_extract_length_sweep(reference, index64, granularity, monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(decompress_mod, name, counted)
-    few = decompress_mod._FEW_TOKENS
-    lengths = (0, 1, 63, 64, 65, (few - 1) * k, (few + 1) * k, 4_096)
-    for rec in box.records:
-        full = decompress_record(box, rec, reference)
+    # A switch at 4 groups, so that both forms decode these short records: a
+    # range of (few - 2) * 256 bases spans fewer than few groups, and one of
+    # few * 16 * k bases at least few.
+    few = 4
+    monkeypatch.setattr(decompress_mod, "_FEW_GROUPS", few)
+    lengths = (0, 1, 63, 64, 65, (few - 2) * GROUP_SLOTS * params.s, few * GROUP_SLOTS * k, 8_192)
+    for rec, full in zip(box.records, fulls):
         n = rec.n_bases
         for length in lengths:
             for off in (0, (n - length) // 2, n - length):

@@ -18,8 +18,8 @@ from refpack import (
     mutate,
     random_sequence,
 )
-from refpack.compress import GROUP_SLOTS, SLOT_SHIFTS, WORD_BYTES, CompressedStream, group_count
-from refpack.decompress import _FEW_TOKENS as FEW_TOKENS
+from refpack.compress import SLOT_SHIFTS, WORD_BYTES, CompressedStream, group_count
+from refpack.decompress import _FEW_GROUPS as FEW_GROUPS
 from refpack.decompress import _GATHER_BYTES as GATHER_BYTES
 from refpack.decompress import decode_group, decode_packed
 from refpack.errors import ChecksumMismatch, CorruptStream
@@ -152,7 +152,7 @@ decompress_module = importlib.import_module("refpack.decompress")
 
 
 # ------------------------------------------------------------------ oracle
-# The per-slot decoder that ``_walk`` replaced: frames are read one
+# The per-slot reference decoder: frames are read one
 # group at a time and each group is decoded slot by slot from
 # ``reference.codes()``. Differential tests require equal bases and equal
 # faults from the two.
@@ -250,11 +250,19 @@ def decode_by_slot(data, n_groups, reference, params, *, first_group=0, needed=N
     return codes, len(parts), (skipped, got - codes.size)
 
 
-def decode_one(data, n_groups, reference, params, *, first_group=0, needed=None, start=0):
+# ``_FEW_GROUPS`` values that force the numpy and the int form.
+FORMS = (0, 10**9)
+
+
+def decode_one(
+    data, n_groups, reference, params, *, first_group=0, needed=None, start=0, few=0
+):
     """``decode_packed`` on a single stream, every decoded group gathered:
-    its codes, groups decoded and (groups, bases) skipped."""
+    its codes, groups decoded and (groups, bases) skipped. ``few`` is the
+    switch between the forms: 0 forces numpy, and a large one the int form,
+    which gathers only the range, so only its faults compare."""
     needed = 2**62 if needed is None else needed
-    with mock.patch.object(decompress_module, "_FEW_TOKENS", 0):
+    with mock.patch.object(decompress_module, "_FEW_GROUPS", few):
         (value, first, end), groups, skipped = decode_packed(
             (data, n_groups, first_group), reference, params, needed=needed, start=start
         )
@@ -440,13 +448,13 @@ def test_decode_packed_matches_per_slot_loop(pair, seed, n_tokens, start, length
     of the per-slot loop; the int form gathers only the tokens that overlap
     the range."""
     params = CompressParams(k=pair[0], s=pair[1])
-    few = {"numpy": 0, "int": 10**9, "threshold": FEW_TOKENS}[form]
+    few = {"numpy": 0, "int": 10**9, "threshold": FEW_GROUPS}[form]
     rng = np.random.default_rng(seed)
     reference = random_sequence(int(rng.integers(params.k, 600)), rng)
     kinds, words = random_tokens(rng, params, reference.length, n_tokens)
     data, n_groups = encode_groups(kinds, words, params), group_count(kinds.size)
     needed = start + length
-    with mock.patch.object(decompress_module, "_FEW_TOKENS", few):
+    with mock.patch.object(decompress_module, "_FEW_GROUPS", few):
         (value, first, end), *got = decode_packed(
             (data, n_groups, 7), reference, params, needed=needed, start=start
         )
@@ -459,20 +467,10 @@ def test_decode_packed_matches_per_slot_loop(pair, seed, n_tokens, start, length
     if lo >= expected.size:  # the range lies past the stream: nothing to gather
         return
     assert first <= lo and end >= hi
-    if tokens_in(kinds, params, counts[1][1], first, end) < few:
+    if counts[0] < few:
         assert lo - first < params.k and end - hi < params.k
     else:
         assert (first, end) == (0, expected.size)
-
-
-def tokens_in(kinds, params, skipped, first, end):
-    """How many tokens, the verbatim padding of the last group too, start in
-    bases [first, end) counted from base ``skipped``."""
-    padded = np.zeros(group_count(kinds.size) * GROUP_SLOTS, dtype=np.uint8)
-    padded[: kinds.size] = kinds
-    sizes = params.kind_bases[padded]
-    starts = np.cumsum(sizes) - sizes - skipped
-    return int(((first <= starts) & (starts < end)).sum())
 
 
 @pytest.mark.parametrize("k, s", KS_PAIRS)
@@ -491,8 +489,8 @@ def test_gather_forms_read_every_window_offset(k, s):
             for kind in (TokenKind.FORWARD_MATCH, TokenKind.REVERSE_MATCH):
                 data, n_groups = _stream_of([vb, (kind, [offset]), vb], params)
                 expected = decode_by_slot(data, n_groups, reference, params)[0]
-                for few in (0, 10**9):
-                    with mock.patch.object(decompress_module, "_FEW_TOKENS", few):
+                for few in FORMS:
+                    with mock.patch.object(decompress_module, "_FEW_GROUPS", few):
                         (value, first, end), _, _ = decode_packed(
                             (data, n_groups, 0), reference, params, needed=s + 1, start=s
                         )
@@ -563,11 +561,91 @@ def test_crafted_faults_match_per_slot_loop(reference, k, s):
             expected = fault_of(
                 decode_by_slot, data, n_groups, reference, params, first_group=first_group
             )
-            got = fault_of(decode_one, data, n_groups, reference, params, first_group=first_group)
-            assert got == expected, name
+            for few in FORMS:
+                got = fault_of(
+                    decode_one, data, n_groups, reference, params, first_group=first_group, few=few
+                )
+                assert got == expected, (name, few)
     # The first fault in stream order wins over a later framing fault.
     data, n_groups = _crafted_faults(reference, params)["bad offset before truncation"]
-    assert fault_of(decode_one, data, n_groups, reference, params)[1] == 2
+    for few in FORMS:
+        assert fault_of(decode_one, data, n_groups, reference, params, few=few)[1] == 2
+
+
+@pytest.mark.parametrize("k, s", [(64, 16), (32, 32)])
+def test_crafted_faults_match_per_slot_loop_in_full_decodes(reference, k, s):
+    """``decode_group`` raises each crafted fault as the per-slot loop does,
+    on its own and after a good stream, whose groups come first; and with
+    every group a chunk of its own, so that the groups before a fault hand
+    their match chain, or the lack of one, across chunks."""
+    params = CompressParams(k=k, s=s)
+    cases = _crafted_faults(reference, params)
+    good, n_good = _stream_of(
+        [(TokenKind.FORWARD_MATCH, [7]), (TokenKind.CONTINUATION, [])], params
+    )
+    for name, (data, n_groups) in cases.items():
+        for first_group in (0, 3):
+            expected = fault_of(
+                decode_by_slot, data, n_groups, reference, params, first_group=first_group
+            )
+            bad = (data, n_groups, first_group)
+            for streams in ([bad], [(good, n_good, 0), bad]):
+                for gather in (GATHER_BYTES, 1):
+                    with mock.patch.object(decompress_module, "_GATHER_BYTES", gather):
+                        got = fault_of(decode_group, streams, reference, params)
+                    assert got == expected, (name, gather)
+    data, n_groups = cases["bad offset before truncation"]
+    assert fault_of(decode_group, [(data, n_groups, 0)], reference, params)[1] == 2
+
+
+def _per_slot_streams(streams, reference, params):
+    """Each stream's codes by the per-slot loop, or the first stream's fault."""
+    parts = []
+    for data, n_groups, first_group in streams:
+        try:
+            codes = decode_by_slot(data, n_groups, reference, params, first_group=first_group)[0]
+        except CorruptStream as err:
+            return str(err), err.group, err.slot
+        parts.append(codes)
+    return parts
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(KS_PAIRS),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.integers(0, 80), min_size=1, max_size=3),
+    st.sampled_from(["flip", "truncate", "append"]),
+    st.sampled_from([None, 1]),
+)
+def test_decode_group_faults_match_per_slot_loop(pair, seed, sizes, mutation, gather):
+    """Bit flips, truncations and trailing bytes in one stream of a batch give
+    ``decode_group`` the per-slot loop's codes or its fault; ``gather`` makes
+    every group a chunk of its own, so that the match chain crosses chunks."""
+    params = CompressParams(k=pair[0], s=pair[1])
+    rng = np.random.default_rng(seed)
+    reference = random_sequence(int(rng.integers(params.k, 600)), rng)
+    streams = []
+    for n_tokens in sizes:
+        kinds, words = random_tokens(rng, params, reference.length, n_tokens)
+        streams.append([bytearray(encode_groups(kinds, words, params)), group_count(kinds.size), 0])
+    data = streams[int(rng.integers(0, len(streams)))][0]
+    for _ in range(int(rng.integers(1, 4))):
+        if mutation == "flip" and data:
+            bit = int(rng.integers(0, 8 * len(data)))
+            data[bit >> 3] ^= 1 << (bit & 7)
+        elif mutation == "truncate":
+            del data[int(rng.integers(0, len(data) + 1)) :]
+        elif mutation == "append":
+            data += rng.bytes(int(rng.integers(1, 9)))
+    streams = [(bytes(data), n_groups, first) for data, n_groups, first in streams]
+    expected = _per_slot_streams(streams, reference, params)
+    with mock.patch.object(decompress_module, "_GATHER_BYTES", gather or GATHER_BYTES):
+        if isinstance(expected, tuple):
+            assert fault_of(decode_group, streams, reference, params) == expected
+        else:
+            got = decode_group(streams, reference, params)
+            assert [part.tolist() for part in got] == [part.tolist() for part in expected]
 
 
 # Faults that the groups skipped before ``start`` raise as the token walk does.
@@ -591,10 +669,12 @@ def test_skipped_groups_raise_framing_and_orphan_faults(reference, k, s):
     for name in SKIPPED_FAULTS:
         data, n_groups = cases[name]
         expected = fault_of(decode_one, data, n_groups, reference, params, first_group=3)
-        got = fault_of(
-            decode_one, data, n_groups, reference, params, first_group=3, start=past_every_group
-        )
-        assert got == expected, name
+        for few in FORMS:
+            got = fault_of(
+                decode_one, data, n_groups, reference, params, first_group=3,
+                start=past_every_group, few=few,
+            )
+            assert got == expected, (name, few)
     # A bad offset in a skipped group is not reported; the later truncation is.
     data, n_groups = cases["bad offset before truncation"]
     assert "out of range" in fault_of(decode_one, data, n_groups, reference, params)[0]
@@ -640,11 +720,14 @@ def test_continuation_of_skipped_bad_offset_raises(reference, k, s, kind):
     params = CompressParams(k=k, s=s)
     later = [(TokenKind.CONTINUATION, []), (TokenKind.VERBATIM, [0] * params.words_per_verbatim)]
     data, n_groups, skipped = _bad_offset_then(later, kind, params, reference)
-    assert fault_of(decode_one, data, n_groups, reference, params)[1:] == (0, 15)
-    message, group, slot = fault_of(decode_one, data, n_groups, reference, params, start=skipped)
     # One step on from the bad offset: +k forward, -k reverse.
     inherited = reference.length + 1 - (k if kind == TokenKind.REVERSE_MATCH else 0)
-    assert f"reference offset {inherited} out of range" in message and (group, slot) == (1, 0)
+    for few in FORMS:
+        assert fault_of(decode_one, data, n_groups, reference, params, few=few)[1:] == (0, 15)
+        message, group, slot = fault_of(
+            decode_one, data, n_groups, reference, params, start=skipped, few=few
+        )
+        assert f"reference offset {inherited} out of range" in message and (group, slot) == (1, 0)
 
 
 def test_batched_streams_start_without_a_match(reference, params):
