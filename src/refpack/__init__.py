@@ -22,7 +22,6 @@ from .compress import (
 from .container import (
     Container,
     ContainerRecord,
-    decompress_record,
     decompress_records,
     extract_range,
     read_container,
@@ -88,7 +87,6 @@ __all__ = [
     "compress_records",
     "compression_ratio",
     "decompress",
-    "decompress_record",
     "decompress_records",
     "edit_distance",
     "encode_groups",

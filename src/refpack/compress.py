@@ -23,7 +23,9 @@ Headers and payload words are little-endian u32. A partial final group is
 padded with verbatim tokens encoding base 'A'; the footer base count makes
 the padding unambiguous. Verbatim widths other than S=16 round the payload
 up to whole words and exist only for benchmarking; they are not accepted by
-the container format.
+the container format. Any S that divides K tokenizes, but a stream decodes
+only when S is a multiple of 4, so that each decoded row of S bases is whole
+packed bytes.
 
 A token stream is held as two arrays: ``kinds`` (one kind code per token)
 and ``words`` (the payload words in token order, exactly as they follow the

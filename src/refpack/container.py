@@ -511,12 +511,6 @@ def decompress_records(
     return decode_records(triples, reference, container.params, container.ref_checksum)
 
 
-def decompress_record(
-    container: Container, record: ContainerRecord, reference: PackedSequence
-) -> PackedSequence:
-    return decompress_records(container, [record], reference)[0]
-
-
 def extract_range(
     container: Container,
     record: ContainerRecord,
@@ -540,8 +534,8 @@ def extract_range(
     Token expansion and gather have two forms (``decode_packed``): under
     ``_FEW_GROUPS`` decoded groups, they are walked slot by slot and only the
     tokens that overlap the range are gathered, on one Python int; at or over
-    it, numpy expands and gathers every decoded token, which are packed into
-    one. Either way the range is cut out of the int with a shift and a mask.
+    it, numpy expands and gathers every decoded token into packed bytes, read
+    as one. Either way the range is cut out of the int with a shift and a mask.
     """
     if base_offset < 0 or length < 0 or base_offset + length > record.n_bases:
         raise ValueError(

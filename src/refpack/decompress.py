@@ -9,9 +9,9 @@ match's offset by +K (forward) or -K (reverse).
 ``_walk`` is the one frame walk, and two entry points expand and gather the
 groups it frames. ``decode_group`` does it with numpy; ``decode_records``
 calls it once for the whole records of ``decompress`` and the container's
-``decompress_records``. ``decode_packed`` picks its form by size; the
-container's ``extract_range`` calls it from a chunk-index entry. Decoding
-works in three steps:
+``decompress_records``, and cuts each record from its stream's packed bytes.
+``decode_packed`` picks its form by size; the container's ``extract_range``
+calls it from a chunk-index entry. Decoding works in three steps:
 
 * frame walk: one Python step per group, reading header words straight from
   the stream bytes. Each group is sized from popcounts of its header's kind
@@ -35,14 +35,17 @@ works in three steps:
   out-of-range offsets are masks, and the first in stream order is raised.
   The int form (``_gather_int``, under ``_FEW_GROUPS`` decoded groups)
   walks the few groups slot by slot, one integer step per token;
-* gather. The numpy form gathers the K-base windows of all match and
-  continuation tokens from the reference's packed bytes (the reference is
-  never unpacked), complements the reverse ones, unpacks the verbatim
-  payloads and places all of it into one output array; chunks keep each
-  temporary under ``_GATHER_BYTES``. The int form gathers only the tokens
-  that overlap the requested range: each window from the few reference
-  bytes under it, each payload from its words, OR-ed into one Python int,
-  where a numpy call would cost more than the bases it moves.
+* gather, straight into 2-bit packed bytes: a row of S bases is S / 4
+  bytes, so S must be a multiple of 4. The numpy form gathers the K / 4
+  packed bytes of every match and continuation window from the reference's
+  packed bytes (the reference is never unpacked), reverse-complements the
+  reverse ones as packed rows, and places them and the first S / 4 bytes of
+  each verbatim payload as they are into one packed output buffer, with no
+  unpack and no repack; chunks keep each temporary under ``_GATHER_BYTES``.
+  The int form gathers only the tokens that overlap the requested range:
+  each window from the few reference bytes under it, each payload from its
+  words, OR-ed into one Python int, where a numpy call would cost more than
+  the bases it moves.
 
 Structural violations raise CorruptStream carrying the group ordinal and slot
 index.
@@ -59,8 +62,8 @@ import numpy as np
 from .compress import GROUP_SLOTS, SLOT_SHIFTS, WORD_BYTES, CompressParams, CompressedStream
 from .compress import TokenKind
 from .errors import ChecksumMismatch, CorruptStream
-from .sequence import PackedSequence, pack_code_runs, packed_kmers, sequence_checksum, unpack_rows
-from .sequence import _pack_code_array, _reverse_complement_int
+from .sequence import PackedSequence, packed_kmers, reverse_complement_rows, sequence_checksum
+from .sequence import _reverse_complement_int
 
 # (group bytes, group count, ordinal of the first group); the first group is
 # a chain-free entry point: a stream start or a chunk-index entry.
@@ -74,11 +77,11 @@ _VERBATIM, _FORWARD, _REVERSE, _CONTINUATION = (int(kind) for kind in TokenKind)
 _EVEN_BITS = 0x55555555
 # Windows are gathered in chunks that keep each temporary under this size.
 _GATHER_BYTES = 1 << 20
-# Bases packed in one payload word.
-_WORD_BASES = 4 * WORD_BYTES
 # Bytes of index temporaries per slot of an expanded group, besides its
-# window or payload codes.
+# window or payload bytes.
 _SLOT_BYTES = 48
+# Bases in a sequence's last byte, when not 4 -> the mask of their bits.
+_TAIL_MASKS = np.array([0xFF, 0x03, 0x0F, 0x3F], dtype=np.uint8)
 # Decoded groups below which an extract expands and gathers on Python ints
 # (``_gather_int``): there the numpy form costs its per-call overhead,
 # whatever its size. The two cross at 11-12 groups of the benchmark's
@@ -107,13 +110,13 @@ class _Frames(NamedTuple):
 def decode_group(
     streams: Sequence[Stream], reference: PackedSequence, params: CompressParams
 ) -> list[np.ndarray]:
-    """The base codes of each whole stream, every group expanded and
-    gathered by numpy."""
+    """The 2-bit packed bytes of each whole stream, every group expanded and
+    gathered by numpy; s must be a multiple of 4 (else ``ValueError``)."""
     frames = _walk(streams, params)
-    out = _gather_codes(reference, frames, params)
-    s, rows = params.s, frames.rows
+    out = _gather_packed(reference, frames, params)
+    row_bytes, rows = params.s // 4, frames.rows
     bounds = [rows[i] for i, _ in frames.starts] + [rows[-1]]
-    return [out[a * s : b * s] for a, b in zip(bounds, bounds[1:])]
+    return [out[a * row_bytes : b * row_bytes] for a, b in zip(bounds, bounds[1:])]
 
 
 def decode_packed(
@@ -129,15 +132,16 @@ def decode_packed(
     ``first`` in the low bits of ``value``. Under ``_FEW_GROUPS`` decoded
     groups, they are walked slot by slot and only the tokens that overlap
     ``[start, needed)`` are gathered, on Python ints (``_gather_int``); at or
-    over it, every decoded token is, by the numpy expansion and gather.
+    over it, every decoded token is, by the numpy gather into packed bytes.
+    s must be a multiple of 4 (else ``ValueError``).
     """
     frames = _walk([stream], params, needed, start)
     walked, skipped = len(frames.heads), frames.skipped
     if walked < _FEW_GROUPS:
         span = _gather_int(reference, frames, start - skipped[1], needed - skipped[1], params)
         return span, walked, skipped
-    codes = _gather_codes(reference, frames, params)
-    return (int.from_bytes(_pack_code_array(codes), "little"), 0, codes.size), walked, skipped
+    data = _gather_packed(reference, frames, params)
+    return (int.from_bytes(data, "little"), 0, 4 * data.size), walked, skipped
 
 
 def _words(buf) -> Sequence[int]:
@@ -157,9 +161,12 @@ def _walk(streams, params, needed=None, start=0) -> _Frames:
     ``needed`` and ``start`` are an extract's, on a single stream. Records
     the header position and first output row of every group it decodes, and
     holds the first framing fault instead of raising it; the groups before
-    it are all recorded, and no later one is.
+    it are all recorded, and no later one is. Raises ``ValueError`` unless s
+    is a multiple of 4, so that decoded rows of s bases are whole bytes.
     """
     k, s = params.k, params.s
+    if s % 4:
+        raise ValueError(f"streams decode only when s is a multiple of 4, not s={s}")
     wv = params.words_per_verbatim
     match_rows = k // s  # the output is laid out in rows of s bases
     if len(streams) == 1:
@@ -320,9 +327,10 @@ def _gather_int(reference, frames, lo, hi, params) -> tuple[int, int, int]:
     return (value, first * s, end * s) if first is not None else (0, 0, 0)
 
 
-def _gather_codes(reference, frames, params) -> np.ndarray:
-    """The codes of every decoded group, expanded and gathered by numpy a
-    chunk of groups at a time; the first fault in stream order is raised."""
+def _gather_packed(reference, frames, params) -> np.ndarray:
+    """The 2-bit packed bytes of every decoded group, s / 4 to a row,
+    expanded and gathered by numpy a chunk of groups at a time; the first
+    fault in stream order is raised."""
     k, s = params.k, params.s
     buf = frames.buf
     words = np.frombuffer(buf, "<u4", count=len(buf) // WORD_BYTES)
@@ -330,10 +338,10 @@ def _gather_codes(reference, frames, params) -> np.ndarray:
     rows = np.array(frames.rows[:-1], dtype=np.int64)
     resets = np.zeros(heads.size, dtype=bool)  # the groups that start a stream
     resets[[i for i, _ in frames.starts[1:] if i < heads.size]] = True
-    out = np.empty(frames.rows[-1] * s, dtype=np.uint8)
+    out = np.empty(frames.rows[-1] * s // 4, dtype=np.uint8)
     chain = frames.chain
-    # A slot's codes are at most a window of k or a payload of whole words.
-    slot_bytes = max(k, _WORD_BASES * params.words_per_verbatim) + _SLOT_BYTES
+    # A slot's bytes are at most a window of k / 4 or a payload of whole words.
+    slot_bytes = max(k // 4, WORD_BYTES * params.words_per_verbatim) + _SLOT_BYTES
     chunk = max(1, _GATHER_BYTES // (GROUP_SLOTS * slot_bytes))
     for c in range(0, heads.size, chunk):
         part = slice(c, c + chunk)
@@ -426,27 +434,29 @@ def _expand(words, heads, rows, resets, chain, params, last_offset):
 
 
 def _gather_windows(out, reference, offsets, rows, reverse, params) -> None:
-    """Place the k reference bases at each window offset at its row,
-    reverse-complemented where ``reverse`` is set."""
-    k, s = params.k, params.s
+    """Place the k / 4 packed reference bytes of the window at each offset
+    at its row, reverse-complemented where ``reverse`` is set."""
+    k, row_bytes = params.k, params.s // 4
     if not offsets.size:
         return
-    placed = np.ndarray((out.size // s - k // s + 1, k), np.uint8, out, strides=(s, 1))
-    windows = unpack_rows(packed_kmers(reference.data, offsets, k))[:, :k]
-    windows[reverse] = windows[reverse, ::-1] ^ 3
-    placed[rows] = windows
+    # One void item per window, so that each is placed as one copy.
+    window = f"V{k // 4}"
+    n_places = out.size // row_bytes - k // params.s + 1
+    placed = np.ndarray((n_places,), window, out, strides=(row_bytes,))
+    windows = packed_kmers(reference.data, offsets, k)
+    windows[reverse] = reverse_complement_rows(windows[reverse], k)
+    placed[rows] = windows.view(window)[:, 0]
 
 
 def _gather_verbatim(out, words, first, rows, params) -> None:
-    """Place the s bases of the payload that starts at each word at its row."""
-    s, wv = params.s, params.words_per_verbatim
-    if not first.size:
-        return
-    if wv > 1:
-        first = first[:, None] + np.arange(wv)
+    """Place the first s / 4 bytes of the payload that starts at each word at
+    its row."""
+    wv, row = params.words_per_verbatim, f"V{params.s // 4}"
     # One row of bytes per payload, base 0 in the low bits of byte 0.
-    payload = words[first].reshape(first.shape[0], -1).view(np.uint8)
-    out.reshape(-1, s)[rows] = unpack_rows(payload)[:, :s]
+    payload = words[first[:, None] + np.arange(wv)]
+    out.view(row)[rows] = np.ndarray(first.shape, row, payload, strides=(WORD_BYTES * wv,))
+
+
 def decode_records(
     records: Sequence[Record],
     reference: PackedSequence,
@@ -458,7 +468,8 @@ def decode_records(
     The records must have been compressed against ``reference``, whose
     checksum is compared once when there is a record to decode. Each record's
     base count must be what its footer declares, up to the padding of its
-    final group.
+    final group. Each record is its stream's packed bytes cut at its footer
+    count, the bits past the count zeroed.
     """
     if not records:
         return []
@@ -466,15 +477,22 @@ def decode_records(
         raise ChecksumMismatch("stream was compressed against a different reference")
     streams = [(data, n_groups, 0) for data, n_groups, _ in records]
     parts = decode_group(streams, reference, params)
-    for (_, _, n_bases), codes in zip(records, parts):
-        if codes.size < n_bases:
-            raise CorruptStream(f"stream yields {codes.size} bases but footer declares {n_bases}")
-        if codes.size - n_bases >= GROUP_SLOTS * params.s:
+    for (_, _, n_bases), part in zip(records, parts):
+        got = 4 * part.size
+        if got < n_bases:
+            raise CorruptStream(f"stream yields {got} bases but footer declares {n_bases}")
+        if got - n_bases >= GROUP_SLOTS * params.s:
             raise CorruptStream(
-                f"stream yields {codes.size} bases, more than padding allows for "
+                f"stream yields {got} bases, more than padding allows for "
                 f"footer count {n_bases}"
             )
-    return pack_code_runs([codes[:n_bases] for (_, _, n_bases), codes in zip(records, parts)])
+    lengths = [n for _, _, n in records]
+    ends = np.cumsum([(n + 3) // 4 for n in lengths])
+    data = np.concatenate([part[: (n + 3) // 4] for part, n in zip(parts, lengths)])
+    tails = np.array(lengths) % 4
+    data[ends[tails > 0] - 1] &= _TAIL_MASKS[tails[tails > 0]]
+    data, ends = data.tobytes(), [0, *ends.tolist()]
+    return [PackedSequence._unchecked(data[a:b], n) for a, b, n in zip(ends, ends[1:], lengths)]
 
 
 def decompress(stream: CompressedStream, reference: PackedSequence) -> PackedSequence:

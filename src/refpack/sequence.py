@@ -231,24 +231,6 @@ def ragged_arange(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return run, np.arange(run.size) - (np.cumsum(counts) - counts)[run]
 
 
-def pack_code_runs(runs: Sequence[np.ndarray]) -> list[PackedSequence]:
-    """A ``PackedSequence`` of each run of base codes, packed in one pass.
-
-    Unlike ``from_codes``, this does not check that the codes are 0-3: it is
-    for codes that refpack itself produced, such as a decoder's output. The
-    runs, each followed by zero codes up to a multiple of 4, are joined with
-    one copy, so that every run starts on a byte of the packed buffer, which
-    is then cut per run.
-    """
-    zeros = np.zeros(3, dtype=np.uint8)
-    pieces = [piece for run in runs for piece in (run, zeros[: -run.size % 4])]
-    data = _pack_code_array(np.concatenate([zeros[:0], *pieces]))
-    lengths = np.array([run.size for run in runs], dtype=np.int64)
-    ends = np.cumsum((lengths + 3) // 4).tolist()
-    unchecked = PackedSequence._unchecked
-    return [unchecked(data[a:b], n) for a, b, n in zip([0, *ends], ends, lengths.tolist())]
-
-
 def packed_slice(value: int, start: int, length: int) -> PackedSequence:
     """Bases ``start`` to ``start + length`` of the bases packed in ``value``,
     base 0 in its low two bits: one shift, one mask and ``to_bytes``."""

@@ -37,7 +37,7 @@ from refpack import (
 )
 from refpack.cli import main
 from refpack.compress import TokenKind, compression_ratio, encode_groups
-from refpack.container import decompress_record, extract_range
+from refpack.container import decompress_records, extract_range
 from refpack.errors import RefpackError
 from refpack.index import QueryStats
 from refpack.sequence import (
@@ -282,7 +282,7 @@ def test_criterion_08_random_access():
     buf = io.BytesIO()
     write_container(records, params, sequence_checksum(ref), buf, granularity=4)
     box = read_container(buf.getvalue())
-    full = {rec.id: decompress_record(box, rec, ref).codes() for rec in box.records}
+    full = {rec.id: decompress_records(box, [rec], ref)[0].codes() for rec in box.records}
     mismatches = 0
     for _ in range(1_000):
         rec = box.records[int(rng.integers(0, len(box.records)))]
@@ -316,7 +316,7 @@ def test_criterion_09_container_robustness():
     assert len(data) < 4_096
 
     box = read_container(data)
-    pristine = [decompress_record(box, rec, ref) for rec in box.records]
+    pristine = decompress_records(box, box.records, ref)
     assert pristine == [piece for _, piece in pieces]
 
     crashes = 0
@@ -329,7 +329,7 @@ def test_criterion_09_container_robustness():
             mutated[pos] ^= pattern
             try:
                 parsed = read_container(bytes(mutated))
-                decoded = [decompress_record(parsed, rec, ref) for rec in parsed.records]
+                decoded = [decompress_records(parsed, [rec], ref)[0] for rec in parsed.records]
             except RefpackError:
                 detected += 1
             except Exception:

@@ -12,7 +12,7 @@ from refpack import (
     MutationProfile,
     ReferenceIndex,
     compress,
-    decompress_record,
+    decompress_records,
     mutate,
     random_reads,
     read_container,
@@ -106,7 +106,8 @@ def test_decompress_matches_record_by_record(work, capsys, tmp_path):
     ]) == 0
     box = read_container(root / "out.bnc")
     expected = tmp_path / "each.fa"
-    write_fasta([(rec.id, decompress_record(box, rec, ref)) for rec in box.records], expected)
+    each = [(rec.id, decompress_records(box, [rec], ref)[0]) for rec in box.records]
+    write_fasta(each, expected)
     assert len(box.records) == 2
     assert out.read_bytes() == expected.read_bytes()
 

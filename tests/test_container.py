@@ -37,7 +37,6 @@ from refpack.container import (
     Container,
     ContainerRecord,
     build_chunk_index,
-    decompress_record,
     decompress_records,
     extract_range,
 )
@@ -133,7 +132,7 @@ def test_round_trip_all_records(packed, reference):
     box = read_container(data)
     assert [r.id for r in box.records] == list(targets)
     for rec in box.records:
-        assert decompress_record(box, rec, reference) == targets[rec.id]
+        assert decompress_records(box, [rec], reference)[0] == targets[rec.id]
 
 
 def test_read_sources_agree(packed, tmp_path):
@@ -168,7 +167,7 @@ def test_every_format_reads_and_writes_every_source(fmt, reference, index64, tmp
         ".bnc": (
             lambda dest: write_container(records, params, checksum_of(reference), dest),
             read_container,
-            lambda box: decompress_record(box, box.records[0], reference).to_ascii(),
+            lambda box: decompress_records(box, box.records[:1], reference)[0].to_ascii(),
             ("ACGT" + "A" * 12) * 3,
         ),
         ".bidx": (index64.save, ReferenceIndex.load, index_fields, index_fields(index64)),
@@ -223,8 +222,8 @@ def test_empty_record_inside_container(reference):
     box = read_container(data)
     rec = box.find_record("void")
     assert (rec.n_bases, rec.n_groups, rec.region_size) == (0, 0, 4)
-    assert decompress_record(box, rec, reference).length == 0
-    assert decompress_record(box, box.find_record("b"), reference).length == 310
+    assert decompress_records(box, [rec], reference)[0].length == 0
+    assert decompress_records(box, [box.find_record("b")], reference)[0].length == 310
 
 
 def test_write_rejects_wide_stride(reference):
@@ -546,7 +545,7 @@ def test_extract_matches_full_decode(packed, reference):
     box = read_container(data)
     rng = np.random.default_rng(41)
     for rec in box.records:
-        full = decompress_record(box, rec, reference)
+        full = decompress_records(box, [rec], reference)[0]
         codes = full.codes()
         for _ in range(40):
             off = int(rng.integers(0, rec.n_bases))
@@ -651,7 +650,7 @@ def test_extract_past_every_group_of_a_short_stream(reference):
         extract_range(box, rec, reference, n + 1_000, 64)
     assert str(err.value) == "record 'r': stream ended 1064 bases short of extract range"
     with pytest.raises(CorruptStream, match="footer declares"):
-        decompress_record(box, rec, reference)
+        decompress_records(box, [rec], reference)
 
 
 @pytest.mark.parametrize("residue", range(4))
@@ -670,7 +669,7 @@ def test_records_decode_at_every_alignment(reference, index64, residue):
     box = read_container(container_bytes([(rec_id, result)], params, reference))
     rec = box.records[0]
     assert rec.byte_offset == 84 + len(rec_id) and rec.byte_offset % 4 == residue
-    assert decompress_record(box, rec, reference) == target
+    assert decompress_records(box, [rec], reference)[0] == target
     codes = target.codes()
     entry = next(base for base, _, _ in read_entries(box, rec) if base >= 64)
     for off, skips in ((entry, False), (entry - 64, True)):
@@ -713,9 +712,9 @@ def test_extract_length_sweep(reference, index64, granularity, monkeypatch):
     records = [("forward", results[0]), ("reverse", results[1])]
     box = read_container(container_bytes(records, params, reference, granularity=granularity))
     # Decoded before the forms are counted, so that only extracts count.
-    fulls = [decompress_record(box, rec, reference) for rec in box.records]
+    fulls = decompress_records(box, box.records, reference)
     forms = {"int": 0, "numpy": 0}
-    for form, name in (("int", "_gather_int"), ("numpy", "_gather_codes")):
+    for form, name in (("int", "_gather_int"), ("numpy", "_gather_packed")):
         real = getattr(decompress_mod, name)
 
         def counted(*args, _real=real, _form=form):
@@ -805,7 +804,7 @@ def test_group_bytes_crc_runs_once_per_record(packed, reference, monkeypatch):
     monkeypatch.setattr(container_mod.zlib, "crc32", counting_crc32)
     first = extract_range(box, rec, reference, 7_000, 64)
     assert extract_range(box, rec, reference, 7_000, 64) == first
-    assert decompress_record(box, rec, reference) == targets["whole"]
+    assert decompress_records(box, [rec], reference)[0] == targets["whole"]
     assert calls.count(body) == 1
 
     bad = bytearray(data)
@@ -832,7 +831,7 @@ def test_extract_leaves_reference_packed(packed, reference, forbid_unpack):
     rec = box.find_record("whole")
     with forbid_unpack():
         piece = extract_range(box, rec, reference, 7_000, 64)
-        assert decompress_record(box, rec, reference) == targets["whole"]
+        assert decompress_records(box, [rec], reference)[0] == targets["whole"]
     assert piece.codes().tolist() == targets["whole"].codes()[7_000:7_064].tolist()
 
 
@@ -1055,7 +1054,7 @@ def test_single_byte_corruption_sampled(packed, reference):
             with pytest.raises((CorruptContainer, CorruptStream, ChecksumMismatch)):
                 box = read_container(bytes(bad))
                 for r in box.records:
-                    decompress_record(box, r, reference)
+                    decompress_records(box, [r], reference)
 
 
 def test_default_granularity_round_trips(reference, index64):

@@ -1,4 +1,5 @@
 import importlib
+import io
 from unittest import mock
 
 import numpy as np
@@ -8,17 +9,27 @@ from hypothesis import strategies as st
 
 from refpack import (
     CompressParams,
+    CompressResult,
     MutationProfile,
     TokenKind,
     build_index,
     compress,
     decompress,
+    decompress_records,
     encode_groups,
     make_stream,
     mutate,
     random_sequence,
+    read_container,
+    write_container,
 )
-from refpack.compress import SLOT_SHIFTS, WORD_BYTES, CompressedStream, group_count
+from refpack.compress import (
+    GROUP_SLOTS,
+    SLOT_SHIFTS,
+    WORD_BYTES,
+    CompressedStream,
+    group_count,
+)
 from refpack.decompress import _FEW_GROUPS as FEW_GROUPS
 from refpack.decompress import _GATHER_BYTES as GATHER_BYTES
 from refpack.decompress import decode_group, decode_packed
@@ -270,6 +281,11 @@ def decode_one(
     return packed_slice(value, 0, end).codes(), groups, skipped
 
 
+def codes_of(part):
+    """The base codes of a stream's packed bytes from ``decode_group``."""
+    return PackedSequence(part.tobytes(), 4 * part.size).codes()
+
+
 def fault_of(decode, *args, **kwargs):
     """The CorruptStream a decode raises, as comparable fields."""
     with pytest.raises(CorruptStream) as err:
@@ -341,8 +357,9 @@ def test_iter_group_frames_truncation(reference, params):
 # ------------------------------------------------------------------ differential
 
 # (k, s) pairs: one-word (s <= 16) and two-word (s = 32) verbatim payloads,
-# and a k that is not a multiple of 4, whose windows end inside a byte.
-KS_PAIRS = [(k, s) for k in (16, 32, 64) for s in (4, 16, 32) if s <= k] + [(30, 5), (30, 15)]
+# and s = 12, whose 3-byte rows are narrower than a payload word and not a
+# power of two. Streams decode only when s is a multiple of 4.
+KS_PAIRS = [(k, s) for k in (16, 32, 64) for s in (4, 16, 32) if s <= k] + [(48, 12)]
 
 
 def random_tokens(rng, params, ref_len, n_tokens):
@@ -408,9 +425,9 @@ def _check_against_per_slot_loop(pair, seed, sizes, needed, at_group_end, start)
         kinds, words = random_tokens(rng, params, reference.length, n_tokens)
         streams.append((encode_groups(kinds, words, params), group_count(kinds.size), 0))
     parts = decode_group(streams, reference, params)
-    for (data, n_groups, _), codes in zip(streams, parts):
+    for (data, n_groups, _), part in zip(streams, parts):
         expected = decode_by_slot(data, n_groups, reference, params)[0]
-        assert np.array_equal(codes, expected)
+        assert np.array_equal(codes_of(part), expected)
     # With ``start``, a stream opens at its first group that reaches it.
     for data, n_groups, _ in streams:
         got = decode_one(data, n_groups, reference, params, start=start)
@@ -644,8 +661,8 @@ def test_decode_group_faults_match_per_slot_loop(pair, seed, sizes, mutation, ga
         if isinstance(expected, tuple):
             assert fault_of(decode_group, streams, reference, params) == expected
         else:
-            got = decode_group(streams, reference, params)
-            assert [part.tolist() for part in got] == [part.tolist() for part in expected]
+            got = [codes_of(part).tolist() for part in decode_group(streams, reference, params)]
+            assert got == [part.tolist() for part in expected]
 
 
 # Faults that the groups skipped before ``start`` raise as the token walk does.
@@ -790,6 +807,43 @@ def test_decompress_overshoot_window(reference, params):
     # but 241 bases (15 tokens of padding + one partial) is legitimate
     ok = _stream(data, 1, 241, reference, params)
     assert decompress(ok, reference).length == 241
+
+
+@pytest.mark.parametrize("n_bases", [241, 242, 243])
+def test_pad_bits_past_the_footer_count_are_zeroed(reference, params, n_bases):
+    """Payload bits past the footer count, in the record's last byte, do not
+    reach the output, whose constructor rejects nonzero pad bits."""
+    kinds = np.zeros(GROUP_SLOTS, dtype=np.uint8)
+    words = np.full(GROUP_SLOTS, 0xFFFFFFFF, dtype="<u4")
+    data = encode_groups(kinds, words, params)
+    buf = io.BytesIO()
+    result = CompressResult(kinds, words, n_bases)
+    write_container([("r", result)], params, sequence_checksum(reference), buf)
+    box = read_container(buf.getvalue())
+    expected = PackedSequence.from_codes(np.full(n_bases, 3, dtype=np.uint8))
+    for seq in (
+        decompress(_stream(data, 1, n_bases, reference, params), reference),
+        decompress_records(box, box.records, reference)[0],
+    ):
+        assert seq == expected
+        assert PackedSequence(seq.data, seq.length) == expected
+
+
+def test_decoding_needs_a_stride_that_is_a_multiple_of_4(reference):
+    """Decoded rows are whole packed bytes, so a stream at another s is
+    refused; ``compress`` still tokenizes at it, as the sweep does."""
+    ref = PackedSequence.from_codes(reference.codes()[:3_000])
+    index = build_index(ref, 30)
+    target = mutate(ref, MutationProfile(snp=0.01), np.random.default_rng(4))
+    for s in (5, 15):
+        params = CompressParams(k=30, s=s)
+        result = compress(target, index, ref, params)
+        assert result.n_bases == target.length
+        stream = make_stream(result, params, index.ref_checksum)
+        with pytest.raises(ValueError, match="multiple of 4"):
+            decompress(stream, ref)
+        with pytest.raises(ValueError, match="multiple of 4"):
+            decode_packed((stream.data, stream.n_groups, 0), ref, params, needed=1, start=0)
 
 
 def test_decompress_empty_stream(reference, params):

@@ -89,12 +89,6 @@ def test_pack_code_array_matches_reference(quads, extra, seed, strided):
     assert sequence_mod._pack_code_array(codes) == pack_code_array_reference(codes)
 
 
-@given(st.lists(dna, max_size=8))
-def test_pack_code_runs_match_from_codes(texts):
-    runs = [pack_bases(text).codes() for text in texts]
-    assert sequence_mod.pack_code_runs(runs) == [PackedSequence.from_codes(r) for r in runs]
-
-
 def test_packed_sequence_validation():
     with pytest.raises(ValueError):
         PackedSequence(b"\xe4", 9)  # too few packed bytes
